@@ -205,7 +205,8 @@ func benchCoordinator(b testing.TB, n int) *Coordinator {
 // slow to be worth timing. The two arms are bit-identical in output (see
 // the differential test in internal/core); this benchmark quantifies the
 // allocation and latency gap the arena-backed detection buys, and the
-// extended sweep shows the scaling trajectory BENCH_pipeline.json tracks.
+// extended sweep shows how a round scales with n. Tracked numbers come
+// from the harness (bash bench/run.sh, see bench/README.md), not from here.
 func BenchmarkRunRound(b *testing.B) {
 	for _, n := range []int{8, 64, 256, 1024, 4096} {
 		for _, arm := range []struct {
@@ -360,7 +361,8 @@ func benchShardedCoordinator(b testing.TB, n, shards int) (*Coordinator, func())
 // the n-sweep to 4096 workers: the flat arm collects every gradient at the
 // root, the sharded arm pre-aggregates in 16 edge cohorts and forwards one
 // summarized upload each, so the root folds s cohort frames instead of n
-// worker gradients. Numbers live in BENCH_shard.json.
+// worker gradients. The tracked flat-vs-sharded numbers are the harness's
+// deep-flat and deep-sharded workloads (bench/README.md).
 func BenchmarkShardRound(b *testing.B) {
 	const shards = 16
 	for _, n := range []int{256, 1024, 4096} {

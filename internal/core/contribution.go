@@ -135,14 +135,41 @@ func ComputeContributions(cfg ContributionConfig, global gradvec.Vector, grads [
 	// in the same serial operation order, so the result is bit-identical
 	// to the sequential loop.
 	parallel.For(n, func(i int) {
-		g := grads[i]
-		if g == nil || g.HasNaN() {
-			return
-		}
-		out.Dist[i] = global.SqDist(g)
+		out.Dist[i] = SqDistToGlobal(global, grads[i])
 	})
 	thresholdAndClamp(cfg, global, out)
 	return out
+}
+
+// SqDistToGlobal returns b_i = ‖G̃ − g‖² (Eq. 13) for one upload, NaN when
+// the upload is unusable: missing, of another length than G̃, or holding a
+// NaN or ±Inf. It is the distance kernel of ComputeContributions, and edge
+// aggregators in a sharded federation run it locally, so both paths are
+// bit-identical by construction.
+func SqDistToGlobal(global, g gradvec.Vector) float64 {
+	d, _ := sqDistToGlobal(global, g)
+	return d
+}
+
+// sqDistToGlobal is SqDistToGlobal plus whether the guarded per-element
+// scan ran. The gradient is read once: (x−y)² is never negative, so the sum
+// is NaN iff some difference was NaN and +Inf iff one was ±Inf or the sum
+// overflowed, and every non-finite element of g makes its difference
+// non-finite. A finite distance therefore proves g finite; only a
+// non-finite one sends g through HasNaN, to tell a poisoned upload (NaN)
+// from a huge finite one or a non-finite G̃ (the distance as computed).
+func sqDistToGlobal(global, g gradvec.Vector) (d float64, rescanned bool) {
+	if g == nil || len(g) != len(global) {
+		return math.NaN(), false
+	}
+	d = global.SqDist(g)
+	if !math.IsNaN(d) && !math.IsInf(d, 1) {
+		return d, false
+	}
+	if g.HasNaN() {
+		return math.NaN(), true
+	}
+	return d, true
 }
 
 // thresholdAndClamp finishes a Contributions whose Dist row is filled:

@@ -94,7 +94,7 @@ func (d *Detector) Detect(rr *fl.RoundResult, slices [][]gradvec.Vector, servers
 		// Accept arrivals so training proceeds; reputation records them as
 		// positive, matching the optimistic default of the SLM model.
 		for i := range res.Accept {
-			res.Accept[i] = !res.Uncertain[i] && !rr.Grads[i].HasNaN()
+			res.Accept[i] = rr.Usable(i)
 		}
 		return res, nil
 	}
@@ -103,7 +103,7 @@ func (d *Detector) Detect(rr *fl.RoundResult, slices [][]gradvec.Vector, servers
 		if g == nil {
 			continue
 		}
-		if g.HasNaN() {
+		if len(g) != total || g.HasNaN() {
 			res.Scores[i] = math.Inf(-1)
 			continue
 		}
@@ -170,7 +170,7 @@ func (d *Detector) DetectRound(rr *fl.RoundResult, servers []int, m int) (*Detec
 		// No server upload survived: detection is impossible this round.
 		// Accept arrivals so training proceeds, matching Detect.
 		for i := range res.Accept {
-			res.Accept[i] = !res.Uncertain[i] && !rr.Grads[i].HasNaN()
+			res.Accept[i] = rr.Usable(i)
 		}
 		return res, nil
 	}
@@ -195,30 +195,48 @@ func (d *Detector) DetectRound(rr *fl.RoundResult, servers []int, m int) (*Detec
 // edge aggregators in a sharded federation run it locally so full cohort
 // gradients never travel to the root; both paths are bit-identical by
 // construction. A malformed (wrong-length) or NaN-poisoned gradient scores
-// -Inf: rejected outright. (Detect only handles the NaN case; a
-// wrong-length gradient would panic there, so rejecting is strictly more
-// defined.) A worker nobody independent can assess (M = 1 and it is the
-// server) scores 0: no evidence.
+// -Inf: rejected outright. A worker nobody independent can assess (M = 1
+// and it is the server) scores 0: no evidence.
 func ScoreAgainstBenchmark(bench gradvec.Vector, owners []int, self int, g gradvec.Vector) float64 {
+	score, _ := scoreAgainstBenchmark(bench, owners, self, g)
+	return score
+}
+
+// scoreAgainstBenchmark is ScoreAgainstBenchmark plus whether the guarded
+// per-element scan ran. The gradient is read once: each region's pass
+// yields the cosine evidence and Σg², and Σg² doubles as the region's
+// finiteness evidence — it is NaN iff the region holds a NaN and +Inf iff it
+// holds ±Inf or overflowed (gradvec.Norm2). Only a non-finite sum, over ANY
+// region including the self-owned ones the score skips, sends the gradient
+// through HasNaN to tell a poisoned upload (-Inf) from a huge finite one
+// (whose overflowed regions score cosine 0, as CosSim always had it).
+func scoreAgainstBenchmark(bench gradvec.Vector, owners []int, self int, g gradvec.Vector) (score float64, rescanned bool) {
 	total := len(bench)
-	if len(g) != total || g.HasNaN() {
-		return math.Inf(-1)
+	if len(g) != total {
+		return math.Inf(-1), false
 	}
 	m := len(owners)
 	sum := 0.0
 	regions := 0
 	for j := 0; j < m; j++ {
+		lo, hi := gradvec.SliceBounds(total, m, j)
+		dot, bb, gg := bench[lo:hi].DotSumSq(g[lo:hi])
+		if math.IsNaN(gg) || math.IsInf(gg, 1) {
+			rescanned = true
+		}
 		if owners[j] == self {
 			continue
 		}
-		lo, hi := gradvec.SliceBounds(total, m, j)
-		sum += bench[lo:hi].CosSim(g[lo:hi])
+		sum += gradvec.CosFromSums(dot, bb, gg)
 		regions++
 	}
-	if regions == 0 {
-		return 0
+	switch {
+	case rescanned && g.HasNaN():
+		return math.Inf(-1), true
+	case regions == 0:
+		return 0, rescanned
 	}
-	return sum / float64(regions)
+	return sum / float64(regions), rescanned
 }
 
 // FlatBenchmark assembles the composite benchmark without a slice table:
@@ -231,7 +249,7 @@ func ScoreAgainstBenchmark(bench gradvec.Vector, owners []int, self int, g gradv
 func FlatBenchmark(rr *fl.RoundResult, servers []int, m int, owners []int) gradvec.Vector {
 	fallback := -1
 	for _, s := range servers {
-		if !rr.Dropped(s) && !rr.Grads[s].HasNaN() {
+		if rr.Usable(s) {
 			fallback = s
 			break
 		}
@@ -243,7 +261,7 @@ func FlatBenchmark(rr *fl.RoundResult, servers []int, m int, owners []int) gradv
 	parts := make([]gradvec.Vector, m)
 	for j := 0; j < m; j++ {
 		s := servers[j]
-		if rr.Dropped(s) || len(rr.Grads[s]) != total || rr.Grads[s].HasNaN() {
+		if s != fallback && (len(rr.Grads[s]) != total || !rr.Usable(s)) {
 			s = fallback
 		}
 		lo, hi := gradvec.SliceBounds(total, m, j)
@@ -264,7 +282,7 @@ func compositeBenchmark(rr *fl.RoundResult, slices [][]gradvec.Vector, servers [
 	// Find a fallback server whose upload survived.
 	fallback := -1
 	for _, s := range servers {
-		if !rr.Dropped(s) && !rr.Grads[s].HasNaN() {
+		if rr.Usable(s) {
 			fallback = s
 			break
 		}
@@ -275,7 +293,7 @@ func compositeBenchmark(rr *fl.RoundResult, slices [][]gradvec.Vector, servers [
 	parts := make([]gradvec.Vector, m)
 	for j := 0; j < m; j++ {
 		s := servers[j]
-		if rr.Dropped(s) || rr.Grads[s].HasNaN() {
+		if !rr.Usable(s) {
 			s = fallback
 		}
 		parts[j] = slices[s][j]

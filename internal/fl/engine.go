@@ -92,6 +92,11 @@ type RoundResult struct {
 	// means every arrival weighs 1, which is the synchronous path and is
 	// bit-identical to aggregation before the field existed.
 	Weights []float64
+	// Dim is the model dimension every upload must have. A worker can
+	// return a gradient of any length, and one of the wrong length is as
+	// unusable as a NaN-poisoned one (see Usable). 0 means unknown — a
+	// hand-assembled result — and disables the length screen.
+	Dim int
 }
 
 // NoSubmission is the Staleness marker for a worker that submitted
@@ -100,6 +105,15 @@ const NoSubmission = -1
 
 // Dropped reports whether worker i's upload failed to arrive this round.
 func (r *RoundResult) Dropped(i int) bool { return r.Grads[i] == nil }
+
+// Usable reports whether worker i's upload can be screened and folded: it
+// arrived, has the round's model dimension and holds no NaN or ±Inf. An
+// arrival that is not usable is rejected outright — a negative reputation
+// event — never aggregated and never given benchmark duty.
+func (r *RoundResult) Usable(i int) bool {
+	g := r.Grads[i]
+	return g != nil && (r.Dim == 0 || len(g) == r.Dim) && !g.HasNaN()
+}
 
 // Engine orchestrates a federation: it owns the global parameter vector, a
 // global model replica for evaluation, and the worker set.
@@ -299,15 +313,17 @@ func (e *Engine) AggregateRound(rr *RoundResult, accept []bool) (gradvec.Vector,
 	if total == 0 {
 		return nil, nil
 	}
-	out := gradvec.Zeros(len(e.params))
+	// coefs[i] stays 0 for every worker the fold skips; a zero coefficient
+	// folds nothing, which is what adding 0·G_i amounts to anyway.
+	coefs := make([]float64, len(rr.Grads))
 	for i, g := range rr.Grads {
 		if g == nil || (accept != nil && !accept[i]) {
 			continue
 		}
-		if w := weight(i); w > 0 {
-			out.AddScaled(w*float64(rr.Samples[i])/total, g)
-		}
+		coefs[i] = weight(i) * float64(rr.Samples[i]) / total
 	}
+	out := gradvec.Zeros(len(e.params))
+	out.AddWeighted(rr.Grads, coefs)
 	return out, nil
 }
 
@@ -364,10 +380,11 @@ func (e *Engine) AggregateRoundBlocked(rr *RoundResult, accept []bool, cohorts [
 	// flat running total, because that is the only sum a real shard can
 	// compute without seeing its siblings.
 	partials := make([]gradvec.Vector, len(cohorts))
+	coefs := make([]float64, len(rr.Grads))
 	total := 0.0
 	lo := 0
 	for s, size := range cohorts {
-		var p gradvec.Vector
+		survivor := false
 		mass := 0.0
 		for i := lo; i < lo+size; i++ {
 			g := rr.Grads[i]
@@ -375,15 +392,14 @@ func (e *Engine) AggregateRoundBlocked(rr *RoundResult, accept []bool, cohorts [
 				continue
 			}
 			w := weight(i)
-			mass += w * float64(rr.Samples[i])
-			if w > 0 {
-				if p == nil {
-					p = gradvec.Zeros(len(e.params))
-				}
-				p.AddScaled(w*float64(rr.Samples[i]), g)
-			}
+			coefs[i] = w * float64(rr.Samples[i])
+			mass += coefs[i]
+			survivor = survivor || w > 0
 		}
-		partials[s] = p
+		if survivor {
+			partials[s] = gradvec.Zeros(len(e.params))
+			partials[s].AddWeighted(rr.Grads[lo:lo+size], coefs[lo:lo+size])
+		}
 		total += mass
 		lo += size
 	}
@@ -392,12 +408,14 @@ func (e *Engine) AggregateRoundBlocked(rr *RoundResult, accept []bool, cohorts [
 	}
 	// Root pass: normalize the partials. Empty cohorts are skipped rather
 	// than folded as zero vectors — adding 0.0 would flip a -0.0 element.
-	out := gradvec.Zeros(len(e.params))
-	for _, p := range partials {
+	norm := make([]float64, len(partials))
+	for s, p := range partials {
 		if p != nil {
-			out.AddScaled(1/total, p)
+			norm[s] = 1 / total
 		}
 	}
+	out := gradvec.Zeros(len(e.params))
+	out.AddWeighted(partials, norm)
 	return out, nil
 }
 

@@ -222,7 +222,7 @@ func (e *Engine) CollectGradientsContext(ctx context.Context, round int) (*Round
 	for i := range rr.Grads {
 		rr.Grads[i] = nil
 	}
-	rr.Round, rr.Quorum, rr.Arrived, rr.Committed = round, e.opt.quorum, 0, false
+	rr.Round, rr.Dim, rr.Quorum, rr.Arrived, rr.Committed = round, d, e.opt.quorum, 0, false
 	plan := e.faultPlan(round)
 	// Snapshot the parameters for the fan-out. With a worker deadline, a
 	// straggler abandoned at the deadline may still be reading its copy
@@ -241,8 +241,8 @@ func (e *Engine) CollectGradientsContext(ctx context.Context, round int) (*Round
 	// store files worker i's arrived gradient into its arena row. Rows are
 	// disjoint, so concurrent stores need no synchronization. A worker
 	// that returns a wrong-length gradient bypasses the arena and keeps
-	// its own vector — downstream shape checks report it, exactly as
-	// before the arena existed. Abandoned stragglers never reach store:
+	// its own vector; rr.Dim lets every consumer see that it is not
+	// Usable. Abandoned stragglers never reach store:
 	// their result dies on the buffered channel, so a goroutine finishing
 	// after the deadline cannot scribble on a row the next round reuses.
 	store := func(i int, g gradvec.Vector) {

@@ -12,6 +12,8 @@ package gradvec
 import (
 	"fmt"
 	"math"
+
+	"fifl/internal/parallel"
 )
 
 // Vector is a flat gradient (or parameter-delta) vector.
@@ -70,10 +72,18 @@ func (v Vector) Dot(o Vector) float64 {
 func (v Vector) Norm2() float64 {
 	s := 0.0
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return math.Inf(1)
-		}
 		s += x * x
+	}
+	return normFromSumSq(s)
+}
+
+// normFromSumSq turns Σx² into the Norm2 contract without having looked at
+// a single element: x·x is never negative, so the sum cannot cancel to NaN
+// — it is NaN iff some element was NaN, and +Inf iff some element was ±Inf
+// or the finite sum overflowed. NaN maps to +Inf; Sqrt carries +Inf through.
+func normFromSumSq(s float64) float64 {
+	if math.IsNaN(s) {
+		return math.Inf(1)
 	}
 	return math.Sqrt(s)
 }
@@ -92,24 +102,39 @@ func (v Vector) SqDist(o Vector) float64 {
 	return s
 }
 
-// CosSim returns the cosine similarity between v and o, clamped to
-// [-1, 1]. Degenerate inputs score 0 instead of propagating NaN into the
-// detection pipeline: a zero vector has no direction to compare, and a
-// vector with non-finite elements (Norm2 = +Inf) carries no usable signal
-// — the detection modules treat a 0 score as "no evidence", which a
-// threshold S_y > 0 rejects.
-func (v Vector) CosSim(o Vector) float64 {
-	nv, no := v.Norm2(), o.Norm2()
+// DotSumSq returns ⟨v,o⟩, Σv² and Σo² from ONE pass over the pair — the
+// evidence a cosine needs. Each sum is a single accumulator adding in
+// element order, so it is bit-for-bit the float Dot (resp. Norm2, before
+// the root) produces; the three dependency chains are independent and
+// overlap in the pipeline, which makes the fused pass cost what Dot alone
+// does. Do not unroll into partial sums: that changes the bits.
+func (v Vector) DotSumSq(o Vector) (dot, vv, oo float64) {
+	if len(v) != len(o) {
+		panic(fmt.Sprintf("gradvec: DotSumSq length mismatch %d vs %d", len(v), len(o)))
+	}
+	for i, x := range v {
+		y := o[i]
+		dot += x * y
+		vv += x * x
+		oo += y * y
+	}
+	return dot, vv, oo
+}
+
+// CosFromSums is the guarded cosine of CosSim evaluated on the sums
+// DotSumSq returned for a pair (v, o).
+func CosFromSums(dot, vv, oo float64) float64 {
+	nv, no := normFromSumSq(vv), normFromSumSq(oo)
 	if nv == 0 || no == 0 || math.IsInf(nv, 0) || math.IsInf(no, 0) {
 		return 0
 	}
 	// Divide by the norms one at a time: nv*no can overflow to +Inf even
 	// when both norms are finite, which would corrupt the quotient.
-	c := v.Dot(o) / nv / no
+	c := dot / nv / no
 	switch {
 	case math.IsNaN(c):
-		// Only reachable through intermediate overflow in Dot (huge finite
-		// elements summing +Inf and -Inf): no usable signal.
+		// Only reachable through intermediate overflow in the dot product
+		// (huge finite elements summing +Inf and -Inf): no usable signal.
 		return 0
 	case c > 1:
 		return 1
@@ -120,14 +145,25 @@ func (v Vector) CosSim(o Vector) float64 {
 	}
 }
 
-// HasNaN reports whether any element is NaN or infinite.
+// CosSim returns the cosine similarity between v and o, clamped to
+// [-1, 1]. Degenerate inputs score 0 instead of propagating NaN into the
+// detection pipeline: a zero vector has no direction to compare, and a
+// vector with non-finite elements (Norm2 = +Inf) carries no usable signal
+// — the detection modules treat a 0 score as "no evidence", which a
+// threshold S_y > 0 rejects. It reads each vector once.
+func (v Vector) CosSim(o Vector) float64 {
+	return CosFromSums(v.DotSumSq(o))
+}
+
+// HasNaN reports whether any element is NaN or infinite. It does not
+// branch per element: x·0 is ±0 for a finite x and NaN for NaN or ±Inf, and
+// one NaN poisons the running sum for good, so the sum is tested once.
 func (v Vector) HasNaN() bool {
+	s := 0.0
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
+		s += x * 0
 	}
-	return false
+	return s != 0
 }
 
 // SliceBounds returns the half-open range [lo,hi) of slice j when a vector
@@ -172,6 +208,45 @@ func Recombine(slices []Vector) Vector {
 	return out
 }
 
+// minParallelFold is the multiply-add count below which AddWeighted folds
+// on the calling goroutine: waking a second core costs some ten
+// microseconds, which a toy-model fold (236 parameters × 256 workers, 40 µs
+// in all) does not earn back; a 78,378-parameter cohort does many times over.
+const minParallelFold = 1 << 18
+
+// AddWeighted adds Σ_i weights[i]·vs[i] into v. A zero weight skips its
+// vector, which may then be nil or of any length. A large fold fans the
+// parameter dimension out across cores in contiguous column blocks; every
+// element still folds the vectors in slice order, so the result is
+// bit-identical to one AddScaled call per vector.
+func (v Vector) AddWeighted(vs []Vector, weights []float64) {
+	if len(vs) != len(weights) {
+		panic(fmt.Sprintf("gradvec: AddWeighted got %d vectors, %d weights", len(vs), len(weights)))
+	}
+	terms := 0
+	for i, o := range vs {
+		if weights[i] == 0 {
+			continue
+		}
+		if len(o) != len(v) {
+			panic(fmt.Sprintf("gradvec: AddWeighted length mismatch %d vs %d", len(v), len(o)))
+		}
+		terms++
+	}
+	fold := func(lo, hi int) {
+		for i, o := range vs {
+			if w := weights[i]; w != 0 {
+				v[lo:hi].AddScaled(w, o[lo:hi])
+			}
+		}
+	}
+	if terms*len(v) < minParallelFold {
+		fold(0, len(v))
+		return
+	}
+	parallel.ForChunked(len(v), fold)
+}
+
 // WeightedSum returns Σ_i weights[i]·vs[i]. All vectors must share one
 // length. This is the aggregation of Eq. 2 with weights n_i/Σn_j.
 func WeightedSum(vs []Vector, weights []float64) Vector {
@@ -182,10 +257,6 @@ func WeightedSum(vs []Vector, weights []float64) Vector {
 		return nil
 	}
 	out := Zeros(len(vs[0]))
-	for i, v := range vs {
-		if weights[i] != 0 {
-			out.AddScaled(weights[i], v)
-		}
-	}
+	out.AddWeighted(vs, weights)
 	return out
 }

@@ -93,9 +93,20 @@ func Exchange(grads []gradvec.Vector, weights []float64, m int) (gradvec.Vector,
 	// broadcast (step 1.4).
 	for j := 0; j < m; j++ {
 		go func(j int) {
-			var acc gradvec.Vector
+			// Slices arrive in whatever order the workers were scheduled;
+			// float addition does not commute across orders, so the server
+			// files them by worker and folds in worker order — the order the
+			// engine's direct aggregation uses.
+			arrived := make([]sliceMsg, len(grads))
 			for msg := range inboxes[j] {
 				traffic.addServerIn(j, len(msg.slice))
+				arrived[msg.worker] = msg
+			}
+			var acc gradvec.Vector
+			for _, msg := range arrived {
+				if msg.slice == nil {
+					continue
+				}
 				if acc == nil {
 					acc = gradvec.Zeros(len(msg.slice))
 				}

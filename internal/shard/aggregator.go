@@ -169,15 +169,15 @@ func (a *Aggregator) handleCollect(ctx context.Context, d codec.ShardDirective) 
 		if s < a.first || s >= a.first+k {
 			continue // another shard's server
 		}
-		g := rr.Grads[s-a.first]
-		if g == nil || g.HasNaN() {
+		if !rr.Usable(s - a.first) {
 			// A NaN-poisoned server gradient cannot ride the wire; the root
-			// sees the row as dropped, which excludes it from benchmark duty
-			// exactly as the flat FlatBenchmark's HasNaN test would.
+			// sees the row (or a wrong-length one) as dropped, which excludes
+			// it from benchmark duty exactly as the flat FlatBenchmark's
+			// Usable test would.
 			continue
 		}
 		ev.ServerIDs = append(ev.ServerIDs, s)
-		ev.ServerGrads = append(ev.ServerGrads, g)
+		ev.ServerGrads = append(ev.ServerGrads, rr.Grads[s-a.first])
 	}
 	return a.link.Submit(ctx, codec.ShardSubmit{
 		Shard: a.shard, Round: d.Round, Phase: codec.ShardPhaseCollect, Collect: ev,
@@ -205,7 +205,7 @@ func (a *Aggregator) handleDetect(ctx context.Context, d codec.ShardDirective) e
 		if bench == nil {
 			// No server upload survived anywhere: accept arrivals so training
 			// proceeds, exactly as the flat detector's no-benchmark path.
-			ev.Accept[i] = !g.HasNaN()
+			ev.Accept[i] = rr.Usable(i)
 			continue
 		}
 		ev.Scores[i] = core.ScoreAgainstBenchmark(bench, d.Owners, a.first+i, g)
@@ -214,19 +214,21 @@ func (a *Aggregator) handleDetect(ctx context.Context, d codec.ShardDirective) e
 	// The pre-aggregate: P_s = Σ n_i·G_i and T_s = Σ n_i over the accepted
 	// arrivals, in cohort order — the blocked association the root's fold
 	// (and fl.Engine.AggregateRoundBlocked) completes.
-	var partial gradvec.Vector
+	coefs := make([]float64, k)
+	survivor := false
 	for i, g := range rr.Grads {
 		if g == nil || !ev.Accept[i] {
 			continue
 		}
-		n := float64(rr.Samples[i])
-		ev.Weight += n
-		if partial == nil {
-			partial = gradvec.Zeros(len(a.engine.Params()))
-		}
-		partial.AddScaled(n, g)
+		coefs[i] = float64(rr.Samples[i])
+		ev.Weight += coefs[i]
+		survivor = true
 	}
-	ev.Partial = partial
+	if survivor {
+		partial := gradvec.Zeros(len(a.engine.ParamsRef()))
+		partial.AddWeighted(rr.Grads, coefs)
+		ev.Partial = partial
+	}
 	return a.link.Submit(ctx, codec.ShardSubmit{
 		Shard: a.shard, Round: d.Round, Phase: codec.ShardPhaseDetect, Detect: ev,
 	})
@@ -242,11 +244,10 @@ func (a *Aggregator) handleDist(ctx context.Context, d codec.ShardDirective) err
 	rr := a.rr
 	ev := &codec.ShardDistEvidence{Dists: make([]float64, len(rr.Grads))}
 	for i, g := range rr.Grads {
-		if g == nil || g.HasNaN() || global == nil || len(g) != len(global) {
-			ev.Dists[i] = math.NaN()
-			continue
+		ev.Dists[i] = math.NaN()
+		if global != nil {
+			ev.Dists[i] = core.SqDistToGlobal(global, g)
 		}
-		ev.Dists[i] = global.SqDist(g)
 	}
 	return a.link.Submit(ctx, codec.ShardSubmit{
 		Shard: a.shard, Round: d.Round, Phase: codec.ShardPhaseDist, Dist: ev,

@@ -89,6 +89,7 @@ func (b *Bridge) CollectRound(ctx context.Context, t int) (*fl.RoundResult, erro
 		Status:  make([]faults.UploadStatus, n),
 		Retries: make([]int, n),
 		Quorum:  b.quorum,
+		Dim:     len(b.engine.ParamsRef()),
 	}
 	for s, sub := range wave {
 		first, _, err := b.hub.Cohort(s)

@@ -301,10 +301,7 @@ func (s *blockedFlatSource) Distances(_ context.Context, rr *fl.RoundResult, glo
 		return dists, nil
 	}
 	for i, g := range rr.Grads {
-		if g == nil || g.HasNaN() {
-			continue
-		}
-		dists[i] = global.SqDist(g)
+		dists[i] = core.SqDistToGlobal(global, g)
 	}
 	return dists, nil
 }
@@ -329,7 +326,7 @@ const (
 // rebuilds its own workers from the same seed — worker RNG streams are
 // split by worker ID, so both arms train identically no matter which
 // engine hosts the worker.
-func buildDiffWorkers(src *rng.Source) ([]fl.Worker, nn.Builder) {
+func buildDiffWorkers(src *rng.Source, rewrite map[int]func(gradvec.Vector) gradvec.Vector) ([]fl.Worker, nn.Builder) {
 	build := nn.NewMLP(diffSeed, 28*28, []int{8}, 10)
 	data := dataset.SynthDigits(src.Split("train"), diffWorkers*120)
 	parts := data.PartitionIID(src.Split("parts"), diffWorkers)
@@ -337,8 +334,21 @@ func buildDiffWorkers(src *rng.Source) ([]fl.Worker, nn.Builder) {
 	workers := make([]fl.Worker, diffWorkers)
 	for i := range workers {
 		workers[i] = fl.NewHonestWorker(i, parts[i], build, lc, src)
+		if fn := rewrite[i]; fn != nil {
+			workers[i] = tamperedWorker{Worker: workers[i], rewrite: fn}
+		}
 	}
 	return workers, build
+}
+
+// tamperedWorker rewrites an honest worker's upload before it leaves.
+type tamperedWorker struct {
+	fl.Worker
+	rewrite func(gradvec.Vector) gradvec.Vector
+}
+
+func (w tamperedWorker) LocalTrain(round int, global []float64) gradvec.Vector {
+	return w.rewrite(w.Worker.LocalTrain(round, global))
 }
 
 func diffCoordinatorConfig() core.CoordinatorConfig {
@@ -367,11 +377,11 @@ func captureOutcome(t *testing.T, coord *core.Coordinator, engine *fl.Engine, re
 }
 
 // runFlatBlocked runs the flat arm over the given cohort partition.
-func runFlatBlocked(t *testing.T, cohorts []int) runOutcome {
+func runFlatBlocked(t *testing.T, cohorts []int, rewrite map[int]func(gradvec.Vector) gradvec.Vector) runOutcome {
 	t.Helper()
 	ctx := testCtx(t)
 	src := rng.New(diffSeed)
-	workers, build := buildDiffWorkers(src)
+	workers, build := buildDiffWorkers(src, rewrite)
 	engine, err := fl.NewEngine(fl.Config{Servers: diffServers, GlobalLR: 0.05}, build, workers, src)
 	if err != nil {
 		t.Fatal(err)
@@ -406,11 +416,11 @@ func cohortSizes(n, s int) []int {
 // runSharded runs the sharded arm: cohort engines under edge aggregators,
 // a virtual-worker root engine behind the bridge, every frame through the
 // codec via the link that linkFor returns.
-func runSharded(t *testing.T, cohorts []int, linkFor func(*core.Coordinator, *ShardHub) RootLink) runOutcome {
+func runSharded(t *testing.T, cohorts []int, rewrite map[int]func(gradvec.Vector) gradvec.Vector, linkFor func(*core.Coordinator, *ShardHub) RootLink) runOutcome {
 	t.Helper()
 	ctx := testCtx(t)
 	src := rng.New(diffSeed)
-	workers, build := buildDiffWorkers(src)
+	workers, build := buildDiffWorkers(src, rewrite)
 	samples := make([]int, len(workers))
 	for i, w := range workers {
 		samples[i] = w.NumSamples()
@@ -547,11 +557,49 @@ func TestShardedMatchesFlatFederation(t *testing.T) {
 		s := s
 		t.Run(fmt.Sprintf("shards=%d", s), func(t *testing.T) {
 			cohorts := cohortSizes(diffWorkers, s)
-			flat := runFlatBlocked(t, cohorts)
-			sharded := runSharded(t, cohorts, func(_ *core.Coordinator, hub *ShardHub) RootLink {
+			flat := runFlatBlocked(t, cohorts, nil)
+			sharded := runSharded(t, cohorts, nil, func(_ *core.Coordinator, hub *ShardHub) RootLink {
 				return DirectLink{Hub: hub}
 			})
 			requireSameOutcome(t, fmt.Sprintf("shards=%d", s), flat, sharded)
+		})
+	}
+}
+
+// TestShardedRejectsWrongLengthLikeFlat plants wrong-length uploads and
+// requires the edge aggregators to reach the flat path's verdicts bit for
+// bit: rejected at -Inf, distance NaN, never folded into a partial, never
+// forwarded for benchmark duty, and no panic on either side. The second
+// scenario leaves the initial server cluster (workers 0 and 1) without a
+// usable upload, so round 0 has no benchmark and accepts arrivals on trust
+// — all but the malformed one.
+func TestShardedRejectsWrongLengthLikeFlat(t *testing.T) {
+	short := func(g gradvec.Vector) gradvec.Vector { return g[:len(g)-3] }
+	long := func(g gradvec.Vector) gradvec.Vector { return append(g.Clone(), 1, 2, 3) }
+	poison := func(g gradvec.Vector) gradvec.Vector { g[len(g)/2] = math.NaN(); return g }
+	for name, rewrite := range map[string]map[int]func(gradvec.Vector) gradvec.Vector{
+		"worker and server": {1: short, 4: long},
+		"no benchmark":      {0: poison, 1: short, 4: long},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cohorts := cohortSizes(diffWorkers, 2)
+			flat := runFlatBlocked(t, cohorts, rewrite)
+			sharded := runSharded(t, cohorts, rewrite, func(_ *core.Coordinator, hub *ShardHub) RootLink {
+				return DirectLink{Hub: hub}
+			})
+			requireSameOutcome(t, name, flat, sharded)
+			for r, rep := range sharded.reports {
+				det, c := rep.Detection, rep.Contributions
+				for victim := range rewrite {
+					if det.Accept[victim] || det.Uncertain[victim] || !math.IsNaN(c.Dist[victim]) {
+						t.Fatalf("round %d worker %d: accept=%v uncertain=%v dist=%v, want a rejection with distance NaN",
+							r, victim, det.Accept[victim], det.Uncertain[victim], c.Dist[victim])
+					}
+				}
+			}
+			if det := sharded.reports[0].Detection; name == "no benchmark" && (det.Benchmark != nil || !det.Accept[2]) {
+				t.Fatalf("round 0: benchmark %v accept[2]=%v, want no benchmark and usable arrivals accepted on trust", det.Benchmark != nil, det.Accept[2])
+			}
 		})
 	}
 }
@@ -561,14 +609,14 @@ func TestShardedMatchesFlatFederation(t *testing.T) {
 // long-polled from /v1/shard/directive.
 func TestShardedMatchesFlatOverHTTP(t *testing.T) {
 	cohorts := cohortSizes(diffWorkers, 2)
-	flat := runFlatBlocked(t, cohorts)
+	flat := runFlatBlocked(t, cohorts, nil)
 	var ts *httptest.Server
 	t.Cleanup(func() {
 		if ts != nil {
 			ts.Close()
 		}
 	})
-	sharded := runSharded(t, cohorts, func(coord *core.Coordinator, hub *ShardHub) RootLink {
+	sharded := runSharded(t, cohorts, nil, func(coord *core.Coordinator, hub *ShardHub) RootLink {
 		srv, err := NewServer(coord, hub)
 		if err != nil {
 			t.Fatal(err)

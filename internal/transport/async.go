@@ -162,6 +162,7 @@ func (c *AsyncCollector) CollectRound(ctx context.Context, t int) (*fl.RoundResu
 		Retries:   make([]int, n),
 		Staleness: make([]int, n),
 		Committed: true,
+		Dim:       len(c.engine.ParamsRef()),
 	}
 	for i, w := range c.engine.Workers {
 		rr.Samples[i] = w.NumSamples()

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Compression selects how a frame's vector payloads are laid out on the
@@ -153,21 +152,7 @@ func (w *writer) writeTopK(v []float64) {
 	if k > len(v) {
 		k = len(v)
 	}
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Largest magnitudes first; ties break on index so the frame bytes are
-	// deterministic.
-	sort.Slice(idx, func(a, b int) bool {
-		ma, mb := math.Abs(v[idx[a]]), math.Abs(v[idx[b]])
-		if ma != mb {
-			return ma > mb
-		}
-		return idx[a] < idx[b]
-	})
-	keep := idx[:k]
-	sort.Ints(keep)
+	keep := topKIndices(v, k)
 	w.u32(uint32(len(v)))
 	w.u32(uint32(k))
 	for _, i := range keep {
@@ -176,6 +161,80 @@ func (w *writer) writeTopK(v []float64) {
 	for _, i := range keep {
 		w.b = binary.LittleEndian.AppendUint32(w.b, math.Float32bits(float32(v[i])))
 	}
+}
+
+// topKIndices returns, ascending, the indices of the k elements of v that
+// rank first under the frame's total order: largest magnitude first, ties
+// to the smaller index, so the frame bytes are deterministic. It selects
+// instead of sorting all of v: kthLargest finds the cut — the k-th largest
+// magnitude — and one more pass keeps everything above the cut plus the
+// lowest-indexed ties at it, already in ascending order.
+func topKIndices(v []float64, k int) []int {
+	if k == 0 {
+		return nil
+	}
+	mags := make([]float64, len(v))
+	for i, x := range v {
+		mags[i] = math.Abs(x)
+	}
+	cut, above := kthLargest(mags, k)
+	ties := k - above
+	keep := make([]int, 0, k)
+	for i, x := range v {
+		switch m := math.Abs(x); {
+		case m > cut:
+			keep = append(keep, i)
+		case m == cut && ties > 0:
+			keep = append(keep, i)
+			ties--
+		}
+	}
+	return keep
+}
+
+// kthLargest returns the k-th largest element of m (1 <= k <= len(m), no
+// NaN) and how many elements are strictly greater. It is a three-way
+// quickselect that scrambles m; the counting and compaction loops compare
+// without branching, because on gradient data a branch on "x > pivot" is
+// a coin flip the predictor loses. Every round drops at least the pivot,
+// so it terminates on any input; the expected cost is O(len(m)).
+func kthLargest(m []float64, k int) (kth float64, above int) {
+	for {
+		a, b, c := m[0], m[len(m)/2], m[len(m)-1]
+		pivot := math.Max(math.Min(a, b), math.Min(math.Max(a, b), c)) // median of three
+		gt, eq := 0, 0
+		for _, x := range m {
+			gt += b2i(x > pivot)
+			eq += b2i(x == pivot)
+		}
+		switch {
+		case k <= gt:
+			w := 0
+			for _, x := range m {
+				m[w] = x
+				w += b2i(x > pivot)
+			}
+			m = m[:w]
+		case k <= gt+eq:
+			return pivot, above + gt
+		default:
+			w := 0
+			for _, x := range m {
+				m[w] = x
+				w += b2i(x < pivot)
+			}
+			m = m[:w]
+			k -= gt + eq
+			above += gt + eq
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // readTopK decodes the sparse layout back to a dense vector.

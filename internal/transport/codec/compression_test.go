@@ -2,6 +2,7 @@ package codec
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"fifl/internal/rng"
@@ -104,6 +105,60 @@ func TestTopKTinyVectors(t *testing.T) {
 	}
 	if out, err := RoundTrip(nil, CompressionTopK); err != nil || len(out) != 0 {
 		t.Fatalf("empty vector: %v, %v", out, err)
+	}
+}
+
+// TestTopKSelectionMatchesFullSort holds the heap selection to the
+// encoder's former definition — sort every index by (|v| descending, index
+// ascending), keep the first k, emit them ascending — on inputs where the
+// order matters: heavy ties, all zeros, signed zeros, sorted runs.
+func TestTopKSelectionMatchesFullSort(t *testing.T) {
+	src := rng.New(23)
+	fullSort := func(v []float64, k int) []int {
+		idx := make([]int, len(v))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			ma, mb := math.Abs(v[idx[a]]), math.Abs(v[idx[b]])
+			if ma != mb {
+				return ma > mb
+			}
+			return idx[a] < idx[b]
+		})
+		keep := idx[:k]
+		sort.Ints(keep)
+		return keep
+	}
+	fills := map[string]func(i int) float64{
+		"random":     func(int) float64 { return src.NormFloat64() },
+		"ties":       func(int) float64 { return math.Round(3 * src.NormFloat64()) },
+		"zeros":      func(int) float64 { return 0 },
+		"signed":     func(i int) float64 { return math.Copysign(float64(i%3), float64(i%2)-0.5) },
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return -float64(i) },
+	}
+	for _, n := range []int{0, 1, 2, 9, 10, 11, 257, 5000} {
+		for name, fill := range fills {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = fill(i)
+			}
+			for _, k := range []int{0, 1, n / TopKDivisor, n / 2, n} {
+				if k > n {
+					continue
+				}
+				got, want := topKIndices(v, k), fullSort(v, k)
+				if len(got) != len(want) {
+					t.Fatalf("%s n=%d k=%d: kept %d indices, want %d", name, n, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s n=%d k=%d: kept %v, full sort keeps %v", name, n, k, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -38,9 +38,14 @@ go test -race -run 'TestElasticMembershipOverHTTP|TestBannedWorkerRefusedOverHTT
 go test -race -run 'TestChurnKillResumeBitIdentity|TestBannedCarryoverAcrossResume' ./internal/core
 
 # Benchmark smoke: one pipeline-vs-legacy round at each federation size
-# must complete (full numbers live in BENCH_pipeline.json, regenerated by
-# the bench leg below).
+# must complete (tracked numbers come from bash bench/run.sh, not from
+# here).
 go test -run '^$' -bench=RunRound -benchtime=1x .
+
+# Harness gate: bench/ is its own module, invisible to go test ./... above,
+# and its smoke test and correctness gate call straight into gradvec, core,
+# fl and shard.
+(cd bench && go test ./...)
 
 # Allocation regression gate: the round hot path must stay within its
 # steady-state allocation budget (after warm-up only the ledger blocks
@@ -61,26 +66,6 @@ go test -run='^$' -fuzz=FuzzReadCheckpoint -fuzztime=5s ./internal/persist
 # Prometheus text format with the expected round count.
 BIN=$(mktemp -d)
 trap 'rm -rf "$BIN"' EXIT
-
-# Bench artifact: re-measure the full n-sweep (pipeline-only above n=256,
-# up to n=4096) and rewrite BENCH_pipeline.json so the tracked numbers
-# follow the code instead of going stale.
-BENCH_CMD="go test . -run xxx -bench 'RunRound|SliceGradients' -benchtime=10x"
-go test -run '^$' -bench 'RunRound|SliceGradients' -benchtime=10x . > "$BIN/bench.txt"
-awk -f scripts/benchjson.awk \
-    -v CMD="$BENCH_CMD" -v DATE="$(date +%Y-%m-%d)" \
-    -v NOTES="pipeline = staged RunRoundContext over the gradvec arena with flat-benchmark detection; legacy = frozen pre-refactor monolith (RunRoundLegacyContext) using the per-server SliceGradients table, not timed above n=256. Both arms are bit-identical in output (TestPipelineMatchesLegacy). Steady-state rounds reuse the engine-owned RoundResult, fault plan, parameter snapshot and the ledger signing buffer, so per-round allocations are dominated by what escapes on purpose: ledger block signatures and the caller-owned report (pinned by TestRoundSteadyStateAllocs and TestPipelineAllocsFewerThanLegacy)." \
-    < "$BIN/bench.txt" > BENCH_pipeline.json
-
-# Shard bench artifact: re-measure the flat-vs-sharded round-latency sweep
-# (n up to 4096, 16 edge cohorts) and rewrite BENCH_shard.json.
-BENCH_SHARD_CMD="go test . -run xxx -bench ShardRound -benchtime=10x"
-go test -run '^$' -bench ShardRound -benchtime=10x . > "$BIN/bench-shard.txt"
-awk -f scripts/benchjson.awk \
-    -v CMD="$BENCH_SHARD_CMD" -v DATE="$(date +%Y-%m-%d)" \
-    -v BENCH="BenchmarkShardRound" \
-    -v NOTES="flat = one root coordinator collecting all n gradients per round; sharded = 16 edge aggregators (loopback DirectLink, every evidence frame round-trips the /v1/shard codec) pre-aggregating their cohorts and forwarding one summarized upload each, root folds 16 cohort frames and unfolds per-worker evidence into the same Eq. 8-10/15 pipeline. Honest sharded runs are bit-identical to a flat run aggregating in the blocked association (Engine.AggregateRoundBlocked); see the differential tests in internal/shard and internal/experiments. Root-side round latency is dominated by per-worker detection/reputation/ledger work, which sharding preserves one-to-one, so the arms track each other while the root's collect fan-in shrinks from n uploads to s. Both arms write the round's 5n ledger records through chain.AppendBatch — one lock acquisition and a pre-sized signing pass instead of 5n lock round-trips — alloc-pinned per record by TestAppendBatchSteadyStateAllocs and bit-identical to serial Append by TestAppendBatchMatchesSequential." \
-    < "$BIN/bench-shard.txt" > BENCH_shard.json
 
 go build -o "$BIN/fifl-sim" ./cmd/fifl-sim
 go build -o "$BIN/fifl-node" ./cmd/fifl-node
