@@ -2,6 +2,7 @@ package chain
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -75,12 +76,13 @@ func TestAppendBatchFailureLeavesLedgerUntouched(t *testing.T) {
 }
 
 // TestAppendBatchSteadyStateAllocs pins the batched signing pass's
-// allocation budget: with the block store pre-grown and the signing
-// scratch warm, each appended block costs only what it must retain — the
-// signature ed25519.Sign returns plus the record's payload copy in the
-// grown store — independent of lock round-trips. The budget is per
-// record; regressions that reintroduce per-record growth or per-record
-// buffer churn trip it immediately.
+// allocation budget, in objects and in bytes: with the signing scratch
+// warm, each appended block costs only what it must retain — the
+// signature ed25519.Sign returns plus its slot in the geometrically grown
+// store — independent of lock round-trips and of the chain's height. The
+// budgets are per record; regressions that reintroduce per-record growth,
+// per-record buffer churn or a store recopied per batch trip them
+// immediately.
 func TestAppendBatchSteadyStateAllocs(t *testing.T) {
 	const n = 200
 	signers, recs := batchFixture(n)
@@ -94,12 +96,45 @@ func TestAppendBatchSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// One store-growth copy per batch plus per-record signature material.
-	// ed25519.Sign allocates the 64-byte signature (1 alloc); everything
-	// else is reused. Allow 4/record of headroom for the runtime.
+	// At most one store growth per batch (amortised, far fewer) plus
+	// per-record signature material. ed25519.Sign allocates the 64-byte
+	// signature (1 alloc); everything else is reused. Allow 4/record of
+	// headroom for the runtime.
 	budget := float64(1 + 4*n)
 	if avg > budget {
 		t.Fatalf("AppendBatch of %d records allocates %.0f objects, budget %.0f", n, avg, budget)
+	}
+
+	// Bytes, on tall ledgers. A store that grows by a quarter at a time
+	// allocates five blocks' worth for every block appended (about 800 B),
+	// beside the 64 B signature; a store recopied per batch allocates the
+	// whole height each time (7.6 KB a record at 50,000 blocks, twice that
+	// at 100,000). The 20,000 records appended at each height see at most
+	// one growth step, which they are enough to amortise.
+	const (
+		batch          = 1000
+		batches        = 20
+		bytesPerRecord = 2048
+	)
+	signers, recs = batchFixture(batch)
+	for _, height := range []int{50_000, 100_000} {
+		l := newTestLedger(t, signers[0], signers[1])
+		for i := 0; i < height; i++ { // unsigned filler: only the height matters
+			l.push(Block{Index: i})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < batches; i++ {
+			if err := l.AppendBatch(signers, recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / (batch * batches)
+		t.Logf("height %d: %d B a record", height, got)
+		if got > bytesPerRecord {
+			t.Fatalf("at height %d AppendBatch allocates %d B a record, budget %d", height, got, bytesPerRecord)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -22,6 +23,24 @@ import (
 // binaryMagic identifies the export format and its version.
 const binaryMagic = "FIFLCHN1"
 
+// Layout, every integer little-endian, every variable field a u16 length
+// followed by that many bytes:
+//
+//	"FIFLCHN1"
+//	u32 executors, then per executor (sorted by name): name, public key
+//	u32 blocks, then per block:
+//	    u32 index | 32 B prev hash | 32 B hash | kind |
+//	    u64 iteration | u64 worker | u64 float64 bits of value |
+//	    executor | signature
+//
+// blockFixedLen is what a block occupies beyond the bytes of its three
+// variable fields.
+const blockFixedLen = 4 + 32 + 32 + 2 + 8 + 8 + 8 + 2 + 2
+
+// exportChunk is how many export bytes WriteBinaryFrom gathers between
+// writes to its destination.
+const exportChunk = 32 << 10
+
 // WriteBinary writes the ledger's deterministic binary export to w: the
 // same ledger state always produces the same bytes.
 func (l *Ledger) WriteBinary(w io.Writer) error { return l.WriteBinaryFrom(w, 0) }
@@ -39,72 +58,106 @@ func (l *Ledger) WriteBinaryFrom(w io.Writer, from int) error {
 	if from < 0 || from > len(l.blocks) {
 		return fmt.Errorf("chain: export offset %d out of range [0,%d]", from, len(l.blocks))
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return fmt.Errorf("chain: writing export header: %w", err)
+	// A typical block is about 170 bytes, so the slack keeps the buffer
+	// from regrowing between flushes.
+	buf, err := l.appendExportHeader(make([]byte, 0, exportChunk+512), from)
+	if err != nil {
+		return err
 	}
+	for i := from; i < len(l.blocks); i++ {
+		if buf, err = appendBlock(buf, &l.blocks[i]); err != nil {
+			return err
+		}
+		if len(buf) >= exportChunk {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("chain: writing export: %w", err)
+			}
+			buf = buf[:0]
+		}
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("chain: writing export: %w", err)
+	}
+	return nil
+}
+
+// MarshalBinary returns the bytes WriteBinary writes, in one buffer
+// allocated at exactly the export's size — the shape a checkpoint wants,
+// which keeps the whole export in memory anyway.
+func (l *Ledger) MarshalBinary() ([]byte, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	size := len(binaryMagic) + 4 + 4 + blockFixedLen*len(l.blocks)
+	for name, key := range l.keys {
+		size += 2 + len(name) + 2 + len(key)
+	}
+	for i := range l.blocks {
+		b := &l.blocks[i]
+		size += len(b.Record.Kind) + len(b.Record.Executor) + len(b.Signature)
+	}
+	buf, err := l.appendExportHeader(make([]byte, 0, size), 0)
+	if err != nil {
+		return nil, err
+	}
+	for i := range l.blocks {
+		if buf, err = appendBlock(buf, &l.blocks[i]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// appendExportHeader appends everything that precedes the blocks of an
+// export starting at block from: magic, key table, block count. The
+// caller holds mu.
+func (l *Ledger) appendExportHeader(dst []byte, from int) ([]byte, error) {
+	dst = append(dst, binaryMagic...)
 	names := make([]string, 0, len(l.keys))
 	for name := range l.keys {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(names))); err != nil {
-		return fmt.Errorf("chain: writing key count: %w", err)
-	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(names)))
+	var err error
 	for _, name := range names {
-		if err := writeBytes(bw, []byte(name)); err != nil {
-			return fmt.Errorf("chain: writing executor %q: %w", name, err)
+		if dst, err = appendField(dst, name); err != nil {
+			return nil, fmt.Errorf("chain: writing executor %q: %w", name, err)
 		}
-		if err := writeBytes(bw, l.keys[name]); err != nil {
-			return fmt.Errorf("chain: writing key of %q: %w", name, err)
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(l.blocks)-from)); err != nil {
-		return fmt.Errorf("chain: writing block count: %w", err)
-	}
-	for _, b := range l.blocks[from:] {
-		if err := writeBlock(bw, b); err != nil {
-			return fmt.Errorf("chain: writing block %d: %w", b.Index, err)
+		if dst, err = appendField(dst, l.keys[name]); err != nil {
+			return nil, fmt.Errorf("chain: writing key of %q: %w", name, err)
 		}
 	}
-	return bw.Flush()
+	return binary.LittleEndian.AppendUint32(dst, uint32(len(l.blocks)-from)), nil
 }
 
-// writeBlock serializes one block.
-func writeBlock(w io.Writer, b Block) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(b.Index)); err != nil {
-		return err
+// appendBlock appends one block's serialization.
+func appendBlock(dst []byte, b *Block) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Index))
+	dst = append(dst, b.PrevHash[:]...)
+	dst = append(dst, b.Hash[:]...)
+	dst, err := appendField(dst, b.Record.Kind)
+	if err == nil {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(b.Record.Iteration))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(b.Record.WorkerID))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Record.Value))
+		dst, err = appendField(dst, b.Record.Executor)
 	}
-	if _, err := w.Write(b.PrevHash[:]); err != nil {
-		return err
+	if err == nil {
+		dst, err = appendField(dst, b.Signature)
 	}
-	if _, err := w.Write(b.Hash[:]); err != nil {
-		return err
+	if err != nil {
+		return nil, fmt.Errorf("chain: writing block %d: %w", b.Index, err)
 	}
-	if err := writeBytes(w, []byte(b.Record.Kind)); err != nil {
-		return err
-	}
-	for _, v := range []uint64{uint64(b.Record.Iteration), uint64(b.Record.WorkerID), math.Float64bits(b.Record.Value)} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := writeBytes(w, []byte(b.Record.Executor)); err != nil {
-		return err
-	}
-	return writeBytes(w, b.Signature)
+	return dst, nil
 }
 
-// writeBytes writes a u16 length prefix followed by the bytes.
-func writeBytes(w io.Writer, b []byte) error {
-	if len(b) > math.MaxUint16 {
-		return fmt.Errorf("field of %d bytes exceeds the export range", len(b))
+// appendField appends a u16 length prefix followed by the bytes.
+func appendField[T ~string | ~[]byte](dst []byte, f T) ([]byte, error) {
+	if len(f) > math.MaxUint16 {
+		return nil, fmt.Errorf("field of %d bytes exceeds the export range", len(f))
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(b))); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f)))
+	return append(dst, f...), nil
 }
 
 // ReadBinary reconstructs a ledger from its binary export. The returned
@@ -125,7 +178,7 @@ func ReadBinary(r io.Reader) (*Ledger, error) {
 			if b.Index != len(l.blocks) {
 				return fmt.Errorf("chain: block %d carries index %d", len(l.blocks), b.Index)
 			}
-			l.blocks = append(l.blocks, b)
+			l.push(b)
 			return nil
 		})
 	if err != nil {
@@ -171,42 +224,43 @@ var ErrStop = errors.New("chain: stop iteration")
 // streamExport is the shared export parser: header, key table, then one
 // callback per block.
 func streamExport(r io.Reader, keyFn func(string, ed25519.PublicKey) error, fn func(Block) error) error {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
+	er := exportReader{br: bufio.NewReader(r), interned: make(map[string]string)}
+	head, err := er.next(len(binaryMagic))
+	if err != nil {
 		return fmt.Errorf("chain: reading export header: %w", err)
 	}
 	if string(head) != binaryMagic {
 		return fmt.Errorf("chain: bad export header %q", head)
 	}
-	var nKeys uint32
-	if err := binary.Read(br, binary.LittleEndian, &nKeys); err != nil {
+	nKeys, err := er.u32()
+	if err != nil {
 		return fmt.Errorf("chain: reading key count: %w", err)
 	}
 	for i := 0; i < int(nKeys); i++ {
-		name, err := readBytes(br)
+		name, err := er.field()
 		if err != nil {
 			return fmt.Errorf("chain: reading executor %d: %w", i, err)
 		}
-		key, err := readBytes(br)
+		executor := string(name)
+		key, err := er.field()
 		if err != nil {
-			return fmt.Errorf("chain: reading key of %q: %w", name, err)
+			return fmt.Errorf("chain: reading key of %q: %w", executor, err)
 		}
 		if len(key) != ed25519.PublicKeySize {
-			return fmt.Errorf("chain: key of %q is %d bytes, want %d", name, len(key), ed25519.PublicKeySize)
+			return fmt.Errorf("chain: key of %q is %d bytes, want %d", executor, len(key), ed25519.PublicKeySize)
 		}
 		if keyFn != nil {
-			if err := keyFn(string(name), ed25519.PublicKey(key)); err != nil {
+			if err := keyFn(executor, bytes.Clone(key)); err != nil {
 				return err
 			}
 		}
 	}
-	var nBlocks uint32
-	if err := binary.Read(br, binary.LittleEndian, &nBlocks); err != nil {
+	nBlocks, err := er.u32()
+	if err != nil {
 		return fmt.Errorf("chain: reading block count: %w", err)
 	}
 	for i := 0; i < int(nBlocks); i++ {
-		b, err := readBlock(br)
+		b, err := er.block()
 		if err != nil {
 			return fmt.Errorf("chain: reading block %d: %w", i, err)
 		}
@@ -217,54 +271,110 @@ func streamExport(r io.Reader, keyFn func(string, ed25519.PublicKey) error, fn f
 	return nil
 }
 
-// readBlock deserializes one block.
-func readBlock(r io.Reader) (Block, error) {
+// maxInterned bounds an exportReader's string table: a real export names
+// six kinds and a handful of executors, and a hostile one must not grow
+// the table without limit.
+const maxInterned = 64
+
+// exportReader pulls an export's fields from a buffered stream without a
+// per-field allocation: bytes pass through one reusable buffer, and the
+// kind and executor strings, which repeat on every block, are interned.
+type exportReader struct {
+	br       *bufio.Reader
+	buf      []byte            // backs the slice next returns
+	interned map[string]string // at most maxInterned entries
+}
+
+// next reads exactly n bytes; the result is valid until the following call.
+func (r *exportReader) next(n int) ([]byte, error) {
+	if cap(r.buf) < n {
+		r.buf = make([]byte, n)
+	}
+	b := r.buf[:n]
+	_, err := io.ReadFull(r.br, b)
+	return b, err
+}
+
+func (r *exportReader) u32() (uint32, error) {
+	b, err := r.next(4)
+	return binary.LittleEndian.Uint32(b), err
+}
+
+func (r *exportReader) u64() (uint64, error) {
+	b, err := r.next(8)
+	return binary.LittleEndian.Uint64(b), err
+}
+
+func (r *exportReader) hash() (h [32]byte, err error) {
+	b, err := r.next(len(h))
+	copy(h[:], b)
+	return h, err
+}
+
+// field reads a u16 length-prefixed field; like next, the result is valid
+// until the following call.
+func (r *exportReader) field() ([]byte, error) {
+	b, err := r.next(2)
+	if err != nil {
+		return nil, err
+	}
+	return r.next(int(binary.LittleEndian.Uint16(b)))
+}
+
+// str reads a field as a string, through the intern table.
+func (r *exportReader) str() (string, error) {
+	b, err := r.field()
+	if err != nil {
+		return "", err
+	}
+	if s, ok := r.interned[string(b)]; ok {
+		return s, nil
+	}
+	s := string(b)
+	if len(r.interned) < maxInterned {
+		r.interned[s] = s
+	}
+	return s, nil
+}
+
+// block deserializes one block. Its signature is the one allocation: the
+// caller may keep it.
+func (r *exportReader) block() (Block, error) {
 	var b Block
-	var idx uint32
-	if err := binary.Read(r, binary.LittleEndian, &idx); err != nil {
+	idx, err := r.u32()
+	if err != nil {
 		return b, err
 	}
 	b.Index = int(idx)
-	if _, err := io.ReadFull(r, b.PrevHash[:]); err != nil {
+	if b.PrevHash, err = r.hash(); err != nil {
 		return b, err
 	}
-	if _, err := io.ReadFull(r, b.Hash[:]); err != nil {
+	if b.Hash, err = r.hash(); err != nil {
 		return b, err
 	}
-	kind, err := readBytes(r)
+	kind, err := r.str()
 	if err != nil {
 		return b, err
 	}
 	b.Record.Kind = RecordKind(kind)
 	var fields [3]uint64
 	for i := range fields {
-		if err := binary.Read(r, binary.LittleEndian, &fields[i]); err != nil {
+		if fields[i], err = r.u64(); err != nil {
 			return b, err
 		}
 	}
 	b.Record.Iteration = int(fields[0])
 	b.Record.WorkerID = int(fields[1])
 	b.Record.Value = math.Float64frombits(fields[2])
-	exec, err := readBytes(r)
+	if b.Record.Executor, err = r.str(); err != nil {
+		return b, err
+	}
+	sig, err := r.field()
 	if err != nil {
 		return b, err
 	}
-	b.Record.Executor = string(exec)
-	b.Signature, err = readBytes(r)
-	return b, err
-}
-
-// readBytes reads a u16 length-prefixed field.
-func readBytes(r io.Reader) ([]byte, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	b.Signature = bytes.Clone(sig)
+	return b, nil
 }
 
 // VerifyFrom reads a binary export and verifies the reconstructed chain —

@@ -22,7 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
+
+	"fifl/internal/parallel"
 )
 
 // RecordKind labels what a ledger record asserts.
@@ -62,9 +67,6 @@ func (r Record) appendPayload(dst []byte) []byte {
 	return append(dst, r.Executor...)
 }
 
-// payload serializes the record deterministically for hashing and signing.
-func (r Record) payload() []byte { return r.appendPayload(nil) }
-
 // Block is one sealed ledger entry: a record, the hash link to its
 // predecessor, and the executor's signature over (prevHash ‖ payload).
 type Block struct {
@@ -98,15 +100,66 @@ type Ledger struct {
 	blocks []Block
 	keys   map[string]ed25519.PublicKey // executor name -> public key
 
+	// runs and byIter index the blocks by Record.Iteration so Query and
+	// Audit visit one round's blocks instead of the chain. A run is a
+	// maximal stretch of consecutive blocks sharing an iteration (one run
+	// of 5n per round as the coordinator writes them); byIter lists, in
+	// chain order, the runs of each iteration, since the API lets
+	// iterations repeat and go backwards. Both cost O(rounds) memory and
+	// are maintained by push alone. The index only narrows where a look-up
+	// reads: every visited record is still filtered on its own fields, and
+	// Verify never consults it.
+	runs   []iterRun
+	byIter map[int][]int // iteration -> indices into runs
+
 	// scratch assembles (prevHash ‖ payload ‖ signature) for hashing and
 	// signing; guarded by mu and reused so Append's transient garbage is
 	// just the signature each retained Block actually keeps.
 	scratch []byte
 }
 
+// iterRun is the half-open block range [lo,hi) of one run.
+type iterRun struct{ iter, lo, hi int }
+
 // NewLedger creates an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{keys: make(map[string]ed25519.PublicKey)}
+	return &Ledger{keys: make(map[string]ed25519.PublicKey), byIter: make(map[int][]int)}
+}
+
+// push is the one place a block enters the store, which keeps the
+// iteration index in step with it. The caller holds mu for writing.
+func (l *Ledger) push(b Block) {
+	i := len(l.blocks)
+	l.blocks = append(l.blocks, b)
+	if n := len(l.runs); n > 0 && l.runs[n-1].iter == b.Record.Iteration {
+		l.runs[n-1].hi = i + 1
+		return
+	}
+	l.byIter[b.Record.Iteration] = append(l.byIter[b.Record.Iteration], len(l.runs))
+	l.runs = append(l.runs, iterRun{iter: b.Record.Iteration, lo: i, hi: i + 1})
+}
+
+// seal signs r as s on top of the current tip and pushes the block. The
+// caller holds mu for writing and has checked that s is registered.
+func (l *Ledger) seal(s *Signer, r Record) Block {
+	r.Executor = s.Name
+	var prev [32]byte
+	if n := len(l.blocks); n > 0 {
+		prev = l.blocks[n-1].Hash
+	}
+	l.scratch = append(l.scratch[:0], prev[:]...)
+	l.scratch = r.appendPayload(l.scratch)
+	sig := ed25519.Sign(s.priv, l.scratch)
+	b := Block{
+		Index:     len(l.blocks),
+		PrevHash:  prev,
+		Record:    r,
+		Signature: sig,
+	}
+	l.scratch = append(l.scratch, sig...)
+	b.Hash = sha256.Sum256(l.scratch)
+	l.push(b)
+	return b
 }
 
 // RegisterExecutor makes an executor's public key known to the ledger so
@@ -130,33 +183,17 @@ func (l *Ledger) Append(s *Signer, r Record) (Block, error) {
 	if _, ok := l.keys[s.Name]; !ok {
 		return Block{}, fmt.Errorf("chain: executor %q not registered", s.Name)
 	}
-	r.Executor = s.Name
-	var prev [32]byte
-	if n := len(l.blocks); n > 0 {
-		prev = l.blocks[n-1].Hash
-	}
-	l.scratch = append(l.scratch[:0], prev[:]...)
-	l.scratch = r.appendPayload(l.scratch)
-	sig := ed25519.Sign(s.priv, l.scratch)
-	b := Block{
-		Index:     len(l.blocks),
-		PrevHash:  prev,
-		Record:    r,
-		Signature: sig,
-	}
-	l.scratch = append(l.scratch, sig...)
-	b.Hash = sha256.Sum256(l.scratch)
-	l.blocks = append(l.blocks, b)
-	return b, nil
+	return l.seal(s, r), nil
 }
 
 // AppendBatch signs and appends a run of records under one lock
-// acquisition, with the block store grown once up front — the shape the
+// acquisition, with room for the whole batch made up front — the shape the
 // root coordinator's per-round ledger writes need at large n, where
 // per-record locking and incremental slice growth dominate the Record
-// stage. signers[i] signs recs[i]; the resulting chain bytes are
-// identical to appending the same (signer, record) pairs one Append call
-// at a time (ed25519 signatures are deterministic). Registration is
+// stage. The block store grows geometrically, so a batch costs the same
+// at any chain height. signers[i] signs recs[i]; the resulting chain bytes
+// are identical to appending the same (signer, record) pairs one Append
+// call at a time (ed25519 signatures are deterministic). Registration is
 // checked for every signer before any block is written, so a failed batch
 // leaves the ledger untouched.
 func (l *Ledger) AppendBatch(signers []*Signer, recs []Record) error {
@@ -173,31 +210,9 @@ func (l *Ledger) AppendBatch(signers []*Signer, recs []Record) error {
 			return fmt.Errorf("chain: executor %q not registered", s.Name)
 		}
 	}
-	if free := cap(l.blocks) - len(l.blocks); free < len(recs) {
-		grown := make([]Block, len(l.blocks), len(l.blocks)+len(recs))
-		copy(grown, l.blocks)
-		l.blocks = grown
-	}
-	var prev [32]byte
-	if n := len(l.blocks); n > 0 {
-		prev = l.blocks[n-1].Hash
-	}
+	l.blocks = slices.Grow(l.blocks, len(recs))
 	for i, r := range recs {
-		s := signers[i]
-		r.Executor = s.Name
-		l.scratch = append(l.scratch[:0], prev[:]...)
-		l.scratch = r.appendPayload(l.scratch)
-		sig := ed25519.Sign(s.priv, l.scratch)
-		b := Block{
-			Index:     len(l.blocks),
-			PrevHash:  prev,
-			Record:    r,
-			Signature: sig,
-		}
-		l.scratch = append(l.scratch, sig...)
-		b.Hash = sha256.Sum256(l.scratch)
-		l.blocks = append(l.blocks, b)
-		prev = b.Hash
+		l.seal(signers[i], r)
 	}
 	return nil
 }
@@ -222,32 +237,108 @@ func (l *Ledger) Block(i int) (Block, error) {
 // ErrTampered is wrapped by Verify errors that indicate chain corruption.
 var ErrTampered = errors.New("chain: ledger tampered")
 
-// Verify walks the whole chain, checking hash links and signatures. It
+// Verify checks every block's hash link, executor, signature and hash. It
 // returns the index of the first bad block wrapped around ErrTampered, or
-// nil if the ledger is intact.
+// nil if the ledger is intact. The blocks are checked in short contiguous
+// chunks across the cores: a block's checks read only the block itself and
+// its predecessor's stored hash, so they are independent of every other
+// block's outcome, and the verdict — the error of the lowest-indexed bad
+// block — is the one a serial walk returns.
 func (l *Ledger) Verify() error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	return lowestFailure(len(l.blocks), l.checkBlock)
+}
+
+// checkBlock runs block i's four checks, assembling the signed and hashed
+// bytes (prevHash ‖ payload ‖ signature) in *scratch. The caller holds mu.
+func (l *Ledger) checkBlock(i int, scratch *[]byte) error {
+	b := &l.blocks[i]
 	var prev [32]byte
-	for i, b := range l.blocks {
-		if b.PrevHash != prev {
-			return fmt.Errorf("%w: block %d has broken hash link", ErrTampered, i)
-		}
-		msg := append(b.PrevHash[:], b.Record.payload()...)
-		pub, ok := l.keys[b.Record.Executor]
-		if !ok {
-			return fmt.Errorf("%w: block %d signed by unknown executor %q", ErrTampered, i, b.Record.Executor)
-		}
-		if !ed25519.Verify(pub, msg, b.Signature) {
-			return fmt.Errorf("%w: block %d has invalid signature by %q", ErrTampered, i, b.Record.Executor)
-		}
-		want := sha256.Sum256(append(msg, b.Signature...))
-		if b.Hash != want {
-			return fmt.Errorf("%w: block %d hash mismatch", ErrTampered, i)
-		}
-		prev = b.Hash
+	if i > 0 {
+		// The predecessor's stored hash, unchecked here: if it was forged,
+		// block i-1 fails its own checks, and i-1 is the lower index.
+		prev = l.blocks[i-1].Hash
+	}
+	if b.PrevHash != prev {
+		return fmt.Errorf("%w: block %d has broken hash link", ErrTampered, i)
+	}
+	pub, ok := l.keys[b.Record.Executor]
+	if !ok {
+		return fmt.Errorf("%w: block %d signed by unknown executor %q", ErrTampered, i, b.Record.Executor)
+	}
+	msg := b.Record.appendPayload(append((*scratch)[:0], b.PrevHash[:]...))
+	signed := ed25519.Verify(pub, msg, b.Signature)
+	msg = append(msg, b.Signature...)
+	*scratch = msg
+	if !signed {
+		return fmt.Errorf("%w: block %d has invalid signature by %q", ErrTampered, i, b.Record.Executor)
+	}
+	if b.Hash != sha256.Sum256(msg) {
+		return fmt.Errorf("%w: block %d hash mismatch", ErrTampered, i)
 	}
 	return nil
+}
+
+// verifyGrain is how many consecutive blocks a verifying goroutine claims
+// at a time, about a millisecond of signature checks. One long chunk per
+// core would make a call last as long as its slowest core takes, and on a
+// shared machine either core can lose part of a call to another process or
+// to the runtime's background work; with short chunks claimed on demand
+// such a core claims fewer of them and the call slows by its share of the
+// lost time only.
+const verifyGrain = 16
+
+// lowestFailure runs check for every i in [0,n) and returns the error of
+// the lowest failing index — what a serial loop that stops at its first
+// error returns. One goroutine per core (a single inline one for a range
+// of one chunk or GOMAXPROCS=1) claims chunks of verifyGrain indices in
+// increasing order and passes check a scratch buffer of its own, kept from
+// one index to the next. Every index below the lowest failure is checked
+// exactly once and no index twice; a goroutine gives up at the first index
+// above a known failure, since nothing it could find from there on would
+// be the lowest, and every chunk not yet claimed lies higher still.
+func lowestFailure(n int, check func(i int, scratch *[]byte) error) error {
+	var (
+		next  atomic.Int64 // first index of the first unclaimed chunk
+		bad   atomic.Int64 // lowest failing index so far; n while there is none
+		mu    sync.Mutex   // orders updates of bad and first
+		first error
+	)
+	bad.Store(int64(n))
+	worker := func() {
+		var scratch []byte
+		for {
+			lo := int(next.Add(verifyGrain)) - verifyGrain
+			for i := lo; i < lo+verifyGrain; i++ {
+				if int64(i) >= bad.Load() { // bad is at most n
+					return
+				}
+				err := check(i, &scratch)
+				if err == nil {
+					continue
+				}
+				mu.Lock()
+				if int64(i) < bad.Load() {
+					bad.Store(int64(i))
+					first = err
+				}
+				mu.Unlock()
+				return
+			}
+		}
+	}
+	chunks := (n + verifyGrain - 1) / verifyGrain
+	if chunks <= 1 || runtime.GOMAXPROCS(0) == 1 {
+		worker()
+		return first
+	}
+	workers := make([]func(), min(chunks, runtime.GOMAXPROCS(0)))
+	for w := range workers {
+		workers[w] = worker
+	}
+	parallel.Do(workers...)
+	return first
 }
 
 // Scan streams every record of the given kind (empty kind = all kinds) to
@@ -258,17 +349,44 @@ func (l *Ledger) Verify() error {
 // returned. The ledger's lock is held for the duration — fn must not call
 // back into the same ledger's locking methods.
 func (l *Ledger) Scan(kind RecordKind, fn func(Record) error) error {
+	return l.scan(kind, -1, fn)
+}
+
+// scan is Scan narrowed to one iteration (negative = all): the iteration's
+// runs are walked in chain order through the index, so the cost is that of
+// the rounds that wrote the iteration, not of the chain.
+func (l *Ledger) scan(kind RecordKind, iteration int, fn func(Record) error) error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	for i := range l.blocks {
-		r := &l.blocks[i].Record
+	var err error
+	if iteration < 0 {
+		err = scanBlocks(l.blocks, kind, iteration, fn)
+	} else {
+		for _, ri := range l.byIter[iteration] {
+			run := l.runs[ri]
+			if err = scanBlocks(l.blocks[run.lo:run.hi], kind, iteration, fn); err != nil {
+				break
+			}
+		}
+	}
+	if errors.Is(err, ErrStop) {
+		return nil
+	}
+	return err
+}
+
+// scanBlocks passes fn the records among blocks that match kind (empty =
+// all) and iteration (negative = all), stopping at fn's first error.
+func scanBlocks(blocks []Block, kind RecordKind, iteration int, fn func(Record) error) error {
+	for i := range blocks {
+		r := &blocks[i].Record
 		if kind != "" && r.Kind != kind {
 			continue
 		}
+		if iteration >= 0 && r.Iteration != iteration {
+			continue
+		}
 		if err := fn(*r); err != nil {
-			if errors.Is(err, ErrStop) {
-				return nil
-			}
 			return err
 		}
 	}
@@ -277,16 +395,14 @@ func (l *Ledger) Scan(kind RecordKind, fn func(Record) error) error {
 
 // Query returns all records matching the given filters; a negative
 // iteration or worker matches everything, and an empty kind matches all
-// kinds. Records are returned in chain order. Each call copies the
+// kinds. Records are returned in chain order. With an iteration given the
+// look-up reads only that iteration's blocks. Each call copies the
 // matches; iteration-heavy callers should Scan instead.
 func (l *Ledger) Query(kind RecordKind, iteration, worker int) []Record {
 	var out []Record
-	// The only error Scan can surface is the callback's, and this one
+	// The only error scan can surface is the callback's, and this one
 	// never fails.
-	_ = l.Scan(kind, func(r Record) error {
-		if iteration >= 0 && r.Iteration != iteration {
-			return nil
-		}
+	_ = l.scan(kind, iteration, func(r Record) error {
 		if worker >= 0 && r.WorkerID != worker {
 			return nil
 		}
@@ -304,12 +420,9 @@ func (l *Ledger) Query(kind RecordKind, iteration, worker int) []Record {
 func (l *Ledger) Audit(kind RecordKind, iteration, worker int, recomputed, tol float64) (culprit string, err error) {
 	var r Record
 	found := false
-	// Scan instead of Query: the audit only needs the last match, so the
+	// scan instead of Query: the audit only needs the last match, so the
 	// per-call record copying Query pays is pure waste in audit loops.
-	_ = l.Scan(kind, func(rec Record) error {
-		if iteration >= 0 && rec.Iteration != iteration {
-			return nil
-		}
+	_ = l.scan(kind, iteration, func(rec Record) error {
 		if worker >= 0 && rec.WorkerID != worker {
 			return nil
 		}

@@ -78,11 +78,11 @@ func (c *Coordinator) Snapshot() (*persist.Snapshot, error) {
 		}
 		s.Async = st
 	}
-	var buf bytes.Buffer
-	if err := c.Ledger.WriteBinary(&buf); err != nil {
+	ledger, err := c.Ledger.MarshalBinary()
+	if err != nil {
 		return nil, fmt.Errorf("core: exporting ledger for checkpoint: %w", err)
 	}
-	s.Ledger = buf.Bytes()
+	s.Ledger = ledger
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

@@ -349,10 +349,33 @@ func (a *AsyncState) validate(n int) error {
 // trailing CRC32 over everything before it. The same snapshot always
 // produces the same bytes.
 func Encode(s *Snapshot) ([]byte, error) {
-	if err := s.Validate(); err != nil {
+	b, _, err := encodeBody(s, true)
+	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 64+8*(len(s.Params)+4*len(s.Reputations))+len(s.Ledger))
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+}
+
+// encodeBody serializes everything the CRC covers. With inlineLedger
+// false the ledger's bytes are left out and ledgerAt is where they belong
+// — right after their length prefix — so Write can send s.Ledger itself
+// without first copying a tall chain's export into the buffer.
+func encodeBody(s *Snapshot, inlineLedger bool) (b []byte, ledgerAt int, err error) {
+	if err := s.Validate(); err != nil {
+		return nil, 0, err
+	}
+	if int64(len(s.Ledger)) > math.MaxUint32 {
+		return nil, 0, fmt.Errorf("persist: ledger export of %d bytes exceeds the format range", len(s.Ledger))
+	}
+	// Room for the fixed fields, the ten vectors of at most one entry per
+	// worker, the lifecycle bytes and the CRC, so that appending them never
+	// recopies the parameters or an inlined ledger; async history and shard
+	// sections grow the buffer where a run has them.
+	size := 128 + 8*(len(s.Params)+11*len(s.Reputations))
+	if inlineLedger {
+		size += len(s.Ledger)
+	}
+	b = make([]byte, 0, size)
 	b = append(b, Magic...)
 	b = putU64(b, uint64(s.NextRound))
 	b = putF64s(b, s.Params)
@@ -373,11 +396,11 @@ func Encode(s *Snapshot) ([]byte, error) {
 	b = putU64(b, s.MechDraws)
 	b = putU64s(b, s.WorkerDraws)
 	b = putInts(b, s.Samples)
-	if int64(len(s.Ledger)) > math.MaxUint32 {
-		return nil, fmt.Errorf("persist: ledger export of %d bytes exceeds the format range", len(s.Ledger))
-	}
 	b = putU32(b, uint32(len(s.Ledger)))
-	b = append(b, s.Ledger...)
+	ledgerAt = len(b)
+	if inlineLedger {
+		b = append(b, s.Ledger...)
+	}
 	if s.Async == nil {
 		b = append(b, 0)
 	} else {
@@ -406,7 +429,7 @@ func Encode(s *Snapshot) ([]byte, error) {
 	b = putU32(b, uint32(len(s.LifecycleStates)))
 	b = append(b, s.LifecycleStates...)
 	b = putInts(b, s.ActiveCohort)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+	return b, ledgerAt, nil
 }
 
 // Decode reconstructs a snapshot from its encoding. It is hardened for
@@ -605,14 +628,24 @@ func Decode(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Write encodes the snapshot to w.
+// Write encodes the snapshot to w: the bytes Encode returns, with the
+// ledger export — most of a tall run's checkpoint — written straight from
+// s.Ledger rather than copied into the encoding first.
 func Write(w io.Writer, s *Snapshot) error {
-	b, err := Encode(s)
+	b, ledgerAt, err := encodeBody(s, false)
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("persist: writing checkpoint: %w", err)
+	parts := [][]byte{b[:ledgerAt], s.Ledger, b[ledgerAt:]}
+	var crc uint32
+	for _, part := range parts {
+		crc = crc32.Update(crc, crc32.IEEETable, part)
+	}
+	parts[2] = binary.LittleEndian.AppendUint32(parts[2], crc)
+	for _, part := range parts {
+		if _, err := w.Write(part); err != nil {
+			return fmt.Errorf("persist: writing checkpoint: %w", err)
+		}
 	}
 	return nil
 }

@@ -96,6 +96,36 @@ func TestWriteRead(t *testing.T) {
 	}
 }
 
+// TestWriteMatchesEncode: Write streams the ledger section around the
+// encoded fields, so its bytes must be Encode's, whichever optional
+// sections the snapshot carries.
+func TestWriteMatchesEncode(t *testing.T) {
+	full := sample()
+	full.Shards = nil
+	full.LifecycleStates = []uint8{stateActive, stateBanned, stateActive}
+	full.ActiveCohort = []int{2, 0}
+	full.Async = &AsyncState{
+		HistRounds: []int64{2, 3},
+		HistParams: [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}},
+		Pending:    []AsyncUpload{{Worker: 2, TrainedRound: 3, Samples: 60, Grad: []float64{0.5, -0.5, 0, 1}}},
+	}
+	noLedger := sample()
+	noLedger.Ledger = nil
+	for name, s := range map[string]*Snapshot{"sharded": sample(), "async and churned": full, "no ledger": noLedger, "empty": {}} {
+		want, err := Encode(s)
+		if err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		var got bytes.Buffer
+		if err := Write(&got, s); err != nil {
+			t.Fatalf("%s: Write: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: Write produced %d bytes that differ from Encode's %d", name, got.Len(), len(want))
+		}
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	good, err := Encode(sample())
 	if err != nil {

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -87,37 +88,54 @@ func TestAsyncLoopbackFederationWithStraggler(t *testing.T) {
 
 	var wg sync.WaitGroup
 	clientErr := make([]error, nWorkers)
+	// The prompt workers start only once the straggler holds the round-0
+	// model (pulled), and the driver holds the last advance back until the
+	// straggler's submit has returned (posted): the test then does not
+	// depend on how the goroutines are scheduled.
+	pulled, posted := make(chan struct{}), make(chan struct{})
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, clientErr[i] = clients[i].Run(ctx)
+			select {
+			case <-pulled:
+				_, clientErr[i] = clients[i].Run(ctx)
+			case <-ctx.Done():
+				clientErr[i] = ctx.Err()
+			}
 		}(i)
 	}
 	// Worker 2 is the injected straggler: it pulls the round-0 model,
 	// trains honestly, then sits on the finished upload until the
 	// federation has advanced past the staleness bound.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w, err := recipe.Worker(2)
-		if err != nil {
-			clientErr[2] = err
-			return
-		}
+	pullModel := func() (codec.Model, error) {
 		resp, err := http.Get(ts.URL + "/v1/model?after=-1&wait=10000")
 		if err != nil {
-			clientErr[2] = err
-			return
+			return codec.Model{}, err
 		}
 		body := new(bytes.Buffer)
 		_, err = body.ReadFrom(resp.Body)
 		resp.Body.Close()
 		if err != nil {
+			return codec.Model{}, err
+		}
+		return codec.DecodeModel(body.Bytes())
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(posted)
+		m, err := pullModel()
+		close(pulled)
+		if err != nil {
 			clientErr[2] = err
 			return
 		}
-		m, err := codec.DecodeModel(body.Bytes())
+		if m.Round != 0 {
+			clientErr[2] = fmt.Errorf("straggler pulled the round-%d model, want round 0", m.Round)
+			return
+		}
+		w, err := recipe.Worker(2)
 		if err != nil {
 			clientErr[2] = err
 			return
@@ -155,6 +173,17 @@ func TestAsyncLoopbackFederationWithStraggler(t *testing.T) {
 	initial := append([]float64(nil), engine.Params()...)
 	reports := make([]*core.RoundReport, nRounds)
 	for i := 0; i < nRounds; i++ {
+		if i == nRounds-1 {
+			// The straggler submits once the model round passes the bound,
+			// where the earlier advances have already taken it; without
+			// this wait the remaining advances can all finish before its
+			// POST lands.
+			select {
+			case <-posted:
+			case <-ctx.Done():
+				t.Fatalf("straggler never submitted: %v", ctx.Err())
+			}
+		}
 		if reports[i], err = srv.RunRound(ctx, i); err != nil {
 			t.Fatalf("async round %d: %v", i, err)
 		}

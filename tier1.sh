@@ -37,10 +37,23 @@ go test -race -run TestPipelineMatchesLegacy ./internal/core
 go test -race -run 'TestElasticMembershipOverHTTP|TestBannedWorkerRefusedOverHTTP' ./internal/transport
 go test -race -run 'TestChurnKillResumeBitIdentity|TestBannedCarryoverAcrossResume' ./internal/core
 
+# Ledger read-plane race gate: Verify fans the blocks out over the cores
+# and must return the serial walk's verdict, so the chain package is raced
+# at one core (the inline path) and with two and four goroutines claiming
+# the chunks, with the appender, Verify, the indexed look-ups and the
+# export running concurrently (TestVerifyMatchesSerialReference,
+# TestConcurrentReadersAndAppender).
+go test -race -cpu 1,2,4 ./internal/chain
+
 # Benchmark smoke: one pipeline-vs-legacy round at each federation size
 # must complete (tracked numbers come from bash bench/run.sh, not from
 # here).
 go test -run '^$' -bench=RunRound -benchtime=1x .
+
+# Ledger layer smoke: Verify, Query and WriteBinary at 8,000 and 100,000
+# blocks must complete, so the chain.* layer numbers reproduce without the
+# harness (for numbers: -cpu 1,2 and a real -benchtime).
+go test -run '^$' -bench 'Verify|Query|WriteBinary' -benchtime=1x ./internal/chain
 
 # Harness gate: bench/ is its own module, invisible to go test ./... above,
 # and its smoke test and correctness gate call straight into gradvec, core,
@@ -56,11 +69,14 @@ go test -run TestPipelineAllocsFewerThanLegacy ./internal/core
 
 # Fuzz smoke: the wire codec must survive 5s of hostile frames without
 # panicking (-fuzz accepts exactly one package), the shard evidence frame
-# likewise, and the checkpoint codec must reject truncated/bit-flipped
-# snapshots without panicking.
+# likewise, the checkpoint codec must reject truncated/bit-flipped
+# snapshots without panicking, and the ledger export reader — fed by
+# /v1/ledger bodies and checkpoint ledger sections — must agree with its
+# reference parser and re-export what it accepts.
 go test -run='^$' -fuzz=FuzzDecodeUpload -fuzztime=5s ./internal/transport/codec
 go test -run='^$' -fuzz=FuzzDecodeShard -fuzztime=5s ./internal/transport/codec
 go test -run='^$' -fuzz=FuzzReadCheckpoint -fuzztime=5s ./internal/persist
+go test -run='^$' -fuzz=FuzzStreamBinary -fuzztime=5s ./internal/chain
 
 # Observability smoke: a tiny simulated run must dump its metrics in the
 # Prometheus text format with the expected round count.
