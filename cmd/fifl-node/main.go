@@ -76,7 +76,6 @@ func main() {
 		join     = flag.Bool("join", false, "join a running federation as a new participant via /v1/join instead of taking a pre-seated slot; -id is ignored and the coordinator assigns the identity (pass the same -workers total-slot universe as every other node)")
 		comp     = flag.String("compression", "none", "wire compression for gradient uploads and model downloads: none, f32, topk, int8 or int16")
 		auditN   = flag.Int("audit-every", 0, "carry every this many rounds on dense lossless frames regardless of -compression, keeping audit rounds bit-identical (0 = never)")
-		f32      = flag.Bool("f32", false, "deprecated alias for -compression f32")
 		audit    = flag.Bool("audit", false, "download and verify the coordinator's audit ledger at the end")
 		retries  = flag.Int("retry", 0, "HTTP retry attempts before a request is abandoned (0 = default 3); raise this so a worker rides through a coordinator restart")
 		rbackoff = flag.Duration("retry-backoff", 0, "base delay between HTTP retries, doubling each attempt (0 = default 100ms)")
@@ -117,8 +116,7 @@ func main() {
 		})
 	case "worker":
 		err = runWorker(ctx, recipe, workerOpts{
-			CoordURL: *coordURL, ID: *id, Join: *join, Compression: *comp, AuditEvery: *auditN,
-			Float32: *f32, Audit: *audit,
+			CoordURL: *coordURL, ID: *id, Join: *join, Compression: *comp, AuditEvery: *auditN, Audit: *audit,
 			Retries: *retries, RetryBackoff: *rbackoff,
 		})
 	case "root":
@@ -166,7 +164,6 @@ type workerOpts struct {
 	Join         bool
 	Compression  string
 	AuditEvery   int
-	Float32      bool // deprecated alias for Compression "f32"
 	Audit        bool
 	Retries      int
 	RetryBackoff time.Duration
@@ -408,9 +405,6 @@ func runWorker(ctx context.Context, recipe transport.Recipe, o workerOpts) error
 	mode, err := codec.ParseCompression(o.Compression)
 	if err != nil {
 		return err
-	}
-	if mode == codec.CompressionNone && o.Float32 {
-		mode = codec.CompressionF32 // honor the deprecated -f32 spelling
 	}
 	id, coordURL, audit := o.ID, o.CoordURL, o.Audit
 	client, err := transport.DialWorker(ctx, transport.ClientConfig{

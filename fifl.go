@@ -50,7 +50,6 @@ import (
 	"fifl/internal/faults"
 	"fifl/internal/fl"
 	"fifl/internal/gradvec"
-	"fifl/internal/incentive"
 	"fifl/internal/metrics"
 	"fifl/internal/netsim"
 	"fifl/internal/nn"
@@ -214,10 +213,6 @@ type (
 	// WithMechanism; every mechanism runs through the full coordinator
 	// path — detection, ledger, checkpointing, wire transport included.
 	Mechanism = core.RewardMechanism
-	// RewardMechanism is the old name of Mechanism.
-	//
-	// Deprecated: use Mechanism.
-	RewardMechanism = core.RewardMechanism
 	// RoundStageTrace describes one pipeline stage execution.
 	RoundStageTrace = core.StageTrace
 )
@@ -236,7 +231,7 @@ func NewCoordinator(cfg CoordinatorConfig, engine *Engine, initialServers []int,
 // mechanism for the Reward stage — typically a baseline resolved with
 // MechanismByName — while detection, reputation, aggregation, the ledger
 // and server reselection run unchanged.
-func WithMechanism(m RewardMechanism) CoordinatorOption { return core.WithMechanism(m) }
+func WithMechanism(m Mechanism) CoordinatorOption { return core.WithMechanism(m) }
 
 // WithStageTrace installs an observability hook invoked after every round
 // pipeline stage (Collect, Detect, Reputation, Aggregate, Contribution,
@@ -334,43 +329,6 @@ func ValidateMechanismScale(m Mechanism, workers int) error {
 // accuracies (§4.5).
 func SelectInitialServers(accuracies []float64, m int) []int {
 	return core.SelectInitialServers(accuracies, m, nil)
-}
-
-// Baseline incentive mechanisms (Eq. 18–22). The registry API above —
-// MechanismByName("equal" | "individual" | "union" | "shapley" |
-// "shapley-mc") plus WithMechanism — supersedes this weight-only view:
-// registry mechanisms run through the full coordinator path (detection,
-// ledger, checkpointing) instead of producing bare shares. These aliases
-// remain for callers that only want the arithmetic.
-type (
-	// IncentiveMechanism derives reward weights from sample counts.
-	//
-	// Deprecated: use MechanismByName, which returns a full Mechanism.
-	IncentiveMechanism = incentive.Mechanism
-)
-
-// Baseline mechanism values.
-//
-// Deprecated: resolve the same strategies with MechanismByName("equal"),
-// ("individual"), ("union") or ("shapley") and install them with
-// WithMechanism.
-var (
-	// EqualIncentive pays everyone the same.
-	EqualIncentive IncentiveMechanism = incentive.Equal{}
-	// IndividualIncentive pays by independent utility Ψ(n_i).
-	IndividualIncentive IncentiveMechanism = incentive.Individual{}
-	// UnionIncentive pays by marginal utility.
-	UnionIncentive IncentiveMechanism = incentive.Union{}
-	// ShapleyIncentive pays by exact Shapley value.
-	ShapleyIncentive IncentiveMechanism = incentive.Shapley{}
-)
-
-// IncentiveShares normalizes a mechanism's weights into reward shares.
-//
-// Deprecated: use MechanismByName and read shares from the coordinator's
-// round reports, which apply the same normalization.
-func IncentiveShares(m IncentiveMechanism, samples []int) []float64 {
-	return incentive.Shares(m, samples)
 }
 
 // Robust aggregation (the classical Byzantine-tolerant alternatives to
@@ -552,7 +510,8 @@ func RejoinFederation(ctx context.Context, baseURL string, worker, samples int) 
 // per-worker events — Eq. 8–10 reputation updates, Eq. 15 rewards, ledger
 // records — a flat federation produces, so analytics and fairness audits
 // work unchanged; an honest sharded run is bit-identical to a flat run
-// aggregating in the same blocked association (Engine.AggregateRoundBlocked).
+// aggregating in the same blocked association (per-cohort partials,
+// normalized at the root).
 type (
 	// ShardHub is the root-side rendezvous: cohort registration, the
 	// sequence-numbered directive stream and per-phase evidence waves.

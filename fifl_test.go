@@ -2,7 +2,13 @@ package fifl
 
 import (
 	"context"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,24 +87,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if coord.Ledger.Len() == 0 {
 		t.Fatal("ledger empty despite RecordToLedger")
-	}
-}
-
-// TestBaselineFacade sanity-checks the re-exported baseline mechanisms.
-func TestBaselineFacade(t *testing.T) {
-	samples := []int{100, 1000, 9000}
-	for _, m := range []IncentiveMechanism{EqualIncentive, IndividualIncentive, UnionIncentive, ShapleyIncentive} {
-		shares := IncentiveShares(m, samples)
-		if len(shares) != 3 {
-			t.Fatalf("%s shares = %v", m.Name(), shares)
-		}
-		sum := 0.0
-		for _, s := range shares {
-			sum += s
-		}
-		if sum < 0.999 || sum > 1.001 {
-			t.Fatalf("%s shares sum %v", m.Name(), sum)
-		}
 	}
 }
 
@@ -196,4 +184,45 @@ func TestTransportFacade(t *testing.T) {
 	}
 	srv.MarkDone()
 	wg.Wait()
+}
+
+// TestNoDeprecatedAPI keeps the shipped tree free of deprecated aliases:
+// an old spelling is deleted, not kept beside its replacement. It parses
+// every non-test Go file of the module (nested modules such as bench/
+// excluded) and fails on any comment carrying a "Deprecated:" marker.
+func TestNoDeprecatedAPI(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			if strings.Contains(cg.Text(), "Deprecated:") {
+				t.Errorf("%s: deprecated API left in the shipped tree", fset.Position(cg.Pos()))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

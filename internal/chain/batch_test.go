@@ -140,7 +140,7 @@ func TestAppendBatchSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkAppend measures the per-record cost of the two append paths at
 // the coordinator's 5n-records-per-round shape; the batch path's delta is
-// what unblocked the large-n shard sweeps (BenchmarkShardRound).
+// what unblocked the large-n shard sweeps.
 func BenchmarkAppend(b *testing.B) {
 	const n = 5 * 64
 	signers, recs := batchFixture(n)

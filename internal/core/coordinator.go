@@ -75,8 +75,7 @@ type RoundReport struct {
 	// WorkerIDs maps every cohort slot of this round to its stable worker
 	// ID: all per-worker slices above are indexed by slot, and
 	// WorkerIDs[slot] names the worker. For a federation that never
-	// churned it is the identity [0..n-1]; nil on reports produced by the
-	// frozen legacy path, which predates elastic membership.
+	// churned it is the identity [0..n-1].
 	WorkerIDs []int
 	Global    gradvec.Vector
 	// Statuses records each upload's fate in the fault-tolerant runtime;
@@ -280,10 +279,15 @@ func (c *Coordinator) Signer(i int) *chain.Signer { return c.signers[i] }
 // transmission failures), contributions and rewards are zero, and the
 // report carries Committed == false. Errors are reserved for context
 // cancellation, internal shape mismatches and ledger write failures —
-// simulated faults are data, not errors. Because every stage before the
-// Record commit is free of durable side effects, a round that errors
-// there leaves reputations, the model, cumulative rewards and the ledger
-// exactly as it found them.
+// simulated faults are data, not errors. Every stage before Record is free
+// of durable side effects, and Record appends to the ledger before it
+// commits anything else, so a round that errors in any stage leaves the
+// model, reputations and their SLM counters, the b_h smoother, cumulative
+// rewards, the server cluster, the round counter and the ledger exactly as
+// it found them; running the same round again is safe. Random streams are
+// the exception: Collect has already trained the workers and drawn the
+// round's faults, so their positions (Snapshot's WorkerDraws and
+// EngineDraws) have moved.
 func (c *Coordinator) RunRoundContext(ctx context.Context, t int) (*RoundReport, error) {
 	rc := &RoundContext{Ctx: ctx, Round: t}
 	if err := c.pipeline.Run(c, rc); err != nil {

@@ -68,88 +68,14 @@ func (d *DetectionResult) Events() []Event {
 	return out
 }
 
-// Detect screens one round. slices is the per-worker, per-server slicing
-// from fl.Engine.SliceGradients; servers lists the worker indices currently
-// acting as the server cluster, in slice order (server j aggregates slice
-// j). m is the slice count and must equal len(servers); a mismatch is
-// reported as an error.
-func (d *Detector) Detect(rr *fl.RoundResult, slices [][]gradvec.Vector, servers []int, m int) (*DetectionResult, error) {
-	if len(servers) != m {
-		return nil, fmt.Errorf("core: Detect got %d servers for %d slices", len(servers), m)
-	}
-	n := len(rr.Grads)
-	res := &DetectionResult{
-		Scores:    make([]float64, n),
-		Accept:    make([]bool, n),
-		Uncertain: make([]bool, n),
-	}
-	for i := range res.Scores {
-		res.Scores[i] = math.NaN()
-		res.Uncertain[i] = rr.Dropped(i)
-	}
-	benchOwner := make([]int, m) // which worker's slice fills region j
-	res.Benchmark = compositeBenchmark(rr, slices, servers, m, benchOwner)
-	if res.Benchmark == nil {
-		// No server upload survived: detection is impossible this round.
-		// Accept arrivals so training proceeds; reputation records them as
-		// positive, matching the optimistic default of the SLM model.
-		for i := range res.Accept {
-			res.Accept[i] = rr.Usable(i)
-		}
-		return res, nil
-	}
-	total := len(res.Benchmark)
-	for i, g := range rr.Grads {
-		if g == nil {
-			continue
-		}
-		if len(g) != total || g.HasNaN() {
-			res.Scores[i] = math.Inf(-1)
-			continue
-		}
-		// The paper's Eq. 6 sums per-server verdicts S_i^j. Two hardening
-		// rules shape the aggregation:
-		//
-		//  1. Servers assess OTHERS: when worker i's own slice fills
-		//     benchmark region j (it serves that region), the region is
-		//     excluded from its score — otherwise a Byzantine server
-		//     validates itself through its own slice's perfect
-		//     self-correlation.
-		//  2. Each server's verdict is a bounded per-region cosine and
-		//     the verdicts are averaged, so no single server — however it
-		//     amplifies its own slice — can outvote the rest of the
-		//     cluster or drag every other worker's score down.
-		sum := 0.0
-		regions := 0
-		for j := 0; j < m; j++ {
-			if benchOwner[j] == i {
-				continue
-			}
-			lo, hi := gradvec.SliceBounds(total, m, j)
-			sum += res.Benchmark[lo:hi].CosSim(g[lo:hi])
-			regions++
-		}
-		if regions == 0 {
-			// Nobody independent can assess this worker (M = 1 and it is
-			// the server): no evidence, score 0.
-			res.Scores[i] = 0
-		} else {
-			res.Scores[i] = sum / float64(regions)
-		}
-		res.Accept[i] = res.Scores[i] >= d.Threshold
-	}
-	return res, nil
-}
-
-// DetectRound is the pipeline's arena-aware form of Detect: it screens
-// the round directly against the flat gradient layout, reading each
-// benchmark region as a SliceBounds view of the owning server's gradient
-// row instead of materializing the full n×m slice table that
-// fl.Engine.SliceGradients allocates. Scores, decision rule and hardening
-// (no self-validation, bounded per-region verdicts) are identical to
-// Detect — the differential test holds the two paths bit-equal — but the
-// per-worker scoring fans out across CPU cores, writing each worker's
-// score to its own index so the reduction is deterministic.
+// DetectRound screens one round. servers lists the cohort slots currently
+// acting as the server cluster, in region order (server j's gradient fills
+// benchmark region j); m is the region count and must equal len(servers),
+// a mismatch is reported as an error. Each benchmark region is read as a
+// SliceBounds view of the owning server's gradient, never as a
+// materialized n×m slice table, and the per-worker scoring fans out across
+// CPU cores, writing each worker's score to its own index so the
+// reduction is deterministic.
 func (d *Detector) DetectRound(rr *fl.RoundResult, servers []int, m int) (*DetectionResult, error) {
 	if len(servers) != m {
 		return nil, fmt.Errorf("core: DetectRound got %d servers for %d slices", len(servers), m)
@@ -168,7 +94,8 @@ func (d *Detector) DetectRound(rr *fl.RoundResult, servers []int, m int) (*Detec
 	res.Benchmark = FlatBenchmark(rr, servers, m, benchOwner)
 	if res.Benchmark == nil {
 		// No server upload survived: detection is impossible this round.
-		// Accept arrivals so training proceeds, matching Detect.
+		// Accept arrivals so training proceeds; reputation records them as
+		// positive, matching the optimistic default of the SLM model.
 		for i := range res.Accept {
 			res.Accept[i] = rr.Usable(i)
 		}
@@ -240,9 +167,11 @@ func scoreAgainstBenchmark(bench gradvec.Vector, owners []int, self int, g gradv
 }
 
 // FlatBenchmark assembles the composite benchmark without a slice table:
-// region j is the SliceBounds view of server j's gradient (fallback
-// substitution as in compositeBenchmark), recombined into one contiguous
-// vector. owners[j] records which worker's slice fills region j (it must
+// region j is the SliceBounds view of server j's gradient, recombined into
+// one contiguous vector. If a server's upload was dropped or has the wrong
+// length, the first surviving server's region substitutes (any trusted
+// device's slice is an unbiased benchmark); if no server survived, nil is
+// returned. owners[j] records which worker's slice fills region j (it must
 // have length m). Exported because a sharded federation's root assembles
 // the same benchmark from the server gradients its shards forwarded,
 // placed at their global indices in a virtual RoundResult.
@@ -266,37 +195,6 @@ func FlatBenchmark(rr *fl.RoundResult, servers []int, m int, owners []int) gradv
 		}
 		lo, hi := gradvec.SliceBounds(total, m, j)
 		parts[j] = rr.Grads[s][lo:hi]
-		owners[j] = s
-	}
-	return gradvec.Recombine(parts)
-}
-
-// compositeBenchmark assembles the benchmark vector: region j comes from
-// server j's own gradient slice. If a server's upload was dropped, another
-// surviving server's slice over region j substitutes (any trusted device's
-// slice is an unbiased benchmark); if no server survived, nil is returned.
-// owners[j] records which worker's slice fills region j, so Detect can
-// exclude self-assessment. Detect validates the server/slice shape before
-// calling.
-func compositeBenchmark(rr *fl.RoundResult, slices [][]gradvec.Vector, servers []int, m int, owners []int) gradvec.Vector {
-	// Find a fallback server whose upload survived.
-	fallback := -1
-	for _, s := range servers {
-		if rr.Usable(s) {
-			fallback = s
-			break
-		}
-	}
-	if fallback == -1 {
-		return nil
-	}
-	parts := make([]gradvec.Vector, m)
-	for j := 0; j < m; j++ {
-		s := servers[j]
-		if !rr.Usable(s) {
-			s = fallback
-		}
-		parts[j] = slices[s][j]
 		owners[j] = s
 	}
 	return gradvec.Recombine(parts)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"fifl/internal/fl"
@@ -10,8 +11,8 @@ import (
 )
 
 // syntheticRound builds a RoundResult with the given gradients (nil =
-// dropped) and its slicing over m servers.
-func syntheticRound(grads []gradvec.Vector, m int) (*fl.RoundResult, [][]gradvec.Vector) {
+// dropped).
+func syntheticRound(grads []gradvec.Vector) *fl.RoundResult {
 	rr := &fl.RoundResult{
 		Grads:   grads,
 		Samples: make([]int, len(grads)),
@@ -19,13 +20,7 @@ func syntheticRound(grads []gradvec.Vector, m int) (*fl.RoundResult, [][]gradvec
 	for i := range rr.Samples {
 		rr.Samples[i] = 100
 	}
-	slices := make([][]gradvec.Vector, len(grads))
-	for i, g := range grads {
-		if g != nil {
-			slices[i] = gradvec.Split(g, m)
-		}
-	}
-	return rr, slices
+	return rr
 }
 
 // noisy returns base + N(0, sigma) noise.
@@ -37,12 +32,22 @@ func noisy(src *rng.Source, base gradvec.Vector, sigma float64) gradvec.Vector {
 	return out
 }
 
-// mustDetect unwraps Detect for tests with well-formed server lists.
-func mustDetect(t *testing.T, d *Detector, rr *fl.RoundResult, slices [][]gradvec.Vector, servers []int, m int) *DetectionResult {
+// mustDetect screens a round with the production DetectRound, for tests
+// with well-formed server lists, and requires the slice-table reference
+// Detect to reach the same scores, benchmark and verdicts bit for bit.
+func mustDetect(t *testing.T, d *Detector, rr *fl.RoundResult, servers []int, m int) *DetectionResult {
 	t.Helper()
-	res, err := d.Detect(rr, slices, servers, m)
+	res, err := d.DetectRound(rr, servers, m)
 	if err != nil {
 		t.Fatal(err)
+	}
+	ref, err := d.Detect(rr, sliceGradients(rr, m), servers, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(res.Scores, ref.Scores) || !bitsEqual(res.Benchmark, ref.Benchmark) ||
+		!slices.Equal(res.Accept, ref.Accept) || !slices.Equal(res.Uncertain, ref.Uncertain) {
+		t.Fatalf("DetectRound and the reference Detect disagree:\nscores %v\nref    %v", res.Scores, ref.Scores)
 	}
 	return res
 }
@@ -63,9 +68,9 @@ func TestDetectSeparatesSignFlip(t *testing.T) {
 		g.Scale(-3)
 		grads[i] = g
 	}
-	rr, slices := syntheticRound(grads, m)
+	rr := syntheticRound(grads)
 	det := Detector{Threshold: 0.1}
-	res := mustDetect(t, &det, rr, slices, []int{0, 1, 2, 3}, m)
+	res := mustDetect(t, &det, rr, []int{0, 1, 2, 3}, m)
 	for i := 0; i < 4; i++ {
 		if !res.Accept[i] {
 			t.Fatalf("honest worker %d rejected with score %v", i, res.Scores[i])
@@ -90,8 +95,8 @@ func TestDetectScoreIsCosine(t *testing.T) {
 	b := make(gradvec.Vector, dim)
 	src.FillNormal(a, 0, 1)
 	src.FillNormal(b, 0, 1)
-	rr, slices := syntheticRound([]gradvec.Vector{a, b}, 1)
-	res := mustDetect(t, (&Detector{Threshold: 0}), rr, slices, []int{0}, 1)
+	rr := syntheticRound([]gradvec.Vector{a, b})
+	res := mustDetect(t, (&Detector{Threshold: 0}), rr, []int{0}, 1)
 	if math.Abs(res.Scores[1]-a.CosSim(b)) > 1e-12 {
 		t.Fatalf("score %v, want cosine %v", res.Scores[1], a.CosSim(b))
 	}
@@ -118,13 +123,13 @@ func TestDetectServerCannotSelfValidate(t *testing.T) {
 	atk := noisy(src, truth, 0.1)
 	atk.Scale(-4)
 	grads[5] = atk
-	rr, slices := syntheticRound(grads, m)
+	rr := syntheticRound(grads)
 	// Every worker serves — the decentralized M = N case — so the
 	// attacker's own slice is region 5 of the benchmark. Its amplified
 	// slice also pollutes everyone else's benchmark, dragging honest
 	// scores toward zero (until re-election evicts it), so the unit test
 	// uses a small threshold.
-	res := mustDetect(t, (&Detector{Threshold: 0.02}), rr, slices, []int{0, 1, 2, 3, 4, 5}, m)
+	res := mustDetect(t, (&Detector{Threshold: 0.02}), rr, []int{0, 1, 2, 3, 4, 5}, m)
 	if res.Accept[5] {
 		t.Fatalf("attacker-server self-validated with score %v", res.Scores[5])
 	}
@@ -143,8 +148,8 @@ func TestDetectDroppedUncertain(t *testing.T) {
 	truth := make(gradvec.Vector, 8)
 	src.FillNormal(truth, 0, 1)
 	grads := []gradvec.Vector{truth.Clone(), nil, truth.Clone()}
-	rr, slices := syntheticRound(grads, 2)
-	res := mustDetect(t, (&Detector{Threshold: 0}), rr, slices, []int{0, 2}, 2)
+	rr := syntheticRound(grads)
+	res := mustDetect(t, (&Detector{Threshold: 0}), rr, []int{0, 2}, 2)
 	if !res.Uncertain[1] || res.Accept[1] {
 		t.Fatal("dropped upload must be uncertain and not accepted")
 	}
@@ -159,8 +164,8 @@ func TestDetectNaNGradientRejected(t *testing.T) {
 	src.FillNormal(truth, 0, 1)
 	bad := truth.Clone()
 	bad[3] = math.NaN()
-	rr, slices := syntheticRound([]gradvec.Vector{truth.Clone(), bad}, 2)
-	res := mustDetect(t, (&Detector{Threshold: 0}), rr, slices, []int{0, 0}, 2)
+	rr := syntheticRound([]gradvec.Vector{truth.Clone(), bad})
+	res := mustDetect(t, (&Detector{Threshold: 0}), rr, []int{0, 0}, 2)
 	if res.Accept[1] {
 		t.Fatal("NaN gradient must be rejected")
 	}
@@ -174,8 +179,8 @@ func TestDetectZeroGradientFreeRider(t *testing.T) {
 	truth := make(gradvec.Vector, 8)
 	src.FillNormal(truth, 0, 1)
 	zero := make(gradvec.Vector, 8)
-	rr, slices := syntheticRound([]gradvec.Vector{truth.Clone(), zero}, 2)
-	res := mustDetect(t, (&Detector{Threshold: 0.05}), rr, slices, []int{0, 0}, 2)
+	rr := syntheticRound([]gradvec.Vector{truth.Clone(), zero})
+	res := mustDetect(t, (&Detector{Threshold: 0.05}), rr, []int{0, 0}, 2)
 	if res.Accept[1] {
 		t.Fatal("zero-gradient free-rider must fall below any positive threshold")
 	}
@@ -193,8 +198,8 @@ func TestDetectServerDropFallsBack(t *testing.T) {
 	atk := truth.Clone()
 	atk.Scale(-2)
 	grads := []gradvec.Vector{nil, noisy(src, truth, 0.1), noisy(src, truth, 0.1), atk}
-	rr, slices := syntheticRound(grads, 2)
-	res := mustDetect(t, (&Detector{Threshold: 0.05}), rr, slices, []int{0, 1}, 2)
+	rr := syntheticRound(grads)
+	res := mustDetect(t, (&Detector{Threshold: 0.05}), rr, []int{0, 1}, 2)
 	if res.Benchmark == nil {
 		t.Fatal("benchmark should fall back to the surviving server")
 	}
@@ -211,8 +216,8 @@ func TestDetectAllServersDownAcceptsArrivals(t *testing.T) {
 	truth := make(gradvec.Vector, 8)
 	src.FillNormal(truth, 0, 1)
 	grads := []gradvec.Vector{nil, nil, truth.Clone()}
-	rr, slices := syntheticRound(grads, 2)
-	res := mustDetect(t, (&Detector{Threshold: 0.05}), rr, slices, []int{0, 1}, 2)
+	rr := syntheticRound(grads)
+	res := mustDetect(t, (&Detector{Threshold: 0.05}), rr, []int{0, 1}, 2)
 	if res.Benchmark != nil {
 		t.Fatal("no benchmark should exist when every server dropped")
 	}

@@ -317,22 +317,23 @@ func stageReward(c *Coordinator, rc *RoundContext) error {
 	return nil
 }
 
-// stageRecord is the commit point: it swaps in the staged reputations,
-// applies the global update, folds the smoother and cumulative rewards,
-// and writes the round's ledger records. Everything before this stage is
-// side-effect free, so any earlier error leaves the coordinator
-// untouched.
+// stageRecord is the commit point: it writes the round's ledger records,
+// then swaps in the staged reputations, applies the global update and folds
+// the smoother and cumulative rewards. The ledger goes first because it is
+// the only step that can fail, and a failed AppendBatch writes no block, so
+// a Record error leaves the mechanism state and the ledger exactly as the
+// round found them.
 func stageRecord(c *Coordinator, rc *RoundContext) error {
+	if c.Cfg.RecordToLedger {
+		if err := c.logRound(rc.Round, rc.RR, rc.Detection, rc.Contributions, rc.Reputations, rc.Shares); err != nil {
+			return err
+		}
+	}
 	c.Rep = rc.stagedRep
 	c.Engine.ApplyGlobal(rc.Global)
 	c.bhSmoother = rc.stagedSmoother
 	for i, r := range rc.Rewards {
 		c.cumulative[rc.ActiveIDs[i]] += r
-	}
-	if c.Cfg.RecordToLedger {
-		if err := c.logRound(rc.Round, rc.RR, rc.Detection, rc.Contributions, rc.Reputations, rc.Shares); err != nil {
-			return err
-		}
 	}
 	c.cm.observeRound(rc.Detection, rc.PrevReputations, rc.Reputations, rc.Rewards, c.Ledger.Len())
 	return nil

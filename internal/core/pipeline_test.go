@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,7 +136,7 @@ func TestPipelineMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pipeline round %d: %v", r, err)
 				}
-				lr, err := legacy.RunRoundLegacyContext(context.Background(), r)
+				lr, err := runRoundLegacy(legacy, context.Background(), r)
 				if err != nil {
 					t.Fatalf("legacy round %d: %v", r, err)
 				}
@@ -297,6 +299,63 @@ func TestStageErrorAbortsRoundWithoutMutation(t *testing.T) {
 	}
 }
 
+// TestRecordFailureLeavesCoordinatorUntouched forces the commit stage
+// itself to fail — an executing server has lost its signing key, so the
+// ledger refuses the round's batch — and requires the coordinator to stay
+// at the round it was on: every snapshot field the round would commit is
+// unchanged, and running the same round again succeeds. WorkerDraws and
+// EngineDraws are not compared: Collect trains the workers and draws the
+// fault plan before any stage can fail.
+func TestRecordFailureLeavesCoordinatorUntouched(t *testing.T) {
+	coord := buildDiffCoordinator(t, 3) // seed 3 pays non-zero rewards in round 1
+	runRound(t, coord, 0)
+	before, err := coord.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	server := coord.Servers()[0]
+	signer := coord.signers[server]
+	coord.signers[server] = nil
+	_, err = coord.RunRoundContext(context.Background(), 1)
+	if err == nil || !strings.Contains(err.Error(), "stage Record") {
+		t.Fatalf("round with a keyless server returned %v, want a Record stage error", err)
+	}
+	after, err := coord.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name  string
+		equal bool
+	}{
+		{"Params", bitsEqual(before.Params, after.Params)},
+		{"Reputations", bitsEqual(before.Reputations, after.Reputations)},
+		{"PosCounts", slices.Equal(before.PosCounts, after.PosCounts)},
+		{"NegCounts", slices.Equal(before.NegCounts, after.NegCounts)},
+		{"UncCounts", slices.Equal(before.UncCounts, after.UncCounts)},
+		{"Cumulative", bitsEqual(before.Cumulative, after.Cumulative)},
+		{"BHInitialized", before.BHInitialized == after.BHInitialized},
+		{"BHValue", math.Float64bits(before.BHValue) == math.Float64bits(after.BHValue)},
+		{"NextRound", before.NextRound == after.NextRound},
+		{"Servers", slices.Equal(before.Servers, after.Servers)},
+		{"Ledger", bytes.Equal(before.Ledger, after.Ledger)},
+	} {
+		if !f.equal {
+			t.Errorf("failed Record moved snapshot field %s", f.name)
+		}
+	}
+
+	coord.signers[server] = signer
+	runRound(t, coord, 1)
+	if coord.NextRound() != 2 {
+		t.Fatalf("retried round left NextRound at %d, want 2", coord.NextRound())
+	}
+	if want := 2 * 5 * len(coord.Engine.Workers); coord.Ledger.Len() != want {
+		t.Fatalf("ledger holds %d blocks after the retry, want %d", coord.Ledger.Len(), want)
+	}
+}
+
 // TestStageTraceHookSeesEveryStage verifies WithStageTrace observes each
 // stage of a successful round in order, and the failing stage of an
 // aborted one.
@@ -410,7 +469,7 @@ func TestPipelineAllocsFewerThanLegacy(t *testing.T) {
 		}
 	}
 	runLegacy := func(r int) {
-		if _, err := legacy.RunRoundLegacyContext(context.Background(), r); err != nil {
+		if _, err := runRoundLegacy(legacy, context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 	}

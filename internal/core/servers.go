@@ -13,19 +13,14 @@ func SelectInitialServers(accuracies []float64, m int, banned map[int]bool) []in
 	return topM(accuracies, m, banned)
 }
 
-// ReselectServers implements the per-iteration re-election: the devices
-// with the highest reputations form the next server cluster. Banned devices
-// (caught tampering by the audit) are never selected again.
-func ReselectServers(reputations []float64, m int, banned map[int]bool) []int {
-	return topM(reputations, m, banned)
-}
-
-// ReselectServersFrom is the elastic-membership shape of ReselectServers:
-// the candidates are the worker IDs in ids (the round cohort, slot order)
+// ReselectServersFrom implements the per-iteration re-election (§4.5): the
+// devices with the highest reputations form the next server cluster, and
+// banned devices (caught tampering by the audit) are never selected again.
+// The candidates are the worker IDs in ids (the round cohort, slot order)
 // with reputations[k] scoring ids[k], and the returned cluster holds
 // worker IDs. Ties break on the smaller ID, so with the identity cohort
-// ids == [0..n-1] the election is exactly ReselectServers — the zero-churn
-// bit-identity hinge.
+// ids == [0..n-1] the election is exactly a top-m pick by index — the
+// zero-churn bit-identity hinge.
 func ReselectServersFrom(ids []int, reputations []float64, m int, banned map[int]bool) []int {
 	order := make([]int, 0, len(ids)) // positions into ids
 	for k, id := range ids {

@@ -327,98 +327,6 @@ func (e *Engine) AggregateRound(rr *RoundResult, accept []bool) (gradvec.Vector,
 	return out, nil
 }
 
-// AggregateRoundBlocked computes the same filtered aggregate as
-// AggregateRound but in the blocked association a 1-level sharded
-// federation uses: the workers are partitioned into contiguous cohorts of
-// the given sizes (which must sum to the federation size), each cohort
-// folds its accepted gradients into an UNNORMALIZED partial
-// P_s = Σ w_i·n_i·G_i with mass T_s = Σ w_i·n_i, and the partials are
-// combined as G̃ = Σ_s (1/T)·P_s with T = Σ T_s, cohort order, skipping
-// cohorts without a surviving gradient. Floating-point addition is not
-// associative, so this result differs from AggregateRound's flat
-// left-to-right fold in the last bits — it is exactly the arithmetic the
-// shard protocol performs, and the differential test holds a sharded run
-// bit-equal to a flat engine aggregating through this method. With one
-// cohort spanning everything it degenerates to (1/T)·(Σ w_i·n_i·G_i),
-// still not the flat fold. Degenerate and error cases match AggregateRound.
-func (e *Engine) AggregateRoundBlocked(rr *RoundResult, accept []bool, cohorts []int) (gradvec.Vector, error) {
-	if rr == nil {
-		return nil, errors.New("fl: AggregateRoundBlocked on a nil round")
-	}
-	defer e.em.aggregateSec.ObserveSince(time.Now())
-	if accept != nil && len(accept) != len(rr.Grads) {
-		return nil, fmt.Errorf("fl: AggregateRoundBlocked accept length %d, want %d", len(accept), len(rr.Grads))
-	}
-	if rr.Weights != nil && len(rr.Weights) != len(rr.Grads) {
-		return nil, fmt.Errorf("fl: AggregateRoundBlocked weights length %d, want %d", len(rr.Weights), len(rr.Grads))
-	}
-	span := 0
-	for s, size := range cohorts {
-		if size <= 0 {
-			return nil, fmt.Errorf("fl: AggregateRoundBlocked cohort %d has size %d", s, size)
-		}
-		span += size
-	}
-	if span != len(rr.Grads) {
-		return nil, fmt.Errorf("fl: AggregateRoundBlocked cohorts span %d workers, round has %d", span, len(rr.Grads))
-	}
-	if rr.Quorum > 0 && !rr.Committed {
-		return nil, nil
-	}
-	weight := func(i int) float64 {
-		if rr.Weights == nil {
-			return 1
-		}
-		w := rr.Weights[i]
-		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-			return 0
-		}
-		return w
-	}
-	// Edge pass: each cohort folds its own accepted gradients and sums its
-	// own mass locally — T = Σ_s T_s associates per cohort, not as one
-	// flat running total, because that is the only sum a real shard can
-	// compute without seeing its siblings.
-	partials := make([]gradvec.Vector, len(cohorts))
-	coefs := make([]float64, len(rr.Grads))
-	total := 0.0
-	lo := 0
-	for s, size := range cohorts {
-		survivor := false
-		mass := 0.0
-		for i := lo; i < lo+size; i++ {
-			g := rr.Grads[i]
-			if g == nil || (accept != nil && !accept[i]) {
-				continue
-			}
-			w := weight(i)
-			coefs[i] = w * float64(rr.Samples[i])
-			mass += coefs[i]
-			survivor = survivor || w > 0
-		}
-		if survivor {
-			partials[s] = gradvec.Zeros(len(e.params))
-			partials[s].AddWeighted(rr.Grads[lo:lo+size], coefs[lo:lo+size])
-		}
-		total += mass
-		lo += size
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	// Root pass: normalize the partials. Empty cohorts are skipped rather
-	// than folded as zero vectors — adding 0.0 would flip a -0.0 element.
-	norm := make([]float64, len(partials))
-	for s, p := range partials {
-		if p != nil {
-			norm[s] = 1 / total
-		}
-	}
-	out := gradvec.Zeros(len(e.params))
-	out.AddWeighted(partials, norm)
-	return out, nil
-}
-
 // ApplyGlobal performs θ_{t+1} = θ_t − η·G̃ and refreshes the evaluation
 // replica. A nil gradient (everyone rejected) leaves the model unchanged.
 func (e *Engine) ApplyGlobal(g gradvec.Vector) {
@@ -448,18 +356,4 @@ func (e *Engine) Step(round int) *RoundResult {
 // Evaluate reports the global model's accuracy and loss on a test set.
 func (e *Engine) Evaluate(test *dataset.Dataset, batchSize int) (acc, loss float64) {
 	return nn.Evaluate(e.global, test.X, test.Labels, batchSize)
-}
-
-// SliceGradients splits every collected gradient into M server slices
-// (§3.2 step 1.2). Entry [i][j] is worker i's slice for server j; nil rows
-// correspond to uploads that never arrived.
-func (e *Engine) SliceGradients(rr *RoundResult) [][]gradvec.Vector {
-	out := make([][]gradvec.Vector, len(rr.Grads))
-	for i, g := range rr.Grads {
-		if g == nil {
-			continue
-		}
-		out[i] = gradvec.Split(g, e.Cfg.Servers)
-	}
-	return out
 }

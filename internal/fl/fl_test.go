@@ -183,26 +183,6 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-func TestSliceGradients(t *testing.T) {
-	e, _ := testSetup(t, 3, 0)
-	rr := collect(t, e, 0)
-	slices := e.SliceGradients(rr)
-	if len(slices) != 3 {
-		t.Fatalf("slice count %d", len(slices))
-	}
-	for i, ws := range slices {
-		if len(ws) != e.NumServers() {
-			t.Fatalf("worker %d has %d slices, want %d", i, len(ws), e.NumServers())
-		}
-		recombined := gradvec.Recombine(ws)
-		for j := range recombined {
-			if recombined[j] != rr.Grads[i][j] {
-				t.Fatal("slices do not recombine to the original gradient")
-			}
-		}
-	}
-}
-
 func TestLocalTrainStartsFromGlobal(t *testing.T) {
 	// Two workers with the same data and RNG position must produce the
 	// same gradient from the same global parameters (determinism), and a

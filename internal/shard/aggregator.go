@@ -213,7 +213,7 @@ func (a *Aggregator) handleDetect(ctx context.Context, d codec.ShardDirective) e
 	}
 	// The pre-aggregate: P_s = Σ n_i·G_i and T_s = Σ n_i over the accepted
 	// arrivals, in cohort order — the blocked association the root's fold
-	// (and fl.Engine.AggregateRoundBlocked) completes.
+	// completes.
 	coefs := make([]float64, k)
 	survivor := false
 	for i, g := range rr.Grads {

@@ -19,10 +19,10 @@ import (
 // retries, sample weights, and the server cluster's gradients at their
 // global indices — every other gradient row stays nil); Detect assembles
 // the composite benchmark from those server rows and folds the shards'
-// locally computed scores; Aggregate folds the pre-aggregated partials
-// exactly as fl.Engine.AggregateRoundBlocked does; Distances folds the
-// shards' Eq. 13 scalars. The root pipeline's remaining stages consume
-// only per-worker scalars and run unchanged.
+// locally computed scores; Aggregate folds the pre-aggregated partials in
+// the blocked association (per-cohort partials, normalized at the root);
+// Distances folds the shards' Eq. 13 scalars. The root pipeline's
+// remaining stages consume only per-worker scalars and run unchanged.
 type Bridge struct {
 	hub    *ShardHub
 	engine *fl.Engine // the root engine: parameter state and model shape
@@ -167,13 +167,12 @@ func (b *Bridge) DetectRound(ctx context.Context, rr *fl.RoundResult, servers []
 }
 
 // AggregateRound implements core.ShardRoundSource: G̃ = Σ_s (1/T)·P_s with
-// T = Σ_s T_s over the detect wave's pre-aggregated partials — the exact
-// arithmetic of fl.Engine.AggregateRoundBlocked over the same cohorts.
-// The accept mask is not consulted: the shards already applied it when
-// they built their partials, and the root's mask is the one the shards
-// reported. Uncommitted rounds return (nil, nil) without any wire
-// traffic; the shards recognize the elided phases when the next collect
-// directive's round number arrives.
+// T = Σ_s T_s over the detect wave's pre-aggregated partials. The accept
+// mask is not consulted: the shards already applied it when they built
+// their partials, and the root's mask is the one the shards reported.
+// Uncommitted rounds return (nil, nil) without any wire traffic; the
+// shards recognize the elided phases when the next collect directive's
+// round number arrives.
 func (b *Bridge) AggregateRound(_ context.Context, rr *fl.RoundResult, _ []bool) (gradvec.Vector, error) {
 	if rr.Quorum > 0 && !rr.Committed {
 		return nil, nil

@@ -8,7 +8,8 @@
 // ledger records — fifl-score and the fairness audit read a sharded run's
 // checkpoint exactly as a flat run's — and the whole exchange is proven
 // bit-identical to a flat federation (aggregating in the same blocked
-// association; see fl.Engine.AggregateRoundBlocked) for honest runs.
+// association; see the reference aggregator in shard_test.go) for honest
+// runs.
 //
 // The wire protocol is a directive stream: the root broadcasts
 // sequence-numbered codec.ShardDirective frames (collect → detect → dist

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -268,11 +269,10 @@ func TestBridgeDegradedRoundSkipsDetectAndDist(t *testing.T) {
 // blockedFlatSource is the flat federation arm of the differential test: a
 // core.ShardRoundSource over a single flat engine that performs each stage
 // exactly as the non-sharded pipeline would, except that aggregation uses
-// the blocked association (fl.Engine.AggregateRoundBlocked) the shard
-// protocol is defined by. Everything else — collection, the detection
-// kernel, the Eq. 13 distances — is the stock flat computation, so any
-// divergence between the two arms is a protocol bug, not float
-// associativity.
+// the blocked association (aggregateRoundBlocked) the shard protocol is
+// defined by. Everything else — collection, the detection kernel, the
+// Eq. 13 distances — is the stock flat computation, so any divergence
+// between the two arms is a protocol bug, not float associativity.
 type blockedFlatSource struct {
 	engine  *fl.Engine
 	cohorts []int
@@ -289,7 +289,7 @@ func (s *blockedFlatSource) DetectRound(_ context.Context, rr *fl.RoundResult, s
 }
 
 func (s *blockedFlatSource) AggregateRound(_ context.Context, rr *fl.RoundResult, accept []bool) (gradvec.Vector, error) {
-	return s.engine.AggregateRoundBlocked(rr, accept, s.cohorts)
+	return aggregateRoundBlocked(s.engine, rr, accept, s.cohorts)
 }
 
 func (s *blockedFlatSource) Distances(_ context.Context, rr *fl.RoundResult, global gradvec.Vector) ([]float64, error) {
@@ -304,6 +304,98 @@ func (s *blockedFlatSource) Distances(_ context.Context, rr *fl.RoundResult, glo
 		dists[i] = core.SqDistToGlobal(global, g)
 	}
 	return dists, nil
+}
+
+// aggregateRoundBlocked is the flat-side reference of the sharded
+// bit-identity tests, kept verbatim from the engine method it once was. It
+// computes the same filtered aggregate as fl.Engine.AggregateRound but in the blocked association a 1-level sharded
+// federation uses: the workers are partitioned into contiguous cohorts of
+// the given sizes (which must sum to the federation size), each cohort
+// folds its accepted gradients into an UNNORMALIZED partial
+// P_s = Σ w_i·n_i·G_i with mass T_s = Σ w_i·n_i, and the partials are
+// combined as G̃ = Σ_s (1/T)·P_s with T = Σ T_s, cohort order, skipping
+// cohorts without a surviving gradient. Floating-point addition is not
+// associative, so this result differs from AggregateRound's flat
+// left-to-right fold in the last bits — it is exactly the arithmetic the
+// shard protocol performs, and the differential test holds a sharded run
+// bit-equal to a flat engine aggregating through this method. With one
+// cohort spanning everything it degenerates to (1/T)·(Σ w_i·n_i·G_i),
+// still not the flat fold. Degenerate and error cases match AggregateRound.
+func aggregateRoundBlocked(e *fl.Engine, rr *fl.RoundResult, accept []bool, cohorts []int) (gradvec.Vector, error) {
+	if rr == nil {
+		return nil, errors.New("fl: AggregateRoundBlocked on a nil round")
+	}
+	if accept != nil && len(accept) != len(rr.Grads) {
+		return nil, fmt.Errorf("fl: AggregateRoundBlocked accept length %d, want %d", len(accept), len(rr.Grads))
+	}
+	if rr.Weights != nil && len(rr.Weights) != len(rr.Grads) {
+		return nil, fmt.Errorf("fl: AggregateRoundBlocked weights length %d, want %d", len(rr.Weights), len(rr.Grads))
+	}
+	span := 0
+	for s, size := range cohorts {
+		if size <= 0 {
+			return nil, fmt.Errorf("fl: AggregateRoundBlocked cohort %d has size %d", s, size)
+		}
+		span += size
+	}
+	if span != len(rr.Grads) {
+		return nil, fmt.Errorf("fl: AggregateRoundBlocked cohorts span %d workers, round has %d", span, len(rr.Grads))
+	}
+	if rr.Quorum > 0 && !rr.Committed {
+		return nil, nil
+	}
+	weight := func(i int) float64 {
+		if rr.Weights == nil {
+			return 1
+		}
+		w := rr.Weights[i]
+		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+			return 0
+		}
+		return w
+	}
+	// Edge pass: each cohort folds its own accepted gradients and sums its
+	// own mass locally — T = Σ_s T_s associates per cohort, not as one
+	// flat running total, because that is the only sum a real shard can
+	// compute without seeing its siblings.
+	partials := make([]gradvec.Vector, len(cohorts))
+	coefs := make([]float64, len(rr.Grads))
+	total := 0.0
+	lo := 0
+	for s, size := range cohorts {
+		survivor := false
+		mass := 0.0
+		for i := lo; i < lo+size; i++ {
+			g := rr.Grads[i]
+			if g == nil || (accept != nil && !accept[i]) {
+				continue
+			}
+			w := weight(i)
+			coefs[i] = w * float64(rr.Samples[i])
+			mass += coefs[i]
+			survivor = survivor || w > 0
+		}
+		if survivor {
+			partials[s] = gradvec.Zeros(len(e.ParamsRef()))
+			partials[s].AddWeighted(rr.Grads[lo:lo+size], coefs[lo:lo+size])
+		}
+		total += mass
+		lo += size
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	// Root pass: normalize the partials. Empty cohorts are skipped rather
+	// than folded as zero vectors — adding 0.0 would flip a -0.0 element.
+	norm := make([]float64, len(partials))
+	for s, p := range partials {
+		if p != nil {
+			norm[s] = 1 / total
+		}
+	}
+	out := gradvec.Zeros(len(e.ParamsRef()))
+	out.AddWeighted(partials, norm)
+	return out, nil
 }
 
 // runOutcome captures everything the differential test compares bitwise.

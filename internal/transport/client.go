@@ -70,12 +70,6 @@ type ClientConfig struct {
 	// schedule. 0 disables auditing; 1 forces every round dense, making
 	// the whole run bit-identical to an uncompressed one.
 	AuditEvery int
-	// Float32 is the deprecated spelling of Compression:
-	// codec.CompressionF32. It is honored only when Compression is
-	// CompressionNone.
-	//
-	// Deprecated: set Compression instead.
-	Float32 bool
 	// Metrics selects the registry the client instruments itself into —
 	// request counts/latencies per endpoint, retry attempts, bytes moved,
 	// codec throughput (0 = the process-wide metrics.Default). Metrics are
@@ -117,9 +111,6 @@ func DialWorker(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	}
 	if !cfg.Compression.Valid() {
 		return nil, fmt.Errorf("transport: DialWorker got invalid compression mode %s", cfg.Compression)
-	}
-	if cfg.Compression == codec.CompressionNone && cfg.Float32 {
-		cfg.Compression = codec.CompressionF32
 	}
 	if cfg.AuditEvery < 0 {
 		return nil, fmt.Errorf("transport: DialWorker requires a non-negative audit cadence, got %d", cfg.AuditEvery)

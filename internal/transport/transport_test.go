@@ -286,7 +286,7 @@ func TestLoopbackFloat32Mode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := DialWorker(ctx, ClientConfig{BaseURL: ts.URL, Worker: w, PollWait: 500 * time.Millisecond, Float32: true})
+		c, err := DialWorker(ctx, ClientConfig{BaseURL: ts.URL, Worker: w, PollWait: 500 * time.Millisecond, Compression: codec.CompressionF32})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 # by the plain test leg.
 set -eux
 cd "$(dirname "$0")"
+START=$(date +%s)
 
 # gofmt gate: fail on any unformatted file.
 UNFORMATTED=$(gofmt -l .)
@@ -21,21 +22,9 @@ fi
 go vet ./...
 go build ./...
 go test ./internal/experiments/
+# This leg also races the pipeline-vs-legacy differential and the elastic
+# membership and churn tests; no later leg re-runs them by name.
 go test -race -timeout 20m $(go list ./... | grep -v internal/experiments)
-
-# Differential gate: the staged round pipeline must stay bit-identical
-# to the frozen legacy monolith (reports, reputations, rewards, ledger
-# bytes) across seeds and a quorum-degraded round, under the race
-# detector so the parallel Detect/Contribution fan-out is raced too.
-go test -race -run TestPipelineMatchesLegacy ./internal/core
-
-# Elastic membership race gate: the join/leave handshake — hub seat
-# mutation, the blocking /v1/join round-trip, ProcessMembership draining
-# queues at the round boundary, ban refusal over the wire — raced by
-# name so a regression in the churn path fails loudly even if the
-# general -race leg above is ever narrowed.
-go test -race -run 'TestElasticMembershipOverHTTP|TestBannedWorkerRefusedOverHTTP' ./internal/transport
-go test -race -run 'TestChurnKillResumeBitIdentity|TestBannedCarryoverAcrossResume' ./internal/core
 
 # Ledger read-plane race gate: Verify fans the blocks out over the cores
 # and must return the serial walk's verdict, so the chain package is raced
@@ -44,11 +33,6 @@ go test -race -run 'TestChurnKillResumeBitIdentity|TestBannedCarryoverAcrossResu
 # export running concurrently (TestVerifyMatchesSerialReference,
 # TestConcurrentReadersAndAppender).
 go test -race -cpu 1,2,4 ./internal/chain
-
-# Benchmark smoke: one pipeline-vs-legacy round at each federation size
-# must complete (tracked numbers come from bash bench/run.sh, not from
-# here).
-go test -run '^$' -bench=RunRound -benchtime=1x .
 
 # Ledger layer smoke: Verify, Query and WriteBinary at 8,000 and 100,000
 # blocks must complete, so the chain.* layer numbers reproduce without the
@@ -63,7 +47,9 @@ go test -run '^$' -bench 'Verify|Query|WriteBinary' -benchtime=1x ./internal/cha
 # Allocation regression gate: the round hot path must stay within its
 # steady-state allocation budget (after warm-up only the ledger blocks
 # and the caller-owned report escape a round), and the staged pipeline
-# must stay leaner than the frozen legacy monolith.
+# must stay leaner than the frozen legacy monolith kept in
+# internal/core/legacy_test.go. The -race leg above runs both too; this
+# leg pins them on an uninstrumented build.
 go test -run TestRoundSteadyStateAllocs .
 go test -run TestPipelineAllocsFewerThanLegacy ./internal/core
 
@@ -269,3 +255,6 @@ wait "$AS_CPID" 2>/dev/null || true
 grep -q 'async mode' "$BIN/async-coord.log"
 grep -q 'committed=true' "$BIN/async-coord.log"
 grep -q 'audit ledger verified' "$BIN/async-w1.log"
+
+set +x
+echo "tier1: all gates passed in $(($(date +%s) - START))s"
