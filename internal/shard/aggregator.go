@@ -17,7 +17,9 @@ import (
 // both round-trip every frame through the codec so the bytes on either
 // side of the link are the bytes a real wire would carry.
 type RootLink interface {
-	// Submit uploads one evidence frame.
+	// Submit uploads one evidence frame. It must not keep s's slices
+	// after it returns: the aggregator reuses its partial-sum buffer for
+	// the next round.
 	Submit(ctx context.Context, s codec.ShardSubmit) error
 	// NextDirective blocks until a directive with sequence number > after
 	// exists and returns it.
@@ -75,6 +77,7 @@ type Aggregator struct {
 	lastSeq int
 	round   int
 	rr      *fl.RoundResult
+	partial gradvec.Vector // the detect partial's buffer, reused every round
 }
 
 // NewAggregator builds an edge aggregator. shard is its index in the
@@ -141,8 +144,9 @@ func (a *Aggregator) Run(ctx context.Context) error {
 func (a *Aggregator) LastSeq() int { return a.lastSeq }
 
 // SetLastSeq fast-forwards the directive cursor to a checkpointed
-// position before Run; the root retains all directives, so any position
-// up to the current head is valid.
+// position before Run. The root drops each directive once every shard has
+// answered it, so the position must not precede the root's release point:
+// polling from there fails with ErrDirectiveReleased.
 func (a *Aggregator) SetLastSeq(seq int) { a.lastSeq = seq }
 
 // Engine exposes the cohort engine (checkpointing reads its RNG cursor).
@@ -225,9 +229,13 @@ func (a *Aggregator) handleDetect(ctx context.Context, d codec.ShardDirective) e
 		survivor = true
 	}
 	if survivor {
-		partial := gradvec.Zeros(len(a.engine.ParamsRef()))
-		partial.AddWeighted(rr.Grads, coefs)
-		ev.Partial = partial
+		if dim := len(a.engine.ParamsRef()); len(a.partial) != dim {
+			a.partial = gradvec.Zeros(dim)
+		} else {
+			clear(a.partial)
+		}
+		a.partial.AddWeighted(rr.Grads, coefs)
+		ev.Partial = a.partial
 	}
 	return a.link.Submit(ctx, codec.ShardSubmit{
 		Shard: a.shard, Round: d.Round, Phase: codec.ShardPhaseDetect, Detect: ev,

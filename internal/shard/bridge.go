@@ -187,7 +187,7 @@ func (b *Bridge) AggregateRound(_ context.Context, rr *fl.RoundResult, _ []bool)
 	if total == 0 {
 		return nil, nil
 	}
-	dim := len(b.engine.Params())
+	dim := len(b.engine.ParamsRef())
 	out := gradvec.Zeros(dim)
 	for s, sub := range b.detect {
 		p := sub.Detect.Partial

@@ -22,6 +22,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -34,6 +35,12 @@ type phaseKey struct {
 	round int
 	phase codec.ShardPhase
 }
+
+// ErrDirectiveReleased reports a poll for a directive every shard has
+// already answered. Its payload is gone, and no correct shard asks for it:
+// the protocol is lock-step, so a shard that polls past a sequence number
+// has obeyed every directive up to it.
+var ErrDirectiveReleased = errors.New("shard: directive already answered by every shard and released")
 
 // ShardHub is the root coordinator's rendezvous point with its edge
 // aggregators: it validates hello registrations against the federation
@@ -51,7 +58,8 @@ type ShardHub struct {
 	samples []int                     // per-worker n_i, filled by hellos
 
 	seq        int
-	directives []codec.ShardDirective
+	directives []codec.ShardDirective // directives[i] has sequence number i+1
+	released   int                    // directives 1..released are dropped
 
 	subs map[phaseKey]map[int]*codec.ShardSubmit // by wave, then shard
 
@@ -262,8 +270,10 @@ func (h *ShardHub) Publish(d codec.ShardDirective) (seq int, err error) {
 
 // NextDirective blocks until a directive with sequence number > after
 // exists and returns the earliest such directive — the shard-side
-// long-poll. Directives are retained for the lifetime of the run, so a
-// reconnecting shard can catch up from any sequence point.
+// long-poll. A directive is held only until every shard has answered it
+// (see Await); polling for one after that fails with ErrDirectiveReleased.
+// A restarted shard cannot catch up from an old sequence number anyway:
+// its hello is rejected as a duplicate registration.
 func (h *ShardHub) NextDirective(ctx context.Context, after int) (codec.ShardDirective, error) {
 	if err := h.wait(ctx, func() bool { return h.seq > after }); err != nil {
 		return codec.ShardDirective{}, fmt.Errorf("shard: polling for directive %d: %w", after+1, err)
@@ -273,11 +283,17 @@ func (h *ShardHub) NextDirective(ctx context.Context, after int) (codec.ShardDir
 	if after < 0 {
 		after = 0
 	}
+	if after < h.released {
+		return codec.ShardDirective{}, fmt.Errorf("shard: directive %d: %w", after+1, ErrDirectiveReleased)
+	}
 	return h.directives[after], nil
 }
 
 // Await blocks until every registered shard has submitted evidence for
 // the (round, phase) wave and returns the frames indexed by shard.
+// Consuming the wave releases the directive it answers, and every earlier
+// one: each shard has obeyed them all, so their model-sized payloads are
+// dropped rather than held for the rest of the run.
 func (h *ShardHub) Await(ctx context.Context, round int, phase codec.ShardPhase) ([]*codec.ShardSubmit, error) {
 	k := phaseKey{round: round, phase: phase}
 	err := h.wait(ctx, func() bool { return len(h.subs[k]) == h.shards })
@@ -288,6 +304,13 @@ func (h *ShardHub) Await(ctx context.Context, round int, phase codec.ShardPhase)
 	defer h.mu.Unlock()
 	wave := h.subs[k]
 	delete(h.subs, k) // the wave is consumed exactly once
+	for i := h.released; i < len(h.directives); i++ {
+		if d := h.directives[i]; d.Round == round && d.Phase == phase {
+			clear(h.directives[h.released : i+1])
+			h.released = i + 1
+			break
+		}
+	}
 	out := make([]*codec.ShardSubmit, h.shards)
 	for s, sub := range wave {
 		out[s] = sub
@@ -326,7 +349,7 @@ func (h *ShardHub) wait(ctx context.Context, pred func() bool) error {
 }
 
 // Close shuts the hub down, unblocking every waiter with an error.
-// Publish and Submit fail afterwards; already-published directives remain
+// Publish and Submit fail afterwards; unreleased directives remain
 // readable so shards can drain a final done directive first.
 func (h *ShardHub) Close() {
 	h.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -59,13 +60,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // handleSubmit accepts one shard evidence frame.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSubmitBytes+1))
-	if err != nil {
-		http.Error(w, "shard: reading submission: "+err.Error(), http.StatusBadRequest)
+	body, err := codec.ReadFrame(r.Body, r.ContentLength, maxSubmitBytes)
+	if errors.Is(err, codec.ErrFrameTooLarge) {
+		http.Error(w, "shard: submission exceeds the frame size limit", http.StatusRequestEntityTooLarge)
 		return
 	}
-	if len(body) > maxSubmitBytes {
-		http.Error(w, "shard: submission exceeds the frame size limit", http.StatusRequestEntityTooLarge)
+	if err != nil {
+		http.Error(w, "shard: reading submission: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	sub, err := codec.DecodeShardSubmit(body)
@@ -82,7 +83,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // handleDirective serves the directive stream as a long poll: ?after=SEQ
 // blocks until a directive with a higher sequence number exists, ?wait=ms
-// caps the block. No news within the window is 204 No Content.
+// caps the block. No news within the window is 204 No Content; a directive
+// every shard has answered is 410 Gone, so the poller stops instead of
+// re-polling for it forever.
 func (s *Server) handleDirective(w http.ResponseWriter, r *http.Request) {
 	after := 0
 	if raw := r.URL.Query().Get("after"); raw != "" {
@@ -107,6 +110,10 @@ func (s *Server) handleDirective(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
 	d, err := s.hub.NextDirective(ctx, after)
+	if errors.Is(err, ErrDirectiveReleased) {
+		http.Error(w, err.Error(), http.StatusGone)
+		return
+	}
 	if err != nil {
 		// Timeout or client hang-up: tell a live client to re-poll.
 		w.WriteHeader(http.StatusNoContent)
@@ -187,7 +194,8 @@ func (l HTTPLink) Submit(ctx context.Context, s codec.ShardSubmit) error {
 }
 
 // NextDirective implements RootLink: it re-polls through empty windows
-// until a directive arrives or ctx is done.
+// until a directive arrives or ctx is done. A directive the root has
+// already released fails with ErrDirectiveReleased.
 func (l HTTPLink) NextDirective(ctx context.Context, after int) (codec.ShardDirective, error) {
 	url := fmt.Sprintf("%s/v1/shard/directive?after=%d", l.Base, after)
 	if l.PollWait > 0 {
@@ -205,8 +213,11 @@ func (l HTTPLink) NextDirective(ctx context.Context, after int) (codec.ShardDire
 		if err != nil {
 			return codec.ShardDirective{}, err
 		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxSubmitBytes))
+		body, err := codec.ReadFrame(resp.Body, resp.ContentLength, maxSubmitBytes)
 		resp.Body.Close()
+		if errors.Is(err, codec.ErrFrameTooLarge) {
+			return codec.ShardDirective{}, fmt.Errorf("shard: directive poll (%s): response exceeds the frame size limit of %d bytes", resp.Status, maxSubmitBytes)
+		}
 		if err != nil {
 			return codec.ShardDirective{}, err
 		}
@@ -215,6 +226,8 @@ func (l HTTPLink) NextDirective(ctx context.Context, after int) (codec.ShardDire
 			return codec.DecodeShardDirective(body)
 		case http.StatusNoContent:
 			continue // empty window: re-poll
+		case http.StatusGone:
+			return codec.ShardDirective{}, fmt.Errorf("shard: directive %d: %w", after+1, ErrDirectiveReleased)
 		default:
 			return codec.ShardDirective{}, fmt.Errorf("shard: directive poll failed (%s): %s",
 				resp.Status, bytes.TrimSpace(body))

@@ -505,10 +505,10 @@ func cohortSizes(n, s int) []int {
 	return out
 }
 
-// runSharded runs the sharded arm: cohort engines under edge aggregators,
-// a virtual-worker root engine behind the bridge, every frame through the
-// codec via the link that linkFor returns.
-func runSharded(t *testing.T, cohorts []int, rewrite map[int]func(gradvec.Vector) gradvec.Vector, linkFor func(*core.Coordinator, *ShardHub) RootLink) runOutcome {
+// runSharded runs the sharded arm for the given number of rounds: cohort
+// engines under edge aggregators, a virtual-worker root engine behind the
+// bridge, every frame through the codec via the link that linkFor returns.
+func runSharded(t *testing.T, rounds int, cohorts []int, rewrite map[int]func(gradvec.Vector) gradvec.Vector, linkFor func(*core.Coordinator, *ShardHub) RootLink) runOutcome {
 	t.Helper()
 	ctx := testCtx(t)
 	src := rng.New(diffSeed)
@@ -561,8 +561,8 @@ func runSharded(t *testing.T, cohorts []int, rewrite map[int]func(gradvec.Vector
 		t.Fatal(err)
 	}
 
-	reports := make([]*core.RoundReport, diffRounds)
-	for r := 0; r < diffRounds; r++ {
+	reports := make([]*core.RoundReport, rounds)
+	for r := 0; r < rounds; r++ {
 		if reports[r], err = coord.RunRoundContext(ctx, r); err != nil {
 			t.Fatalf("sharded round %d: %v", r, err)
 		}
@@ -650,7 +650,7 @@ func TestShardedMatchesFlatFederation(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", s), func(t *testing.T) {
 			cohorts := cohortSizes(diffWorkers, s)
 			flat := runFlatBlocked(t, cohorts, nil)
-			sharded := runSharded(t, cohorts, nil, func(_ *core.Coordinator, hub *ShardHub) RootLink {
+			sharded := runSharded(t, diffRounds, cohorts, nil, func(_ *core.Coordinator, hub *ShardHub) RootLink {
 				return DirectLink{Hub: hub}
 			})
 			requireSameOutcome(t, fmt.Sprintf("shards=%d", s), flat, sharded)
@@ -676,7 +676,7 @@ func TestShardedRejectsWrongLengthLikeFlat(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cohorts := cohortSizes(diffWorkers, 2)
 			flat := runFlatBlocked(t, cohorts, rewrite)
-			sharded := runSharded(t, cohorts, rewrite, func(_ *core.Coordinator, hub *ShardHub) RootLink {
+			sharded := runSharded(t, diffRounds, cohorts, rewrite, func(_ *core.Coordinator, hub *ShardHub) RootLink {
 				return DirectLink{Hub: hub}
 			})
 			requireSameOutcome(t, name, flat, sharded)
@@ -708,7 +708,7 @@ func TestShardedMatchesFlatOverHTTP(t *testing.T) {
 			ts.Close()
 		}
 	})
-	sharded := runSharded(t, cohorts, nil, func(coord *core.Coordinator, hub *ShardHub) RootLink {
+	sharded := runSharded(t, diffRounds, cohorts, nil, func(coord *core.Coordinator, hub *ShardHub) RootLink {
 		srv, err := NewServer(coord, hub)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -449,7 +450,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 			lastErr = err
 			continue
 		}
-		out, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		out, err := codec.ReadFrame(resp.Body, resp.ContentLength, limit)
 		resp.Body.Close()
 		if lat != nil {
 			lat.ObserveSince(start)
@@ -459,13 +460,13 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 		case resp.StatusCode == http.StatusNoContent:
 			return nil, nil
 		case resp.StatusCode >= 200 && resp.StatusCode < 300:
+			if errors.Is(err, codec.ErrFrameTooLarge) {
+				// Terminal: a bigger response will not fit on retry either.
+				return nil, fmt.Errorf("%s %s: response exceeds the %d-byte limit", method, endpoint, limit)
+			}
 			if err != nil {
 				lastErr = err
 				continue
-			}
-			if int64(len(out)) > limit {
-				// Terminal: a bigger response will not fit on retry either.
-				return nil, fmt.Errorf("%s %s: response exceeds the %d-byte limit", method, endpoint, limit)
 			}
 			c.cm.bytesIn.Add(int64(len(out)))
 			return out, nil

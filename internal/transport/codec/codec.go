@@ -29,9 +29,12 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"slices"
 
 	"fifl/internal/faults"
 )
@@ -156,11 +159,13 @@ type Report struct {
 	Rewards     []float64
 }
 
-// writer accumulates a frame.
+// writer accumulates a frame. Every encoder passes newWriter the exact
+// body size it is about to write, so a frame is one allocation whose
+// capacity equals its length.
 type writer struct{ b []byte }
 
-func newWriter(t MsgType, flags uint8, sizeHint int) *writer {
-	w := &writer{b: make([]byte, 0, headerSize+sizeHint+crcSize)}
+func newWriter(t MsgType, flags uint8, bodySize int) *writer {
+	w := &writer{b: make([]byte, 0, headerSize+bodySize+crcSize)}
 	w.b = append(w.b, Magic...)
 	w.b = append(w.b, Version, byte(t), flags, 0)
 	return w
@@ -170,14 +175,40 @@ func (w *writer) u32(v uint32) {
 	w.b = binary.LittleEndian.AppendUint32(w.b, v)
 }
 
+// extend lengthens the frame by n bytes and returns them for the caller
+// to fill.
+func (w *writer) extend(n int) []byte {
+	off := len(w.b)
+	w.b = slices.Grow(w.b, n)[:off+n]
+	return w.b[off:]
+}
+
+// vecSize is the wire size of an n-element vector in layout c — the
+// count prefix included — matching what vec writes byte for byte.
+func vecSize(n int, c Compression) int {
+	switch c {
+	case CompressionF32:
+		return 4 + 4*n
+	case CompressionTopK:
+		return 8 + 8*topKCount(n)
+	case CompressionInt8:
+		return 12 + n
+	case CompressionInt16:
+		return 12 + 2*n
+	default:
+		return 4 + 8*n
+	}
+}
+
 // vec appends a vector in the frame's negotiated layout (see the
 // Compression modes in compression.go for the per-mode wire formats).
 func (w *writer) vec(v []float64, c Compression) {
 	switch c {
 	case CompressionF32:
 		w.u32(uint32(len(v)))
-		for _, x := range v {
-			w.b = binary.LittleEndian.AppendUint32(w.b, math.Float32bits(float32(x)))
+		dst := w.extend(4 * len(v))
+		for i, x := range v {
+			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(x)))
 		}
 	case CompressionTopK:
 		w.writeTopK(v)
@@ -187,8 +218,9 @@ func (w *writer) vec(v []float64, c Compression) {
 		w.writeQuantized(v, 32767, true)
 	default:
 		w.u32(uint32(len(v)))
-		for _, x := range v {
-			w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(x))
+		dst := w.extend(8 * len(v))
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
 		}
 	}
 }
@@ -399,7 +431,7 @@ func EncodeUpload(u Upload, c Compression) ([]byte, error) {
 	if len(u.Grad) > maxSparseDim && c == CompressionTopK {
 		return nil, fmt.Errorf("codec: %d-element gradient exceeds the sparse frame cap %d", len(u.Grad), maxSparseDim)
 	}
-	w := newWriter(TypeUpload, c.flag(), 16+8*len(u.Grad))
+	w := newWriter(TypeUpload, c.flag(), 12+vecSize(len(u.Grad), c))
 	w.u32(uint32(u.Round))
 	w.u32(uint32(u.Worker))
 	w.u32(uint32(u.Samples))
@@ -460,7 +492,7 @@ func EncodeModel(m Model, c Compression) ([]byte, error) {
 	if m.Done {
 		flags |= FlagDone
 	}
-	w := newWriter(TypeModel, flags, 8+8*len(m.Params))
+	w := newWriter(TypeModel, flags, 4+vecSize(len(m.Params), c))
 	w.u32(uint32(m.Round))
 	w.vec(m.Params, c)
 	return w.seal(), nil
@@ -517,7 +549,7 @@ func EncodeReport(rep Report, c Compression) ([]byte, error) {
 	if rep.Committed {
 		flags |= FlagCommitted
 	}
-	w := newWriter(TypeReport, flags, 8+n+16*n)
+	w := newWriter(TypeReport, flags, 8+n+2*vecSize(n, c))
 	w.u32(uint32(rep.Round))
 	w.u32(uint32(n))
 	for _, s := range rep.Statuses {
@@ -609,4 +641,45 @@ func DecodeLedger(b []byte) ([]byte, error) {
 		return nil, err
 	}
 	return append([]byte(nil), export...), nil
+}
+
+// ErrFrameTooLarge reports a frame body longer than its reader's limit.
+var ErrFrameTooLarge = errors.New("codec: frame exceeds the size limit")
+
+// ReadFrame reads a frame body of at most limit bytes from r. declared is
+// the length the body announced (an HTTP Content-Length), or negative when
+// unknown. A declared length within the limit is allocated once, up front,
+// instead of grown from 512 bytes the way io.ReadAll grows; the body is
+// still read to EOF, so one that runs past its declared length is read
+// whole, up to the limit. A body over the limit — declared or read —
+// fails with ErrFrameTooLarge, never a silent truncation, and a declared
+// one fails before any byte is read. Other read errors are returned with
+// the bytes read so far, as io.ReadAll returns them.
+func ReadFrame(r io.Reader, declared, limit int64) ([]byte, error) {
+	if declared > limit {
+		return nil, ErrFrameTooLarge
+	}
+	size := declared + 1 // the spare byte lets the EOF read land in place
+	if declared < 0 {
+		size = 512
+	}
+	b := make([]byte, 0, min(size, limit+1))
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		// Never ask for more than limit+1 bytes in total: one past the
+		// limit is all it takes to know the body is over it.
+		n, err := r.Read(b[len(b):min(int64(cap(b)), limit+1)])
+		b = b[:len(b)+n]
+		if int64(len(b)) > limit {
+			return nil, ErrFrameTooLarge
+		}
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }

@@ -142,16 +142,16 @@ func RoundTrip(v []float64, c Compression) ([]float64, error) {
 	return u.Grad, nil
 }
 
+// topKCount is how many of n elements a sparse frame keeps:
+// max(1, n/TopKDivisor), and none of none.
+func topKCount(n int) int {
+	return min(max(1, n/TopKDivisor), n)
+}
+
 // writeTopK appends the sparse layout: fullDim u32 | k u32 | k ascending
 // u32 indices | k float32 values.
 func (w *writer) writeTopK(v []float64) {
-	k := len(v) / TopKDivisor
-	if k < 1 {
-		k = 1
-	}
-	if k > len(v) {
-		k = len(v)
-	}
+	k := topKCount(len(v))
 	keep := topKIndices(v, k)
 	w.u32(uint32(len(v)))
 	w.u32(uint32(k))

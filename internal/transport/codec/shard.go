@@ -203,6 +203,52 @@ func (r *reader) bools(n int, field string) ([]bool, error) {
 	return out, nil
 }
 
+// shardSubmitSize is the body size EncodeShardSubmit writes for s, byte
+// for byte; a payload the encoder rejects may be sized arbitrarily.
+func shardSubmitSize(s ShardSubmit) int {
+	n := 9 // shard u32, round u32, phase u8
+	switch {
+	case s.Phase == ShardPhaseHello && s.Hello != nil:
+		n += 8 + 4*len(s.Hello.Samples)
+	case s.Phase == ShardPhaseCollect && s.Collect != nil:
+		n += 8 + 5*len(s.Collect.Statuses) // counts, statuses, retries
+		for _, g := range s.Collect.ServerGrads {
+			n += 4 + vecSize(len(g), CompressionNone)
+		}
+	case s.Phase == ShardPhaseDetect && s.Detect != nil:
+		k := len(s.Detect.Scores) // count, kinds, scores, accepts, weight, flag
+		n += 4 + 2*k + vecSize(k, CompressionNone) + vecSize(1, CompressionNone) + 1
+		if s.Detect.Partial != nil {
+			n += vecSize(len(s.Detect.Partial), CompressionNone)
+		}
+	case s.Phase == ShardPhaseDist && s.Dist != nil:
+		k := len(s.Dist.Dists) // count, validity, values
+		n += 4 + k + vecSize(k, CompressionNone)
+	}
+	return n
+}
+
+// shardDirectiveSize is the body size EncodeShardDirective writes for d,
+// byte for byte.
+func shardDirectiveSize(d ShardDirective) int {
+	n := 9 // seq u32, round u32, phase u8
+	switch d.Phase {
+	case ShardPhaseCollect:
+		n += vecSize(len(d.Params), CompressionNone) + 4 + 4*len(d.Servers)
+	case ShardPhaseDetect:
+		n += 1 + vecSize(1, CompressionNone) // flag, threshold
+		if d.Benchmark != nil {
+			n += vecSize(len(d.Benchmark), CompressionNone) + 4 + 4*len(d.Owners)
+		}
+	case ShardPhaseDist:
+		n++ // flag
+		if d.Global != nil {
+			n += vecSize(len(d.Global), CompressionNone)
+		}
+	}
+	return n
+}
+
 // EncodeShardSubmit encodes one shard's per-phase evidence. Shard frames
 // are always dense float64: the payloads are either tiny or already
 // pre-aggregated, and the root's bit-identity guarantee rests on them.
@@ -213,7 +259,7 @@ func EncodeShardSubmit(s ShardSubmit) ([]byte, error) {
 	if err := checkU32(s.Round, "shard round"); err != nil {
 		return nil, err
 	}
-	w := newWriter(TypeShardSubmit, 0, 64)
+	w := newWriter(TypeShardSubmit, 0, shardSubmitSize(s))
 	w.u32(uint32(s.Shard))
 	w.u32(uint32(s.Round))
 	w.b = append(w.b, byte(s.Phase))
@@ -524,7 +570,7 @@ func EncodeShardDirective(d ShardDirective) ([]byte, error) {
 	if err := checkU32(d.Round, "directive round"); err != nil {
 		return nil, err
 	}
-	w := newWriter(TypeShardDirective, 0, 64+8*len(d.Params))
+	w := newWriter(TypeShardDirective, 0, shardDirectiveSize(d))
 	w.u32(uint32(d.Seq))
 	w.u32(uint32(d.Round))
 	w.b = append(w.b, byte(d.Phase))

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
@@ -207,7 +208,8 @@ func TestShardDirectiveRejectsMalformed(t *testing.T) {
 // FuzzDecodeShard hammers both shard decoders with adversarial bytes,
 // seeded with every fixture frame. Anything that decodes must re-encode
 // and decode again — the decoders admit only frames the encoders can
-// produce.
+// produce — and the re-encoded frame must be byte-equal to what the
+// reference writer (reference_test.go) produces.
 func FuzzDecodeShard(f *testing.F) {
 	for _, s := range shardSubmitFixtures() {
 		b, err := EncodeShardSubmit(s)
@@ -232,11 +234,17 @@ func FuzzDecodeShard(f *testing.F) {
 			if _, err := DecodeShardSubmit(b2); err != nil {
 				t.Fatalf("re-decode of a re-encoded submit failed: %v", err)
 			}
+			if ref, err := refEncodeShardSubmit(s); err != nil || !bytes.Equal(b2, ref) {
+				t.Fatalf("re-encoded submit differs from the reference writer's frame (reference error %v)", err)
+			}
 		}
 		if d, err := DecodeShardDirective(data); err == nil {
 			b2, err := EncodeShardDirective(d)
 			if err != nil {
 				t.Fatalf("re-encode of a decoded directive failed: %v", err)
+			}
+			if ref, err := refEncodeShardDirective(d); err != nil || !bytes.Equal(b2, ref) {
+				t.Fatalf("re-encoded directive differs from the reference writer's frame (reference error %v)", err)
 			}
 			d2, err := DecodeShardDirective(b2)
 			if err != nil {

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -139,13 +139,13 @@ func (s *Server) WorkerTraffic() (up, down []int64) {
 // HTTP error and never reaches the engine — the per-worker deadline turns
 // the missing arrival into StatusTimedOut.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes+1))
-	if err != nil {
-		http.Error(w, "transport: reading submission: "+err.Error(), http.StatusBadRequest)
+	body, err := codec.ReadFrame(r.Body, r.ContentLength, maxUploadBytes)
+	if errors.Is(err, codec.ErrFrameTooLarge) {
+		http.Error(w, "transport: submission exceeds the frame size limit", http.StatusRequestEntityTooLarge)
 		return
 	}
-	if len(body) > maxUploadBytes {
-		http.Error(w, "transport: submission exceeds the frame size limit", http.StatusRequestEntityTooLarge)
+	if err != nil {
+		http.Error(w, "transport: reading submission: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	s.sm.bytesIn.Add(int64(len(body)))

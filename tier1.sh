@@ -34,10 +34,21 @@ go test -race -timeout 20m $(go list ./... | grep -v internal/experiments)
 # TestConcurrentReadersAndAppender).
 go test -race -cpu 1,2,4 ./internal/chain
 
+# Shard link race gate: the hub releases a directive's payload when the
+# wave answering it is consumed, concurrently with directive handlers and
+# aggregators polling for the next one, so the hub, bridge and HTTP link
+# tests run raced five times over.
+go test -race -count 5 -run 'ShardHub|Bridge|HTTPLink|Release' ./internal/shard
+
 # Ledger layer smoke: Verify, Query and WriteBinary at 8,000 and 100,000
 # blocks must complete, so the chain.* layer numbers reproduce without the
 # harness (for numbers: -cpu 1,2 and a real -benchtime).
 go test -run '^$' -bench 'Verify|Query|WriteBinary' -benchtime=1x ./internal/chain
+
+# Shard frame smoke: the exact-size encoders of a deep-model detect submit
+# and directive, and the append-grown reference writer they replaced, must
+# run (for numbers: -benchmem and a real -benchtime).
+go test -run '^$' -bench 'EncodeShard' -benchtime=1x ./internal/transport/codec
 
 # Harness gate: bench/ is its own module, invisible to go test ./... above,
 # and its smoke test and correctness gate call straight into gradvec, core,
