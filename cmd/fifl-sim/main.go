@@ -277,7 +277,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fifl-sim: -churn and -async are mutually exclusive")
 			os.Exit(2)
 		case *shardsN > 0:
-			fmt.Fprintln(os.Stderr, "fifl-sim: -churn and -shards are mutually exclusive (re-plan cohorts with shard.PlanCohorts instead)")
+			fmt.Fprintln(os.Stderr, "fifl-sim: -churn and -shards are mutually exclusive")
 			os.Exit(2)
 		case *mechName != "fifl":
 			fmt.Fprintln(os.Stderr, "fifl-sim: -churn supports only the fifl mechanism")

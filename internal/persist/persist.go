@@ -18,22 +18,27 @@
 // Checkpoint method enforces this by construction — it serializes only the
 // committed inter-round state.
 //
-// The encoding mirrors the wire codec's hardening: little-endian
-// throughout, every length prefix validated against the remaining input
-// before allocation, non-finite floats rejected on both encode and decode,
-// and a trailing CRC32 (IEEE) over the whole snapshot checked before any
-// field is parsed. Decode never panics — FuzzReadCheckpoint holds that
-// guarantee under hostile bytes.
+// The encoding is little-endian throughout and ends in a CRC32 (IEEE) over
+// the whole snapshot, checked before any field is parsed. Decode reads the
+// body through internal/frame's Reader, the one the wire codec uses: every
+// length prefix is checked against the remaining input before allocation,
+// and the first error is kept, so the decoder checks once, after the last
+// field. Non-finite floats are rejected on both encode and decode. Decode
+// never panics; FuzzReadCheckpoint holds it to the verdict and value of
+// the per-field decoder it replaced (reference_test.go).
 package persist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+
+	"fifl/internal/frame"
 )
 
 // Magic opens every checkpoint and carries the format version; an
@@ -57,12 +62,6 @@ const MaxSnapshotBytes = 1 << 30
 
 // crcSize trails every snapshot.
 const crcSize = 4
-
-// maxVecElems caps a single declared vector length. Each element occupies
-// at least one byte on the wire, so any honest prefix is also bounded by
-// the remaining input; this cap just gives a crisp error before the
-// per-field remaining-bytes check.
-const maxVecElems = MaxSnapshotBytes / 8
 
 // Snapshot is the complete inter-round coordinator state. It is pure
 // data — the core package converts to and from live objects.
@@ -147,9 +146,9 @@ type ShardState struct {
 	// federation without gaps or overlap.
 	First, Count int
 	// LastSeq is the highest directive sequence number the shard had
-	// processed when the checkpoint was taken (Aggregator.LastSeq). A
-	// shard reconnecting to a live root fast-forwards past it; a full
-	// restart replays a fresh stream and ignores it.
+	// processed when the checkpoint was taken (Aggregator.LastSeq). It is
+	// a record, not a resume point: a restart replays a fresh directive
+	// stream and ignores it.
 	LastSeq int
 	// EngineDraws is the cohort engine's fault/retry RNG stream position.
 	EngineDraws uint64
@@ -443,184 +442,61 @@ func Decode(b []byte) (*Snapshot, error) {
 	if string(b[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("persist: bad checkpoint header %q", b[:len(Magic)])
 	}
-	body := b[:len(b)-crcSize]
-	got := binary.LittleEndian.Uint32(b[len(b)-crcSize:])
-	if want := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("persist: checkpoint CRC mismatch (stored %#x, computed %#x)", got, want)
+	r := frame.Open(b, len(Magic), "persist")
+	// Calls in a composite literal run left to right: the encoding's order.
+	s := &Snapshot{
+		NextRound:     r.Int("next round"),
+		Params:        r.Float64s("params"),
+		Reputations:   r.Float64s("reputations"),
+		PosCounts:     r.Int64s("positive counts"),
+		NegCounts:     r.Int64s("negative counts"),
+		UncCounts:     r.Int64s("uncertain counts"),
+		Cumulative:    r.Float64s("cumulative rewards"),
+		Banned:        r.Ints("banned set"),
+		Servers:       r.Ints("server cluster"),
+		BHInitialized: r.Bool("b_h flag"),
+		BHValue:       math.Float64frombits(r.U64("b_h value")),
+		EngineDraws:   r.U64("engine draws"),
+		MechDraws:     r.U64("mechanism draws"),
+		WorkerDraws:   r.Uint64s("worker draws"),
+		Samples:       r.Ints("samples"),
+		Ledger:        append([]byte(nil), r.Bytes(r.Count(1, "ledger export"), "ledger export")...),
 	}
-	r := &reader{b: body, off: len(Magic)}
-	s := &Snapshot{}
-	nextRound, err := r.u64("next round")
-	if err != nil {
-		return nil, err
-	}
-	if nextRound > math.MaxInt32 {
-		return nil, fmt.Errorf("persist: next round %d outside the supported range", nextRound)
-	}
-	s.NextRound = int(nextRound)
-	if s.Params, err = r.f64s("params"); err != nil {
-		return nil, err
-	}
-	if s.Reputations, err = r.f64s("reputations"); err != nil {
-		return nil, err
-	}
-	if s.PosCounts, err = r.i64s("positive counts"); err != nil {
-		return nil, err
-	}
-	if s.NegCounts, err = r.i64s("negative counts"); err != nil {
-		return nil, err
-	}
-	if s.UncCounts, err = r.i64s("uncertain counts"); err != nil {
-		return nil, err
-	}
-	if s.Cumulative, err = r.f64s("cumulative rewards"); err != nil {
-		return nil, err
-	}
-	if s.Banned, err = r.ints("banned set"); err != nil {
-		return nil, err
-	}
-	if s.Servers, err = r.ints("server cluster"); err != nil {
-		return nil, err
-	}
-	bhInit, err := r.byte("b_h flag")
-	if err != nil {
-		return nil, err
-	}
-	if bhInit > 1 {
-		return nil, fmt.Errorf("persist: b_h flag byte %d is not a bool", bhInit)
-	}
-	s.BHInitialized = bhInit == 1
-	bhBits, err := r.u64("b_h value")
-	if err != nil {
-		return nil, err
-	}
-	s.BHValue = math.Float64frombits(bhBits)
-	if s.EngineDraws, err = r.u64("engine draws"); err != nil {
-		return nil, err
-	}
-	if s.MechDraws, err = r.u64("mechanism draws"); err != nil {
-		return nil, err
-	}
-	if s.WorkerDraws, err = r.u64s("worker draws"); err != nil {
-		return nil, err
-	}
-	if s.Samples, err = r.ints("samples"); err != nil {
-		return nil, err
-	}
-	ledgerLen, err := r.u32("ledger length")
-	if err != nil {
-		return nil, err
-	}
-	ledger, err := r.bytes(int(ledgerLen), "ledger export")
-	if err != nil {
-		return nil, err
-	}
-	s.Ledger = append([]byte(nil), ledger...)
-	asyncFlag, err := r.byte("async flag")
-	if err != nil {
-		return nil, err
-	}
-	switch asyncFlag {
-	case 0:
-	case 1:
-		a := &AsyncState{}
-		if a.HistRounds, err = r.i64s("async history rounds"); err != nil {
-			return nil, err
-		}
-		histLen, err := r.vecLen(4, "async history params")
-		if err != nil {
-			return nil, err
-		}
-		a.HistParams = make([][]float64, histLen)
+	if r.Bool("async flag") {
+		a := &AsyncState{HistRounds: r.Int64s("async history rounds")}
+		a.HistParams = make([][]float64, r.Count(4, "async history params"))
 		for i := range a.HistParams {
-			if a.HistParams[i], err = r.f64s("async history params"); err != nil {
-				return nil, err
-			}
+			a.HistParams[i] = r.Float64s("async history params")
 		}
-		pendLen, err := r.vecLen(28, "async pending uploads")
-		if err != nil {
-			return nil, err
-		}
-		a.Pending = make([]AsyncUpload, pendLen)
+		a.Pending = make([]AsyncUpload, r.Count(28, "async pending uploads"))
 		for i := range a.Pending {
-			p := &a.Pending[i]
-			for _, f := range []struct {
-				name string
-				dst  *int
-			}{
-				{"async pending worker", &p.Worker},
-				{"async pending round", &p.TrainedRound},
-				{"async pending samples", &p.Samples},
-			} {
-				v, err := r.u64(f.name)
-				if err != nil {
-					return nil, err
-				}
-				if v > math.MaxInt32 {
-					return nil, fmt.Errorf("persist: %s %d outside the supported range", f.name, v)
-				}
-				*f.dst = int(v)
-			}
-			if p.Grad, err = r.f64s("async pending gradient"); err != nil {
-				return nil, err
+			a.Pending[i] = AsyncUpload{
+				Worker:       r.Int("async pending worker"),
+				TrainedRound: r.Int("async pending round"),
+				Samples:      r.Int("async pending samples"),
+				Grad:         r.Float64s("async pending gradient"),
 			}
 		}
 		s.Async = a
-	default:
-		return nil, fmt.Errorf("persist: async flag byte %d is not a bool", asyncFlag)
 	}
-	shardLen, err := r.vecLen(36, "shard sections")
-	if err != nil {
-		return nil, err
-	}
-	if shardLen > 0 {
-		s.Shards = make([]ShardState, shardLen)
+	if n := r.Count(36, "shard sections"); n > 0 {
+		s.Shards = make([]ShardState, n)
 		for i := range s.Shards {
-			sh := &s.Shards[i]
-			for _, f := range []struct {
-				name string
-				dst  *int
-			}{
-				{"shard first worker", &sh.First},
-				{"shard cohort size", &sh.Count},
-				{"shard directive cursor", &sh.LastSeq},
-			} {
-				v, err := r.u64(f.name)
-				if err != nil {
-					return nil, err
-				}
-				if v > math.MaxInt32 {
-					return nil, fmt.Errorf("persist: %s %d outside the supported range", f.name, v)
-				}
-				*f.dst = int(v)
-			}
-			if sh.EngineDraws, err = r.u64("shard engine draws"); err != nil {
-				return nil, err
-			}
-			if sh.WorkerDraws, err = r.u64s("shard worker draws"); err != nil {
-				return nil, err
+			s.Shards[i] = ShardState{
+				First:       r.Int("shard first worker"),
+				Count:       r.Int("shard cohort size"),
+				LastSeq:     r.Int("shard directive cursor"),
+				EngineDraws: r.U64("shard engine draws"),
+				WorkerDraws: r.Uint64s("shard worker draws"),
 			}
 		}
 	}
-	statesLen, err := r.vecLen(1, "lifecycle states")
-	if err != nil {
-		return nil, err
-	}
-	if statesLen > 0 {
-		states, err := r.bytes(statesLen, "lifecycle states")
-		if err != nil {
-			return nil, err
-		}
-		s.LifecycleStates = append([]uint8(nil), states...)
-	}
-	if s.ActiveCohort, err = r.ints("active cohort"); err != nil {
-		return nil, err
-	}
-	if len(s.ActiveCohort) == 0 {
+	s.LifecycleStates = append([]uint8(nil), r.Bytes(r.Count(1, "lifecycle states"), "lifecycle states")...)
+	if s.ActiveCohort = r.Ints("active cohort"); len(s.ActiveCohort) == 0 {
 		s.ActiveCohort = nil
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("persist: %d trailing bytes after checkpoint body", r.remaining())
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -652,12 +528,12 @@ func Write(w io.Writer, s *Snapshot) error {
 
 // Read decodes one snapshot from r, reading at most MaxSnapshotBytes.
 func Read(r io.Reader) (*Snapshot, error) {
-	b, err := io.ReadAll(io.LimitReader(r, MaxSnapshotBytes+1))
+	b, err := frame.ReadFrame(r, -1, MaxSnapshotBytes)
+	if errors.Is(err, frame.ErrFrameTooLarge) {
+		return nil, fmt.Errorf("persist: checkpoint exceeds the %d-byte limit", int64(MaxSnapshotBytes))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("persist: reading checkpoint: %w", err)
-	}
-	if len(b) > MaxSnapshotBytes {
-		return nil, fmt.Errorf("persist: checkpoint exceeds the %d-byte limit", int64(MaxSnapshotBytes))
 	}
 	return Decode(b)
 }
@@ -709,130 +585,6 @@ func ReadFile(path string) (*Snapshot, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-// reader consumes a CRC-verified checkpoint body with bounds checking.
-type reader struct {
-	b   []byte
-	off int
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) bytes(n int, field string) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, fmt.Errorf("persist: %s declares %d bytes, only %d remain", field, n, r.remaining())
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out, nil
-}
-
-func (r *reader) byte(field string) (byte, error) {
-	b, err := r.bytes(1, field)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u32(field string) (uint32, error) {
-	b, err := r.bytes(4, field)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *reader) u64(field string) (uint64, error) {
-	b, err := r.bytes(8, field)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// vecLen reads and bounds-checks a vector length prefix for elemSize-byte
-// elements.
-func (r *reader) vecLen(elemSize int, field string) (int, error) {
-	count, err := r.u32(field)
-	if err != nil {
-		return 0, err
-	}
-	if int64(count) > maxVecElems {
-		return 0, fmt.Errorf("persist: %s declares %d elements, cap is %d", field, count, int64(maxVecElems))
-	}
-	if int64(count)*int64(elemSize) > int64(r.remaining()) {
-		return 0, fmt.Errorf("persist: %s declares %d elements, only %d bytes remain", field, count, r.remaining())
-	}
-	return int(count), nil
-}
-
-func (r *reader) f64s(field string) ([]float64, error) {
-	n, err := r.vecLen(8, field)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		v, err := r.u64(field)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = math.Float64frombits(v)
-	}
-	return out, nil
-}
-
-func (r *reader) i64s(field string) ([]int64, error) {
-	n, err := r.vecLen(8, field)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
-	for i := range out {
-		v, err := r.u64(field)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int64(v)
-	}
-	return out, nil
-}
-
-func (r *reader) u64s(field string) ([]uint64, error) {
-	n, err := r.vecLen(8, field)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		v, err := r.u64(field)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func (r *reader) ints(field string) ([]int, error) {
-	n, err := r.vecLen(8, field)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, n)
-	for i := range out {
-		v, err := r.u64(field)
-		if err != nil {
-			return nil, err
-		}
-		if v > math.MaxInt32 {
-			return nil, fmt.Errorf("persist: %s element %d (%d) outside the supported range", field, i, v)
-		}
-		out[i] = int(v)
-	}
-	return out, nil
 }
 
 func putU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }

@@ -100,18 +100,9 @@ func TestWriteRead(t *testing.T) {
 // encoded fields, so its bytes must be Encode's, whichever optional
 // sections the snapshot carries.
 func TestWriteMatchesEncode(t *testing.T) {
-	full := sample()
-	full.Shards = nil
-	full.LifecycleStates = []uint8{stateActive, stateBanned, stateActive}
-	full.ActiveCohort = []int{2, 0}
-	full.Async = &AsyncState{
-		HistRounds: []int64{2, 3},
-		HistParams: [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}},
-		Pending:    []AsyncUpload{{Worker: 2, TrainedRound: 3, Samples: 60, Grad: []float64{0.5, -0.5, 0, 1}}},
-	}
 	noLedger := sample()
 	noLedger.Ledger = nil
-	for name, s := range map[string]*Snapshot{"sharded": sample(), "async and churned": full, "no ledger": noLedger, "empty": {}} {
+	for name, s := range map[string]*Snapshot{"sharded": sample(), "async and churned": churnedAsync(), "no ledger": noLedger, "empty": {}} {
 		want, err := Encode(s)
 		if err != nil {
 			t.Fatalf("%s: Encode: %v", name, err)
@@ -227,8 +218,9 @@ func TestReadFileMissing(t *testing.T) {
 }
 
 // FuzzReadCheckpoint drives Decode with hostile input. The contract under
-// test: Decode never panics, and any mutation of a valid checkpoint that
-// changes its bytes is rejected (the CRC covers the whole body).
+// test: Decode never panics, returns the verdict of the per-field decoder
+// it replaced (and an equal-to-the-bit snapshot on accept), and accepts
+// only the canonical encoding of what it returns.
 func FuzzReadCheckpoint(f *testing.F) {
 	good, err := Encode(sample())
 	if err != nil {
@@ -243,7 +235,13 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
 	f.Add(good[:len(good)/2])
+	full, err := Encode(churnedAsync())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		matchReference(t, "input", data)
 		s, err := Decode(data)
 		if err != nil {
 			return

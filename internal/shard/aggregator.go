@@ -143,12 +143,6 @@ func (a *Aggregator) Run(ctx context.Context) error {
 // checkpoints record it so a resumed shard skips what it already obeyed.
 func (a *Aggregator) LastSeq() int { return a.lastSeq }
 
-// SetLastSeq fast-forwards the directive cursor to a checkpointed
-// position before Run. The root drops each directive once every shard has
-// answered it, so the position must not precede the root's release point:
-// polling from there fails with ErrDirectiveReleased.
-func (a *Aggregator) SetLastSeq(seq int) { a.lastSeq = seq }
-
 // Engine exposes the cohort engine (checkpointing reads its RNG cursor).
 func (a *Aggregator) Engine() *fl.Engine { return a.engine }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fifl/internal/core"
+	"fifl/internal/frame"
 	"fifl/internal/transport/codec"
 )
 
@@ -60,8 +61,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // handleSubmit accepts one shard evidence frame.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := codec.ReadFrame(r.Body, r.ContentLength, maxSubmitBytes)
-	if errors.Is(err, codec.ErrFrameTooLarge) {
+	body, err := frame.ReadFrame(r.Body, r.ContentLength, maxSubmitBytes)
+	if errors.Is(err, frame.ErrFrameTooLarge) {
 		http.Error(w, "shard: submission exceeds the frame size limit", http.StatusRequestEntityTooLarge)
 		return
 	}
@@ -213,9 +214,9 @@ func (l HTTPLink) NextDirective(ctx context.Context, after int) (codec.ShardDire
 		if err != nil {
 			return codec.ShardDirective{}, err
 		}
-		body, err := codec.ReadFrame(resp.Body, resp.ContentLength, maxSubmitBytes)
+		body, err := frame.ReadFrame(resp.Body, resp.ContentLength, maxSubmitBytes)
 		resp.Body.Close()
-		if errors.Is(err, codec.ErrFrameTooLarge) {
+		if errors.Is(err, frame.ErrFrameTooLarge) {
 			return codec.ShardDirective{}, fmt.Errorf("shard: directive poll (%s): response exceeds the frame size limit of %d bytes", resp.Status, maxSubmitBytes)
 		}
 		if err != nil {

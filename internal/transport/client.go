@@ -14,6 +14,7 @@ import (
 
 	"fifl/internal/chain"
 	"fifl/internal/fl"
+	"fifl/internal/frame"
 	"fifl/internal/metrics"
 	"fifl/internal/transport/codec"
 )
@@ -254,36 +255,14 @@ func (c *Client) VerifyLedger(ctx context.Context) (blocks int, err error) {
 	return chain.VerifyFrom(bytes.NewReader(export))
 }
 
-// FetchLedgerFrom downloads the coordinator's chain export suffix starting
-// at block index from (0 = the whole chain). The returned bytes are a
-// chain binary export — full for from 0, partial otherwise — ready for
-// chain.StreamBinary; a partial export past the chain tip carries zero
-// blocks. Incremental fetches let an auditor tail a live chain paying for
-// new blocks only.
-func (c *Client) FetchLedgerFrom(ctx context.Context, from int) ([]byte, error) {
-	if from < 0 {
-		return nil, fmt.Errorf("transport: FetchLedgerFrom requires a non-negative index, got %d", from)
-	}
-	path := "/v1/ledger"
-	if from > 0 {
-		path += "?from=" + strconv.Itoa(from)
-	}
-	body, err := c.get(ctx, path)
-	if err != nil {
-		return nil, fmt.Errorf("transport: fetching ledger from %d: %w", from, err)
-	}
-	if body == nil {
-		return nil, fmt.Errorf("transport: empty ledger response")
-	}
-	return codec.DecodeLedger(body)
-}
-
 // FetchLedger downloads a coordinator's chain export without joining the
 // federation: no hello handshake, no worker slot — the shape a read-only
-// analytics consumer (fifl-score, dashboards) needs. from and the response
-// budget behave as in FetchLedgerFrom; maxBytes <= 0 uses the default
-// 1 GiB ledger budget. The export is returned unverified; stream it with
-// chain.StreamBinary (checking continuity) or chain.VerifyFrom.
+// analytics consumer (fifl-score, dashboards) needs. The export starts at
+// block index from (0 = the whole chain): a partial export past the chain
+// tip carries zero blocks, so an auditor can tail a live chain paying for
+// new blocks only. maxBytes <= 0 uses the default 1 GiB ledger budget. The
+// export is returned unverified; stream it with chain.StreamBinary
+// (checking continuity) or chain.VerifyFrom.
 func FetchLedger(ctx context.Context, baseURL string, from int, maxBytes int64) ([]byte, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil || u.Scheme == "" || u.Host == "" {
@@ -308,15 +287,9 @@ func FetchLedger(ctx context.Context, baseURL string, from int, maxBytes int64) 
 		return nil, fmt.Errorf("transport: fetching ledger: %w", err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBytes+1))
+	body, err := readResponse(resp, "/v1/ledger", maxBytes)
 	if err != nil {
-		return nil, fmt.Errorf("transport: reading ledger response: %w", err)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return nil, fmt.Errorf("GET /v1/ledger: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
-	if int64(len(body)) > maxBytes {
-		return nil, fmt.Errorf("GET /v1/ledger: response exceeds the %d-byte limit", maxBytes)
+		return nil, err
 	}
 	return codec.DecodeLedger(body)
 }
@@ -343,15 +316,21 @@ func FetchMetrics(ctx context.Context, baseURL string) ([]byte, error) {
 		return nil, fmt.Errorf("transport: fetching metrics: %w", err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxMetricsBytes+1))
+	return readResponse(resp, "/v1/metrics", maxMetricsBytes)
+}
+
+// readResponse reads the body of a one-shot GET of endpoint, at most limit
+// bytes, and turns a non-2xx status into an error carrying the body.
+func readResponse(resp *http.Response, endpoint string, limit int64) ([]byte, error) {
+	body, err := frame.ReadFrame(resp.Body, resp.ContentLength, limit)
+	if errors.Is(err, frame.ErrFrameTooLarge) {
+		return nil, fmt.Errorf("GET %s: %s: response exceeds the %d-byte limit", endpoint, resp.Status, limit)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("transport: reading metrics response: %w", err)
+		return nil, fmt.Errorf("transport: reading %s response: %w", endpoint, err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return nil, fmt.Errorf("GET /v1/metrics: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
-	if int64(len(body)) > maxMetricsBytes {
-		return nil, fmt.Errorf("GET /v1/metrics: response exceeds the %d-byte limit", maxMetricsBytes)
+		return nil, fmt.Errorf("GET %s: %s: %s", endpoint, resp.Status, bytes.TrimSpace(body))
 	}
 	return body, nil
 }
@@ -450,7 +429,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 			lastErr = err
 			continue
 		}
-		out, err := codec.ReadFrame(resp.Body, resp.ContentLength, limit)
+		out, err := frame.ReadFrame(resp.Body, resp.ContentLength, limit)
 		resp.Body.Close()
 		if lat != nil {
 			lat.ObserveSince(start)
@@ -460,7 +439,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 		case resp.StatusCode == http.StatusNoContent:
 			return nil, nil
 		case resp.StatusCode >= 200 && resp.StatusCode < 300:
-			if errors.Is(err, codec.ErrFrameTooLarge) {
+			if errors.Is(err, frame.ErrFrameTooLarge) {
 				// Terminal: a bigger response will not fit on retry either.
 				return nil, fmt.Errorf("%s %s: response exceeds the %d-byte limit", method, endpoint, limit)
 			}

@@ -18,25 +18,27 @@
 // int8/int16 quantized — see Compression); each side of a connection
 // picks its mode per request, and decoders accept every mode.
 //
-// Decoders are hardened against adversarial bytes: every declared length
-// is checked against the remaining input before allocation, the CRC is
-// verified before any field is parsed, unknown versions/types/flags are
-// rejected, and non-finite vector elements (NaN, ±Inf) are refused so a
+// Decoders are hardened against adversarial bytes: unknown
+// versions/types/flags are rejected, the CRC is verified before any field
+// is parsed, and the body is read through internal/frame's Reader, which
+// checks every declared length against the remaining input before
+// allocating and keeps the first error, so each decoder checks once per
+// frame. Non-finite vector elements (NaN, ±Inf) are refused so a
 // malicious worker cannot inject detection-poisoning values below the
-// application layer. DecodeUpload and friends never panic — the package
-// fuzz target proves it.
+// application layer. The decoders never panic; the package's fuzz targets
+// hold each of them to the verdict and value of the per-field decoder it
+// replaced (reference_test.go).
 package codec
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"slices"
 
 	"fifl/internal/faults"
+	"fifl/internal/frame"
 )
 
 // Magic opens every frame.
@@ -230,62 +232,25 @@ func (w *writer) seal() []byte {
 	return binary.LittleEndian.AppendUint32(w.b, crc32.ChecksumIEEE(w.b))
 }
 
-// reader consumes a verified frame body.
-type reader struct {
-	b   []byte
-	off int
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) u32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, fmt.Errorf("codec: truncated frame at offset %d", r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, fmt.Errorf("codec: truncated frame at offset %d", r.off)
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out, nil
-}
-
-// vec reads a vector in the frame's negotiated layout, rejecting
-// non-finite elements. Every declared length is validated against the
-// remaining bytes before allocation, so adversarial prefixes cannot force
-// huge allocations (sparse frames additionally cap their declared dense
-// dimension — see maxSparseDim).
-func (r *reader) vec(c Compression, field string) ([]float64, error) {
+// readVec reads a vector in the frame's negotiated layout, rejecting
+// non-finite elements. A dense layout is one bounds check and one loop;
+// sparse frames additionally cap their declared dense dimension (see
+// maxSparseDim).
+func readVec(r *frame.Reader, c Compression, field string) []float64 {
 	switch c {
 	case CompressionTopK:
-		return r.readTopK(field)
+		return readTopK(r, field)
 	case CompressionInt8:
-		return r.readQuantized(field, false)
+		return readQuantized(r, field, false)
 	case CompressionInt16:
-		return r.readQuantized(field, true)
-	}
-	count, err := r.u32()
-	if err != nil {
-		return nil, err
+		return readQuantized(r, field, true)
 	}
 	elem := 8
 	if c == CompressionF32 {
 		elem = 4
 	}
-	if int64(count)*int64(elem) > int64(r.remaining()) {
-		return nil, fmt.Errorf("codec: %s declares %d elements, only %d bytes remain", field, count, r.remaining())
-	}
-	raw, err := r.bytes(int(count) * elem)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, count)
+	raw := r.Bytes(elem*r.Count(elem, field), field)
+	out := make([]float64, len(raw)/elem)
 	for i := range out {
 		var x float64
 		if c == CompressionF32 {
@@ -294,19 +259,12 @@ func (r *reader) vec(c Compression, field string) ([]float64, error) {
 			x = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("codec: %s element %d is non-finite", field, i)
+			r.Failf("%s element %d is non-finite", field, i)
+			return nil
 		}
 		out[i] = x
 	}
-	return out, nil
-}
-
-// done reports a parse error if the frame body has trailing bytes.
-func (r *reader) done() error {
-	if r.remaining() != 0 {
-		return fmt.Errorf("codec: %d trailing bytes after frame body", r.remaining())
-	}
-	return nil
+	return out
 }
 
 // checkFinite rejects vectors the encoder must not put on the wire.
@@ -358,21 +316,20 @@ func Type(b []byte) (MsgType, error) {
 }
 
 // open validates a frame end to end — header, expected type and CRC — and
-// returns a reader positioned at the body plus the frame's flags.
-func open(b []byte, want MsgType) (*reader, uint8, error) {
+// returns a reader positioned at the body plus the frame's flags. A frame
+// that fails validation comes back as a failed reader, so its decoder
+// still checks once, at Done.
+func open(b []byte, want MsgType) (frame.Reader, uint8) {
 	t, err := Type(b)
+	if err == nil && t != want {
+		err = fmt.Errorf("codec: got a %s frame, want %s", t, want)
+	}
 	if err != nil {
-		return nil, 0, err
+		var r frame.Reader
+		r.Fail(err)
+		return r, 0
 	}
-	if t != want {
-		return nil, 0, fmt.Errorf("codec: got a %s frame, want %s", t, want)
-	}
-	body := b[:len(b)-crcSize]
-	got := binary.LittleEndian.Uint32(b[len(b)-crcSize:])
-	if want := crc32.ChecksumIEEE(body); got != want {
-		return nil, 0, fmt.Errorf("codec: CRC mismatch (frame %#x, computed %#x)", got, want)
-	}
-	return &reader{b: body, off: headerSize}, b[6], nil
+	return frame.Open(b, headerSize, "codec"), b[6]
 }
 
 // EncodeHello encodes a worker registration.
@@ -391,22 +348,12 @@ func EncodeHello(h Hello) ([]byte, error) {
 
 // DecodeHello decodes a worker registration.
 func DecodeHello(b []byte) (Hello, error) {
-	r, _, err := open(b, TypeHello)
-	if err != nil {
+	r, _ := open(b, TypeHello)
+	h := Hello{Worker: int(r.U32("hello worker")), Samples: int(r.U32("hello samples"))}
+	if err := r.Done(); err != nil {
 		return Hello{}, err
 	}
-	worker, err := r.u32()
-	if err != nil {
-		return Hello{}, err
-	}
-	samples, err := r.u32()
-	if err != nil {
-		return Hello{}, err
-	}
-	if err := r.done(); err != nil {
-		return Hello{}, err
-	}
-	return Hello{Worker: int(worker), Samples: int(samples)}, nil
+	return h, nil
 }
 
 // EncodeUpload encodes a gradient submission in the given compression
@@ -443,30 +390,18 @@ func EncodeUpload(u Upload, c Compression) ([]byte, error) {
 // truncated or corrupted frames — and frames smuggling NaN/Inf gradient
 // elements — are reported as errors.
 func DecodeUpload(b []byte) (Upload, error) {
-	r, flags, err := open(b, TypeUpload)
-	if err != nil {
+	r, flags := open(b, TypeUpload)
+	// Calls in a composite literal run left to right: the wire order.
+	u := Upload{
+		Round:   int(r.U32("upload round")),
+		Worker:  int(r.U32("upload worker")),
+		Samples: int(r.U32("upload samples")),
+		Grad:    readVec(&r, CompressionFromFlags(flags), "upload gradient"),
+	}
+	if err := r.Done(); err != nil {
 		return Upload{}, err
 	}
-	round, err := r.u32()
-	if err != nil {
-		return Upload{}, err
-	}
-	worker, err := r.u32()
-	if err != nil {
-		return Upload{}, err
-	}
-	samples, err := r.u32()
-	if err != nil {
-		return Upload{}, err
-	}
-	grad, err := r.vec(CompressionFromFlags(flags), "upload gradient")
-	if err != nil {
-		return Upload{}, err
-	}
-	if err := r.done(); err != nil {
-		return Upload{}, err
-	}
-	return Upload{Round: int(round), Worker: int(worker), Samples: int(samples), Grad: grad}, nil
+	return u, nil
 }
 
 // EncodeModel encodes a global-parameter broadcast. A done frame must
@@ -500,24 +435,17 @@ func EncodeModel(m Model, c Compression) ([]byte, error) {
 
 // DecodeModel decodes a global-parameter broadcast.
 func DecodeModel(b []byte) (Model, error) {
-	r, flags, err := open(b, TypeModel)
-	if err != nil {
-		return Model{}, err
+	r, flags := open(b, TypeModel)
+	m := Model{
+		Round:  int(r.U32("model round")),
+		Done:   flags&FlagDone != 0,
+		Params: readVec(&r, CompressionFromFlags(flags), "model parameters"),
 	}
-	round, err := r.u32()
-	if err != nil {
-		return Model{}, err
-	}
-	params, err := r.vec(CompressionFromFlags(flags), "model parameters")
-	if err != nil {
-		return Model{}, err
-	}
-	if err := r.done(); err != nil {
-		return Model{}, err
-	}
-	m := Model{Round: int(round), Done: flags&FlagDone != 0, Params: params}
 	if m.Done && len(m.Params) > 0 {
-		return Model{}, fmt.Errorf("codec: done model frame carries %d parameters", len(m.Params))
+		r.Failf("done model frame carries %d parameters", len(m.Params))
+	}
+	if err := r.Done(); err != nil {
+		return Model{}, err
 	}
 	return m, nil
 }
@@ -562,52 +490,27 @@ func EncodeReport(rep Report, c Compression) ([]byte, error) {
 
 // DecodeReport decodes a round assessment.
 func DecodeReport(b []byte) (Report, error) {
-	r, flags, err := open(b, TypeReport)
-	if err != nil {
-		return Report{}, err
-	}
-	round, err := r.u32()
-	if err != nil {
-		return Report{}, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return Report{}, err
-	}
-	raw, err := r.bytes(int(n))
-	if err != nil {
-		return Report{}, fmt.Errorf("codec: report declares %d workers: %w", n, err)
-	}
-	statuses := make([]faults.UploadStatus, n)
+	r, flags := open(b, TypeReport)
+	rep := Report{Round: int(r.U32("report round")), Committed: flags&FlagCommitted != 0}
+	raw := r.Bytes(r.Count(1, "report statuses"), "report statuses")
+	rep.Statuses = make([]faults.UploadStatus, len(raw))
 	for i, s := range raw {
 		if faults.UploadStatus(s) > faults.StatusPending {
-			return Report{}, fmt.Errorf("codec: report status %d for worker %d unknown", s, i)
+			r.Failf("report status %d for worker %d unknown", s, i)
 		}
-		statuses[i] = faults.UploadStatus(s)
+		rep.Statuses[i] = faults.UploadStatus(s)
 	}
 	comp := CompressionFromFlags(flags)
-	reps, err := r.vec(comp, "report reputations")
-	if err != nil {
+	rep.Reputations = readVec(&r, comp, "report reputations")
+	rep.Rewards = readVec(&r, comp, "report rewards")
+	if n := len(rep.Statuses); len(rep.Reputations) != n || len(rep.Rewards) != n {
+		r.Failf("report shape mismatch: %d statuses, %d reputations, %d rewards",
+			n, len(rep.Reputations), len(rep.Rewards))
+	}
+	if err := r.Done(); err != nil {
 		return Report{}, err
 	}
-	rewards, err := r.vec(comp, "report rewards")
-	if err != nil {
-		return Report{}, err
-	}
-	if err := r.done(); err != nil {
-		return Report{}, err
-	}
-	if len(reps) != int(n) || len(rewards) != int(n) {
-		return Report{}, fmt.Errorf("codec: report shape mismatch: %d statuses, %d reputations, %d rewards",
-			n, len(reps), len(rewards))
-	}
-	return Report{
-		Round:       int(round),
-		Committed:   flags&FlagCommitted != 0,
-		Statuses:    statuses,
-		Reputations: reps,
-		Rewards:     rewards,
-	}, nil
+	return rep, nil
 }
 
 // EncodeLedger frames a chain binary export (an opaque byte payload; see
@@ -625,61 +528,10 @@ func EncodeLedger(export []byte) ([]byte, error) {
 
 // DecodeLedger unwraps a framed chain binary export.
 func DecodeLedger(b []byte) ([]byte, error) {
-	r, _, err := open(b, TypeLedger)
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	export, err := r.bytes(int(n))
-	if err != nil {
-		return nil, fmt.Errorf("codec: ledger declares %d bytes: %w", n, err)
-	}
-	if err := r.done(); err != nil {
+	r, _ := open(b, TypeLedger)
+	export := r.Bytes(r.Count(1, "ledger export"), "ledger export")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), export...), nil
-}
-
-// ErrFrameTooLarge reports a frame body longer than its reader's limit.
-var ErrFrameTooLarge = errors.New("codec: frame exceeds the size limit")
-
-// ReadFrame reads a frame body of at most limit bytes from r. declared is
-// the length the body announced (an HTTP Content-Length), or negative when
-// unknown. A declared length within the limit is allocated once, up front,
-// instead of grown from 512 bytes the way io.ReadAll grows; the body is
-// still read to EOF, so one that runs past its declared length is read
-// whole, up to the limit. A body over the limit — declared or read —
-// fails with ErrFrameTooLarge, never a silent truncation, and a declared
-// one fails before any byte is read. Other read errors are returned with
-// the bytes read so far, as io.ReadAll returns them.
-func ReadFrame(r io.Reader, declared, limit int64) ([]byte, error) {
-	if declared > limit {
-		return nil, ErrFrameTooLarge
-	}
-	size := declared + 1 // the spare byte lets the EOF read land in place
-	if declared < 0 {
-		size = 512
-	}
-	b := make([]byte, 0, min(size, limit+1))
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		// Never ask for more than limit+1 bytes in total: one past the
-		// limit is all it takes to know the body is over it.
-		n, err := r.Read(b[len(b):min(int64(cap(b)), limit+1)])
-		b = b[:len(b)+n]
-		if int64(len(b)) > limit {
-			return nil, ErrFrameTooLarge
-		}
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-	}
 }

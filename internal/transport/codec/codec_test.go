@@ -288,8 +288,9 @@ func TestLedgerRoundTrip(t *testing.T) {
 }
 
 // FuzzDecodeUpload proves the decoder never panics on adversarial bytes:
-// whatever the input, DecodeUpload either errors or returns an upload
-// whose gradient is entirely finite and which re-encodes canonically.
+// whatever the input, DecodeUpload returns its reference's verdict (and,
+// on accept, an equal-to-the-bit upload), and an accepted upload's
+// gradient is entirely finite and re-encodes canonically.
 func FuzzDecodeUpload(f *testing.F) {
 	seed1, _ := EncodeUpload(Upload{Round: 1, Worker: 2, Samples: 3, Grad: []float64{0.5, -1.25}}, CompressionNone)
 	seed2, _ := EncodeUpload(Upload{Round: 7, Worker: 0, Samples: 0, Grad: nil}, CompressionNone)
@@ -310,6 +311,7 @@ func FuzzDecodeUpload(f *testing.F) {
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		matchReference(t, "input", data, workerDecoders[1:2])
 		u, err := DecodeUpload(data)
 		if err != nil {
 			return

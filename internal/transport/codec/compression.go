@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"fifl/internal/frame"
 )
 
 // Compression selects how a frame's vector payloads are laid out on the
@@ -62,9 +64,6 @@ func (c Compression) String() string {
 
 // Valid reports whether c is a mode this package speaks.
 func (c Compression) Valid() bool { return int(c) < len(compressionNames) }
-
-// Lossless reports whether vectors round-trip bit-exactly under c.
-func (c Compression) Lossless() bool { return c == CompressionNone }
 
 // ParseCompression resolves a flag or query-parameter value to a mode.
 // The empty string means CompressionNone; unknown values list every valid
@@ -238,50 +237,41 @@ func b2i(b bool) int {
 }
 
 // readTopK decodes the sparse layout back to a dense vector.
-func (r *reader) readTopK(field string) ([]float64, error) {
-	fullDim, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+func readTopK(r *frame.Reader, field string) []float64 {
+	fullDim := r.U32(field)
 	if fullDim > maxSparseDim {
-		return nil, fmt.Errorf("codec: %s declares a %d-element dense shape, cap is %d", field, fullDim, maxSparseDim)
+		r.Failf("%s declares a %d-element dense shape, cap is %d", field, fullDim, maxSparseDim)
 	}
-	k, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+	k := r.U32(field)
 	if k > fullDim {
-		return nil, fmt.Errorf("codec: %s keeps %d of %d elements", field, k, fullDim)
+		r.Failf("%s keeps %d of %d elements", field, k, fullDim)
 	}
-	if int64(k)*8 > int64(r.remaining()) {
-		return nil, fmt.Errorf("codec: %s declares %d sparse elements, only %d bytes remain", field, k, r.remaining())
-	}
-	rawIdx, err := r.bytes(int(k) * 4)
-	if err != nil {
-		return nil, err
-	}
-	rawVal, err := r.bytes(int(k) * 4)
-	if err != nil {
-		return nil, err
+	rawIdx := r.Bytes(4*int(k), field)
+	rawVal := r.Bytes(4*int(k), field)
+	if r.Err() != nil {
+		return nil
 	}
 	out := make([]float64, fullDim)
 	prev := -1
 	for i := 0; i < int(k); i++ {
 		j := binary.LittleEndian.Uint32(rawIdx[i*4:])
 		if j >= fullDim {
-			return nil, fmt.Errorf("codec: %s sparse index %d outside dimension %d", field, j, fullDim)
+			r.Failf("%s sparse index %d outside dimension %d", field, j, fullDim)
+			return nil
 		}
 		if int(j) <= prev {
-			return nil, fmt.Errorf("codec: %s sparse indices not strictly ascending at position %d", field, i)
+			r.Failf("%s sparse indices not strictly ascending at position %d", field, i)
+			return nil
 		}
 		prev = int(j)
 		x := float64(math.Float32frombits(binary.LittleEndian.Uint32(rawVal[i*4:])))
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("codec: %s element %d is non-finite", field, i)
+			r.Failf("%s element %d is non-finite", field, i)
+			return nil
 		}
 		out[j] = x
 	}
-	return out, nil
+	return out
 }
 
 // writeQuantized appends the dense quantized layout: count u32 | scale
@@ -319,31 +309,18 @@ func (w *writer) writeQuantized(v []float64, limit float64, wide bool) {
 }
 
 // readQuantized decodes the dense quantized layout.
-func (r *reader) readQuantized(field string, wide bool) ([]float64, error) {
-	count, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+func readQuantized(r *frame.Reader, field string, wide bool) []float64 {
 	elem := 1
 	if wide {
 		elem = 2
 	}
-	if int64(count)*int64(elem) > int64(r.remaining())-8 {
-		return nil, fmt.Errorf("codec: %s declares %d elements, only %d bytes remain", field, count, r.remaining())
-	}
-	rawScale, err := r.bytes(8)
-	if err != nil {
-		return nil, err
-	}
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(rawScale))
+	n := r.Count(elem, field)
+	scale := math.Float64frombits(r.U64(field))
 	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
-		return nil, fmt.Errorf("codec: %s quantization scale is invalid (%v)", field, scale)
+		r.Failf("%s quantization scale is invalid (%v)", field, scale)
 	}
-	raw, err := r.bytes(int(count) * elem)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, count)
+	raw := r.Bytes(n*elem, field)
+	out := make([]float64, len(raw)/elem)
 	for i := range out {
 		var q float64
 		if wide {
@@ -353,9 +330,10 @@ func (r *reader) readQuantized(field string, wide bool) ([]float64, error) {
 		}
 		x := q * scale
 		if math.IsInf(x, 0) {
-			return nil, fmt.Errorf("codec: %s element %d overflows under scale %v", field, i, scale)
+			r.Failf("%s element %d overflows under scale %v", field, i, scale)
+			return nil
 		}
 		out[i] = x
 	}
-	return out, nil
+	return out
 }

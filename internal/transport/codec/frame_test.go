@@ -11,6 +11,7 @@ import (
 	"testing/iotest"
 
 	"fifl/internal/faults"
+	"fifl/internal/frame"
 	"fifl/internal/rng"
 )
 
@@ -186,8 +187,8 @@ func TestReadFrameMatchesReadAll(t *testing.T) {
 				return r
 			}
 			want, wantOver, wantErr := refReadFrame(reader(), limit)
-			got, err := ReadFrame(reader(), tc.declared, limit)
-			if over := errors.Is(err, ErrFrameTooLarge); over != wantOver {
+			got, err := frame.ReadFrame(reader(), tc.declared, limit)
+			if over := errors.Is(err, frame.ErrFrameTooLarge); over != wantOver {
 				t.Fatalf("over-limit verdict %v (err %v), reference %v", over, err, wantOver)
 			}
 			if wantOver {
@@ -206,23 +207,23 @@ func TestReadFrameMatchesReadAll(t *testing.T) {
 // TestReadFrameDeclaredLengthAllocatesOnce: a body whose length is known
 // is read into one buffer, where io.ReadAll grows through a dozen.
 func TestReadFrameDeclaredLengthAllocatesOnce(t *testing.T) {
-	frame, err := EncodeShardDirective(deepDetectDirective())
+	body, err := EncodeShardDirective(deepDetectDirective())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(frame)
+	r := bytes.NewReader(body)
 	var got []byte
 	allocs := testing.AllocsPerRun(20, func() {
-		r.Reset(frame)
-		got, err = ReadFrame(r, int64(len(frame)), 64<<20)
+		r.Reset(body)
+		got, err = frame.ReadFrame(r, int64(len(body)), 64<<20)
 	})
-	if err != nil || !bytes.Equal(got, frame) {
-		t.Fatalf("ReadFrame = %d bytes, %v; want the %d-byte frame", len(got), err, len(frame))
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("ReadFrame = %d bytes, %v; want the %d-byte frame", len(got), err, len(body))
 	}
 	if allocs != 1 {
-		t.Fatalf("ReadFrame of a declared %d-byte body: %.0f allocations, want 1", len(frame), allocs)
+		t.Fatalf("ReadFrame of a declared %d-byte body: %.0f allocations, want 1", len(body), allocs)
 	}
-	if _, err := ReadFrame(strings.NewReader("FIFL"), 1<<40, 64<<20); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := frame.ReadFrame(strings.NewReader("FIFL"), 1<<40, 64<<20); !errors.Is(err, frame.ErrFrameTooLarge) {
 		t.Fatalf("a declared length past the limit read as %v, want ErrFrameTooLarge", err)
 	}
 }

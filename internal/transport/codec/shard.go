@@ -1,10 +1,12 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
 	"fifl/internal/faults"
+	"fifl/internal/frame"
 )
 
 // Shard frames carry the 1-level hierarchical federation protocol: an edge
@@ -165,42 +167,6 @@ func (w *writer) putInts(v []int, field string) error {
 		w.u32(uint32(x))
 	}
 	return nil
-}
-
-// ints reads a u32-count-prefixed list of u32 values.
-func (r *reader) ints(field string) ([]int, error) {
-	count, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(count)*4 > int64(r.remaining()) {
-		return nil, fmt.Errorf("codec: %s declares %d elements, only %d bytes remain", field, count, r.remaining())
-	}
-	out := make([]int, count)
-	for i := range out {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int(v)
-	}
-	return out, nil
-}
-
-// bools reads a count of 0/1 bytes.
-func (r *reader) bools(n int, field string) ([]bool, error) {
-	raw, err := r.bytes(n)
-	if err != nil {
-		return nil, fmt.Errorf("codec: %s declares %d entries: %w", field, n, err)
-	}
-	out := make([]bool, n)
-	for i, b := range raw {
-		if b > 1 {
-			return nil, fmt.Errorf("codec: %s byte %d is %d, not a bool", field, i, b)
-		}
-		out[i] = b == 1
-	}
-	return out, nil
 }
 
 // shardSubmitSize is the body size EncodeShardSubmit writes for s, byte
@@ -398,167 +364,105 @@ func EncodeShardSubmit(s ShardSubmit) ([]byte, error) {
 // (absent scores, -Inf rejections, invalid distances) are reconstituted
 // from their wire masks.
 func DecodeShardSubmit(b []byte) (ShardSubmit, error) {
-	r, _, err := open(b, TypeShardSubmit)
-	if err != nil {
-		return ShardSubmit{}, err
+	r, _ := open(b, TypeShardSubmit)
+	s := ShardSubmit{
+		Shard: int(r.U32("shard index")),
+		Round: int(r.U32("shard round")),
+		Phase: ShardPhase(r.Byte("shard phase")),
 	}
-	shard, err := r.u32()
-	if err != nil {
-		return ShardSubmit{}, err
-	}
-	round, err := r.u32()
-	if err != nil {
-		return ShardSubmit{}, err
-	}
-	phaseRaw, err := r.bytes(1)
-	if err != nil {
-		return ShardSubmit{}, err
-	}
-	s := ShardSubmit{Shard: int(shard), Round: int(round), Phase: ShardPhase(phaseRaw[0])}
 	switch s.Phase {
 	case ShardPhaseHello:
-		first, err := r.u32()
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		samples, err := r.ints("shard samples")
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		s.Hello = &ShardHello{First: int(first), Samples: samples}
+		s.Hello = &ShardHello{First: int(r.U32("shard first")), Samples: r.Uint32s("shard samples")}
 	case ShardPhaseCollect:
-		k, err := r.u32()
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		raw, err := r.bytes(int(k))
-		if err != nil {
-			return ShardSubmit{}, fmt.Errorf("codec: collect evidence declares %d members: %w", k, err)
-		}
-		c := &ShardCollectEvidence{
-			Statuses: make([]faults.UploadStatus, k),
-			Retries:  make([]int, k),
-		}
-		for i, st := range raw {
-			if faults.UploadStatus(st) > faults.StatusPending {
-				return ShardSubmit{}, fmt.Errorf("codec: collect status %d for member %d unknown", st, i)
-			}
-			c.Statuses[i] = faults.UploadStatus(st)
-		}
-		for i := range c.Retries {
-			v, err := r.u32()
-			if err != nil {
-				return ShardSubmit{}, err
-			}
-			c.Retries[i] = int(v)
-		}
-		sc, err := r.u32()
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		// Each server entry occupies at least 8 bytes (id + empty vec).
-		if int64(sc)*8 > int64(r.remaining()) {
-			return ShardSubmit{}, fmt.Errorf("codec: collect evidence declares %d server gradients, only %d bytes remain", sc, r.remaining())
-		}
-		c.ServerIDs = make([]int, sc)
-		c.ServerGrads = make([][]float64, sc)
-		for i := range c.ServerIDs {
-			id, err := r.u32()
-			if err != nil {
-				return ShardSubmit{}, err
-			}
-			g, err := r.vec(CompressionNone, "collect server gradient")
-			if err != nil {
-				return ShardSubmit{}, err
-			}
-			c.ServerIDs[i] = int(id)
-			c.ServerGrads[i] = g
-		}
-		s.Collect = c
+		s.Collect = readCollectEvidence(&r)
 	case ShardPhaseDetect:
-		k, err := r.u32()
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		kinds, err := r.bytes(int(k))
-		if err != nil {
-			return ShardSubmit{}, fmt.Errorf("codec: detect evidence declares %d members: %w", k, err)
-		}
-		scores, err := r.vec(CompressionNone, "detect scores")
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		if len(scores) != int(k) {
-			return ShardSubmit{}, fmt.Errorf("codec: detect evidence carries %d scores for %d members", len(scores), k)
-		}
-		d := &ShardDetectEvidence{Scores: scores}
-		for i, kind := range kinds {
-			switch kind {
-			case scoreFinite:
-			case scoreNaN:
-				d.Scores[i] = math.NaN()
-			case scoreNegInf:
-				d.Scores[i] = math.Inf(-1)
-			default:
-				return ShardSubmit{}, fmt.Errorf("codec: detect score kind %d for member %d unknown", kind, i)
-			}
-		}
-		if d.Accept, err = r.bools(int(k), "detect accepts"); err != nil {
-			return ShardSubmit{}, err
-		}
-		wv, err := r.vec(CompressionNone, "detect weight")
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		if len(wv) != 1 || wv[0] < 0 {
-			return ShardSubmit{}, fmt.Errorf("codec: detect weight payload %v is not one non-negative mass", wv)
-		}
-		d.Weight = wv[0]
-		flag, err := r.bytes(1)
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		switch flag[0] {
-		case 0:
-		case 1:
-			if d.Partial, err = r.vec(CompressionNone, "detect partial"); err != nil {
-				return ShardSubmit{}, err
-			}
-		default:
-			return ShardSubmit{}, fmt.Errorf("codec: detect partial flag byte %d is not a bool", flag[0])
-		}
-		s.Detect = d
+		s.Detect = readDetectEvidence(&r)
 	case ShardPhaseDist:
-		k, err := r.u32()
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		valid, err := r.bools(int(k), "dist validity")
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		dists, err := r.vec(CompressionNone, "dist values")
-		if err != nil {
-			return ShardSubmit{}, err
-		}
-		if len(dists) != int(k) {
-			return ShardSubmit{}, fmt.Errorf("codec: dist evidence carries %d values for %d members", len(dists), k)
-		}
-		for i, ok := range valid {
-			if !ok {
-				dists[i] = math.NaN()
-			} else if dists[i] < 0 {
-				return ShardSubmit{}, fmt.Errorf("codec: distance %d is negative", i)
-			}
-		}
-		s.Dist = &ShardDistEvidence{Dists: dists}
+		s.Dist = readDistEvidence(&r)
 	default:
-		return ShardSubmit{}, fmt.Errorf("codec: shard submit phase %s unknown", s.Phase)
+		r.Failf("shard submit phase %s unknown", s.Phase)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return ShardSubmit{}, err
 	}
 	return s, nil
+}
+
+// readCollectEvidence reads a collect submit's payload.
+func readCollectEvidence(r *frame.Reader) *ShardCollectEvidence {
+	raw := r.Bytes(r.Count(1, "collect statuses"), "collect statuses")
+	c := &ShardCollectEvidence{Statuses: make([]faults.UploadStatus, len(raw))}
+	for i, st := range raw {
+		if faults.UploadStatus(st) > faults.StatusPending {
+			r.Failf("collect status %d for member %d unknown", st, i)
+		}
+		c.Statuses[i] = faults.UploadStatus(st)
+	}
+	retries := r.Bytes(4*len(raw), "collect retries")
+	c.Retries = make([]int, len(raw))
+	for i := range len(retries) / 4 {
+		c.Retries[i] = int(binary.LittleEndian.Uint32(retries[4*i:]))
+	}
+	// Each server entry occupies at least 8 bytes (id + empty vec).
+	n := r.Count(8, "collect server gradients")
+	c.ServerIDs = make([]int, n)
+	c.ServerGrads = make([][]float64, n)
+	for i := range c.ServerIDs {
+		c.ServerIDs[i] = int(r.U32("collect server id"))
+		c.ServerGrads[i] = readVec(r, CompressionNone, "collect server gradient")
+	}
+	return c
+}
+
+// readDetectEvidence reads a detect submit's payload, reconstituting
+// absent (NaN) and rejected (-Inf) scores from the kind mask.
+func readDetectEvidence(r *frame.Reader) *ShardDetectEvidence {
+	kinds := r.Bytes(r.Count(1, "detect score kinds"), "detect score kinds")
+	d := &ShardDetectEvidence{Scores: readVec(r, CompressionNone, "detect scores")}
+	if len(d.Scores) != len(kinds) {
+		r.Failf("detect evidence carries %d scores for %d members", len(d.Scores), len(kinds))
+		kinds = nil
+	}
+	for i, kind := range kinds {
+		switch kind {
+		case scoreFinite:
+		case scoreNaN:
+			d.Scores[i] = math.NaN()
+		case scoreNegInf:
+			d.Scores[i] = math.Inf(-1)
+		default:
+			r.Failf("detect score kind %d for member %d unknown", kind, i)
+		}
+	}
+	d.Accept = r.Bools(len(kinds), "detect accepts")
+	if wv := readVec(r, CompressionNone, "detect weight"); len(wv) != 1 || wv[0] < 0 {
+		r.Failf("detect weight payload %v is not one non-negative mass", wv)
+	} else {
+		d.Weight = wv[0]
+	}
+	if r.Bool("detect partial flag") {
+		d.Partial = readVec(r, CompressionNone, "detect partial")
+	}
+	return d
+}
+
+// readDistEvidence reads a dist submit's payload; NaN marks members
+// the validity mask flags as without a usable upload.
+func readDistEvidence(r *frame.Reader) *ShardDistEvidence {
+	valid := r.Bools(r.Count(1, "dist validity"), "dist validity")
+	dists := readVec(r, CompressionNone, "dist values")
+	if len(dists) != len(valid) {
+		r.Failf("dist evidence carries %d values for %d members", len(dists), len(valid))
+		valid = nil
+	}
+	for i, ok := range valid {
+		if !ok {
+			dists[i] = math.NaN()
+		} else if dists[i] < 0 {
+			r.Failf("distance %d is negative", i)
+		}
+	}
+	return &ShardDistEvidence{Dists: dists}
 }
 
 // EncodeShardDirective encodes a root broadcast. Directives, like
@@ -622,78 +526,37 @@ func EncodeShardDirective(d ShardDirective) ([]byte, error) {
 
 // DecodeShardDirective decodes a root broadcast.
 func DecodeShardDirective(b []byte) (ShardDirective, error) {
-	r, _, err := open(b, TypeShardDirective)
-	if err != nil {
-		return ShardDirective{}, err
+	r, _ := open(b, TypeShardDirective)
+	d := ShardDirective{
+		Seq:   int(r.U32("directive seq")),
+		Round: int(r.U32("directive round")),
+		Phase: ShardPhase(r.Byte("directive phase")),
 	}
-	seq, err := r.u32()
-	if err != nil {
-		return ShardDirective{}, err
-	}
-	round, err := r.u32()
-	if err != nil {
-		return ShardDirective{}, err
-	}
-	phaseRaw, err := r.bytes(1)
-	if err != nil {
-		return ShardDirective{}, err
-	}
-	d := ShardDirective{Seq: int(seq), Round: int(round), Phase: ShardPhase(phaseRaw[0])}
 	switch d.Phase {
 	case ShardPhaseCollect:
-		if d.Params, err = r.vec(CompressionNone, "directive parameters"); err != nil {
-			return ShardDirective{}, err
-		}
-		if d.Servers, err = r.ints("directive servers"); err != nil {
-			return ShardDirective{}, err
-		}
+		d.Params = readVec(&r, CompressionNone, "directive parameters")
+		d.Servers = r.Uint32s("directive servers")
 	case ShardPhaseDetect:
-		flag, err := r.bytes(1)
-		if err != nil {
-			return ShardDirective{}, err
-		}
-		switch flag[0] {
-		case 0:
-		case 1:
-			if d.Benchmark, err = r.vec(CompressionNone, "directive benchmark"); err != nil {
-				return ShardDirective{}, err
+		if r.Bool("benchmark flag") {
+			d.Benchmark = readVec(&r, CompressionNone, "directive benchmark")
+			if d.Owners = r.Uint32s("directive owners"); len(d.Owners) == 0 {
+				r.Failf("detect directive carries a benchmark but no owners")
 			}
-			if d.Owners, err = r.ints("directive owners"); err != nil {
-				return ShardDirective{}, err
-			}
-			if len(d.Owners) == 0 {
-				return ShardDirective{}, fmt.Errorf("codec: detect directive carries a benchmark but no owners")
-			}
-		default:
-			return ShardDirective{}, fmt.Errorf("codec: benchmark flag byte %d is not a bool", flag[0])
 		}
-		tv, err := r.vec(CompressionNone, "directive threshold")
-		if err != nil {
-			return ShardDirective{}, err
+		if tv := readVec(&r, CompressionNone, "directive threshold"); len(tv) != 1 {
+			r.Failf("directive threshold payload has %d elements, want 1", len(tv))
+		} else {
+			d.Threshold = tv[0]
 		}
-		if len(tv) != 1 {
-			return ShardDirective{}, fmt.Errorf("codec: directive threshold payload has %d elements, want 1", len(tv))
-		}
-		d.Threshold = tv[0]
 	case ShardPhaseDist:
-		flag, err := r.bytes(1)
-		if err != nil {
-			return ShardDirective{}, err
-		}
-		switch flag[0] {
-		case 0:
-		case 1:
-			if d.Global, err = r.vec(CompressionNone, "directive global"); err != nil {
-				return ShardDirective{}, err
-			}
-		default:
-			return ShardDirective{}, fmt.Errorf("codec: global flag byte %d is not a bool", flag[0])
+		if r.Bool("global flag") {
+			d.Global = readVec(&r, CompressionNone, "directive global")
 		}
 	case ShardPhaseDone:
 	default:
-		return ShardDirective{}, fmt.Errorf("codec: shard directive phase %s unknown", d.Phase)
+		r.Failf("shard directive phase %s unknown", d.Phase)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return ShardDirective{}, err
 	}
 	return d, nil

@@ -206,10 +206,11 @@ func TestShardDirectiveRejectsMalformed(t *testing.T) {
 }
 
 // FuzzDecodeShard hammers both shard decoders with adversarial bytes,
-// seeded with every fixture frame. Anything that decodes must re-encode
-// and decode again — the decoders admit only frames the encoders can
-// produce — and the re-encoded frame must be byte-equal to what the
-// reference writer (reference_test.go) produces.
+// seeded with every fixture frame. Each decoder must return its
+// reference's verdict, and an equal-to-the-bit value on accept. Anything
+// that decodes must re-encode and decode again — the decoders admit only
+// frames the encoders can produce — and the re-encoded frame must be
+// byte-equal to what the reference writer (reference_test.go) produces.
 func FuzzDecodeShard(f *testing.F) {
 	for _, s := range shardSubmitFixtures() {
 		b, err := EncodeShardSubmit(s)
@@ -226,6 +227,7 @@ func FuzzDecodeShard(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		matchReference(t, "input", data, shardDecoders)
 		if s, err := DecodeShardSubmit(data); err == nil {
 			b2, err := EncodeShardSubmit(s)
 			if err != nil {

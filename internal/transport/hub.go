@@ -420,6 +420,15 @@ func (h *Hub) publish(round int, params []float64) {
 			delete(h.pubAt, r)
 		}
 	}
+	// A stub still parked on an earlier round was abandoned at the engine's
+	// deadline: that round's collection is over, so its upload can no
+	// longer be used. Release it, with its goroutine and parameter copy.
+	for key, ch := range h.wait {
+		if key[0] < round {
+			close(ch)
+			delete(h.wait, key)
+		}
+	}
 	close(h.modelCh)
 	h.modelCh = make(chan struct{})
 }
@@ -627,14 +636,19 @@ func gradBitsEqual(a, b gradvec.Vector) bool {
 }
 
 // await blocks until worker id's submission for the round arrives and
-// returns its gradient, or nil if the hub closes first. The engine's
-// per-worker deadline bounds the wait: a stub abandoned at the deadline
-// keeps blocking harmlessly until arrival or Close.
+// returns its gradient, or nil if a later round is published or the hub
+// closes first. The engine's per-worker deadline bounds the wait from the
+// engine's side; a stub abandoned at the deadline is released by the next
+// round's publish.
 func (h *Hub) await(round, id int) gradvec.Vector {
 	h.mu.Lock()
 	if sub, arrived := h.subs[round][id]; arrived {
 		h.mu.Unlock()
 		return sub.grad
+	}
+	if round < h.round {
+		h.mu.Unlock()
+		return nil
 	}
 	key := [2]int{round, id}
 	ch, exists := h.wait[key]

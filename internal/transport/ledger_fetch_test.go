@@ -16,8 +16,7 @@ import (
 )
 
 // ledgerServer runs a short in-process federation so the coordinator's
-// audit chain has real blocks, then exposes it over HTTP. The hub keeps a
-// spare slot so one Client can dial in for the method-based fetch test.
+// audit chain has real blocks, then exposes it over HTTP.
 func ledgerServer(t *testing.T) (*core.Coordinator, *httptest.Server, func()) {
 	t.Helper()
 	recipe := Recipe{Seed: 11, Workers: 3, SamplesPerWorker: 40}
@@ -137,39 +136,6 @@ func TestFetchLedgerIncremental(t *testing.T) {
 	}
 	if streamed != 0 {
 		t.Fatalf("past-tip fetch streamed %d blocks, want 0", streamed)
-	}
-}
-
-// TestFetchLedgerFromClientMethod: the dialed-client path must agree with
-// the standalone fetch byte for byte.
-func TestFetchLedgerFromClientMethod(t *testing.T) {
-	coord, ts, shutdown := ledgerServer(t)
-	defer shutdown()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	w, err := (Recipe{Seed: 11, Workers: 3, SamplesPerWorker: 40}).Worker(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := DialWorker(ctx, ClientConfig{BaseURL: ts.URL, Worker: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	from := coord.Ledger.Len() - 3
-	got, err := client.FetchLedgerFrom(ctx, from)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := FetchLedger(ctx, ts.URL, from, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("FetchLedgerFrom differs from the standalone FetchLedger")
-	}
-	if _, err := client.FetchLedgerFrom(ctx, -1); err == nil {
-		t.Fatal("negative index must be rejected client-side")
 	}
 }
 

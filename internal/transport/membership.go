@@ -10,6 +10,7 @@ import (
 	"net/http"
 
 	"fifl/internal/core"
+	"fifl/internal/frame"
 )
 
 // Elastic membership over the wire. Join and leave are control-plane
@@ -257,7 +258,10 @@ func membershipPost(ctx context.Context, baseURL, path string, payload any) (bod
 		return nil, 0, fmt.Errorf("transport: POST %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	body, err = io.ReadAll(io.LimitReader(resp.Body, maxMembershipBytes))
+	body, err = frame.ReadFrame(resp.Body, resp.ContentLength, maxMembershipBytes)
+	if errors.Is(err, frame.ErrFrameTooLarge) {
+		return nil, 0, fmt.Errorf("transport: POST %s: %s: response exceeds the %d-byte limit", path, resp.Status, maxMembershipBytes)
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("transport: reading %s response: %w", path, err)
 	}

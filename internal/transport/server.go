@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fifl/internal/core"
+	"fifl/internal/frame"
 	"fifl/internal/transport/codec"
 )
 
@@ -139,8 +140,8 @@ func (s *Server) WorkerTraffic() (up, down []int64) {
 // HTTP error and never reaches the engine — the per-worker deadline turns
 // the missing arrival into StatusTimedOut.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := codec.ReadFrame(r.Body, r.ContentLength, maxUploadBytes)
-	if errors.Is(err, codec.ErrFrameTooLarge) {
+	body, err := frame.ReadFrame(r.Body, r.ContentLength, maxUploadBytes)
+	if errors.Is(err, frame.ErrFrameTooLarge) {
 		http.Error(w, "transport: submission exceeds the frame size limit", http.StatusRequestEntityTooLarge)
 		return
 	}

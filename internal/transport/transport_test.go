@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"fifl/internal/core"
 	"fifl/internal/faults"
 	"fifl/internal/fl"
+	"fifl/internal/gradvec"
 	"fifl/internal/metrics"
 	"fifl/internal/netsim"
 	"fifl/internal/rng"
@@ -609,5 +611,70 @@ func TestHubSubmissionHygiene(t *testing.T) {
 	}
 	if g := hub.await(1, 1); g != nil {
 		t.Fatal("await after close should return nil")
+	}
+}
+
+// TestAbandonedStubsReleasedOnPublish: workers that stay silent past the
+// engine's deadline leave stubs behind, and each must be released when the
+// next round is published — its goroutine, its wait entry and the round's
+// parameter copy — instead of parking until Close. A stub that reaches
+// await only after its round was superseded returns at once.
+func TestAbandonedStubsReleasedOnPublish(t *testing.T) {
+	const nWorkers, rounds = 2, 50
+	recipe := Recipe{Seed: 3, Workers: nWorkers, SamplesPerWorker: 40}
+	build, err := recipe.Builder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, err := NewHub(nWorkers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	for id := 0; id < nWorkers; id++ {
+		if err := hub.hello(id, 40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine, err := fl.NewEngine(fl.Config{Servers: 1, GlobalLR: 0.05}, build, hub.Workers(),
+		rng.New(recipe.Seed).Split("silent"), fl.WithWorkerTimeout(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for r := 0; r < rounds; r++ {
+		rr, err := engine.CollectGradientsContext(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, st := range rr.Status {
+			if st != faults.StatusTimedOut {
+				t.Fatalf("round %d: silent worker %d has status %s", r, id, st)
+			}
+		}
+	}
+	hub.mu.Lock()
+	waits := len(hub.wait)
+	hub.mu.Unlock()
+	if waits > nWorkers {
+		t.Fatalf("%d wait entries after %d silent rounds, want at most the last round's %d", waits, rounds, nWorkers)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base+nWorkers {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after %d silent rounds, started with %d", runtime.NumGoroutine(), rounds, base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	done := make(chan gradvec.Vector)
+	go func() { done <- hub.await(rounds-2, 0) }()
+	select {
+	case g := <-done:
+		if g != nil {
+			t.Fatalf("await on a superseded round returned %v", g)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("await on a superseded round blocked")
 	}
 }

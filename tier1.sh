@@ -64,13 +64,15 @@ go test -run '^$' -bench 'EncodeShard' -benchtime=1x ./internal/transport/codec
 go test -run TestRoundSteadyStateAllocs .
 go test -run TestPipelineAllocsFewerThanLegacy ./internal/core
 
-# Fuzz smoke: the wire codec must survive 5s of hostile frames without
-# panicking (-fuzz accepts exactly one package), the shard evidence frame
-# likewise, the checkpoint codec must reject truncated/bit-flipped
-# snapshots without panicking, and the ledger export reader — fed by
-# /v1/ledger bodies and checkpoint ledger sections — must agree with its
-# reference parser and re-export what it accepts.
+# Fuzz smoke (-fuzz accepts exactly one package and target): every wire
+# frame decoder — upload, the other worker-protocol frames, the shard
+# frames — and the checkpoint decoder must survive 5s of hostile bytes
+# without panicking and return the verdict and value of the per-field
+# decoder it replaced; the ledger export reader — fed by /v1/ledger
+# bodies and checkpoint ledger sections — must agree with its reference
+# parser and re-export what it accepts.
 go test -run='^$' -fuzz=FuzzDecodeUpload -fuzztime=5s ./internal/transport/codec
+go test -run='^$' -fuzz=FuzzDecodeWorkerFrames -fuzztime=5s ./internal/transport/codec
 go test -run='^$' -fuzz=FuzzDecodeShard -fuzztime=5s ./internal/transport/codec
 go test -run='^$' -fuzz=FuzzReadCheckpoint -fuzztime=5s ./internal/persist
 go test -run='^$' -fuzz=FuzzStreamBinary -fuzztime=5s ./internal/chain
