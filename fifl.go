@@ -249,7 +249,9 @@ func WithStageTrace(h func(RoundStageTrace)) CoordinatorOption {
 // events, over-bound submissions negative ones).
 type (
 	// Collector swaps the round pipeline's Collect stage; install one with
-	// WithCollector. nil keeps the synchronous engine barrier.
+	// WithCollector. nil keeps the synchronous engine barrier. Its one
+	// method returns a round ready for detection: an async collector
+	// folds its window — staleness tags and weights included — itself.
 	Collector = core.Collector
 	// AsyncConfig parameterizes the in-process async collector.
 	AsyncConfig = fl.AsyncConfig
@@ -267,10 +269,10 @@ type (
 	TransportAsyncCollector = transport.AsyncCollector
 )
 
-// StalenessWeight is the bounded-staleness fold weight 1/(1+s); non-finite
-// or negative staleness weighs 0, and s > max is rejected (weight 0) when
-// max >= 0.
-func StalenessWeight(s float64, max int) float64 { return core.StalenessWeight(s, max) }
+// StalenessWeight is the bounded-staleness fold weight 1/(1+s) both async
+// collectors stamp on each folded upload; non-finite or negative
+// staleness weighs 0, and s > max is rejected (weight 0) when max >= 0.
+func StalenessWeight(s float64, max int) float64 { return fl.StalenessWeight(s, max) }
 
 // WithCollector replaces the pipeline's Collect stage — the synchronous
 // engine barrier — with an alternative collector, typically an async one.
@@ -394,8 +396,10 @@ type (
 	// WorkerClientConfig configures DialWorker.
 	WorkerClientConfig = transport.ClientConfig
 	// FederationRecipe is a deterministic federation specification every
-	// node rebuilds locally from the shared seed, making networked runs
-	// bit-identical to in-process runs.
+	// node rebuilds locally from the shared seed — seed, size and samples
+	// per worker; the model ([16]-hidden MLP) and local training (K=1,
+	// batch 32, LR 0.05) are fixed — making networked runs bit-identical
+	// to in-process runs.
 	FederationRecipe = transport.Recipe
 )
 

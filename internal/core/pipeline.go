@@ -147,8 +147,8 @@ func (p *Pipeline) Run(c *Coordinator, rc *RoundContext) error {
 // engine's fault-tolerant synchronous barrier by default, or whatever
 // source WithCollector installed (the async bounded-staleness collectors,
 // a sharded federation's bridge) — and snapshots the executing server
-// cluster. Async rounds additionally get their staleness-discounted
-// aggregation weights here, so every later stage sees a fully tagged
+// cluster. Async rounds arrive already folded, staleness-discounted
+// aggregation weights included, so every later stage sees a fully tagged
 // RoundResult.
 func stageCollect(c *Coordinator, rc *RoundContext) error {
 	rr, err := c.collector.CollectRound(rc.Ctx, rc.Round)
@@ -158,7 +158,6 @@ func stageCollect(c *Coordinator, rc *RoundContext) error {
 	if rr == nil {
 		return fmt.Errorf("collector returned a nil round")
 	}
-	fillStalenessWeights(rr, c.collector.MaxStaleness())
 	rc.RR = rr
 	rc.Servers = c.Servers()
 	rc.ActiveIDs = c.members.ActiveIDs()

@@ -56,8 +56,6 @@ func (s engineSource) CollectRound(ctx context.Context, t int) (*fl.RoundResult,
 	return s.engine.CollectGradientsContext(ctx, t)
 }
 
-func (engineSource) MaxStaleness() int { return 0 }
-
 func (engineSource) Score(_ context.Context, rr *fl.RoundResult, bench gradvec.Vector, owners []int, threshold float64, scores []float64, accept []bool) error {
 	ScoreCohort(rr, 0, bench, owners, threshold, scores, accept)
 	return nil

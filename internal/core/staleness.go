@@ -2,47 +2,26 @@ package core
 
 import (
 	"context"
-	"math"
 
 	"fifl/internal/fl"
 	"fifl/internal/persist"
 )
 
-// StalenessWeight is the bounded-staleness aggregation discount for an
-// async round: a submission that trained against a model s advances old
-// contributes with weight 1/(1+s), so fresh work (s=0) keeps full weight
-// and older work decays harmonically. Submissions past the bound — s >
-// max, with max >= 0 — are rejected outright (weight 0), as are negative
-// or non-finite staleness values. max < 0 disables the bound and only the
-// harmonic decay applies.
-func StalenessWeight(s float64, max int) float64 {
-	if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
-		return 0
-	}
-	if max >= 0 && s > float64(max) {
-		return 0
-	}
-	return 1 / (1 + s)
-}
-
 // Collector produces one round's uploads for the Collect stage. The
 // default is the engine's synchronous collect-all barrier
 // (CollectGradientsContext); WithCollector swaps in an alternative — the
 // async bounded-staleness collectors in internal/fl and
-// internal/transport — leaving every other pipeline stage untouched.
+// internal/transport, a sharded federation's bridge — leaving every other
+// pipeline stage untouched.
 //
 // A collector that returns a RoundResult with a non-nil Staleness slice
-// is asynchronous: the Collect stage derives the per-worker aggregation
-// weights from it with StalenessWeight against MaxStaleness, and the
-// Detect stage turns over-bound arrivals (faults.StatusStale) into
-// negative reputation events.
+// is asynchronous: it has already folded its advance window with
+// fl.FoldWindow, so the round arrives with its staleness tags and
+// aggregation weights, and the Detect stage turns over-bound arrivals
+// (faults.StatusStale) into negative reputation events.
 type Collector interface {
 	// CollectRound gathers the submissions that advance round `round`.
 	CollectRound(ctx context.Context, round int) (*fl.RoundResult, error)
-	// MaxStaleness reports the collector's staleness bound: submissions
-	// that trained against a model more than this many advances old are
-	// rejected. Negative means unbounded.
-	MaxStaleness() int
 }
 
 // ResumableCollector is a Collector whose inter-round state must ride
@@ -58,21 +37,4 @@ type ResumableCollector interface {
 	// RestoreAsync reinstates checkpointed state into a collector that
 	// has not collected any round yet.
 	RestoreAsync(*persist.AsyncState) error
-}
-
-// fillStalenessWeights derives the aggregation weights of an async round
-// from its staleness tags: arrivals are discounted by StalenessWeight
-// against the collector's bound, everything else (absent, stale,
-// crashed) weighs zero. Synchronous rounds (nil Staleness) pass through
-// untouched, keeping the sync path bit-identical.
-func fillStalenessWeights(rr *fl.RoundResult, maxStaleness int) {
-	if rr.Staleness == nil || rr.Weights != nil {
-		return
-	}
-	rr.Weights = make([]float64, len(rr.Grads))
-	for i := range rr.Grads {
-		if rr.Status[i].Arrived() {
-			rr.Weights[i] = StalenessWeight(float64(rr.Staleness[i]), maxStaleness)
-		}
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"fifl/internal/attack"
@@ -12,42 +11,6 @@ import (
 	"fifl/internal/nn"
 	"fifl/internal/rng"
 )
-
-// TestStalenessWeight pins the bounded-staleness fold weight: exact
-// identity at s=0, strict monotone decay, hard rejection past the bound,
-// and zero for anything non-finite or negative.
-func TestStalenessWeight(t *testing.T) {
-	cases := []struct {
-		name string
-		s    float64
-		max  int
-		want float64
-	}{
-		{"fresh is exact identity", 0, 2, 1},
-		{"one round stale", 1, 2, 0.5},
-		{"at the bound", 2, 2, 1.0 / 3},
-		{"just past the bound", 3, 2, 0},
-		{"far past the bound", 100, 2, 0},
-		{"fractional within bound", 0.5, 2, 1 / 1.5},
-		{"unbounded keeps decaying", 9, -1, 0.1},
-		{"zero bound accepts only fresh", 1, 0, 0},
-		{"negative staleness", -1, 2, 0},
-		{"NaN", math.NaN(), 2, 0},
-		{"+Inf", math.Inf(1), 2, 0},
-		{"-Inf", math.Inf(-1), 2, 0},
-	}
-	for _, tc := range cases {
-		if got := StalenessWeight(tc.s, tc.max); got != tc.want {
-			t.Errorf("%s: StalenessWeight(%v, %d) = %v, want %v", tc.name, tc.s, tc.max, got, tc.want)
-		}
-	}
-	// Monotone decay across the whole accepted range.
-	for s := 0; s < 8; s++ {
-		if StalenessWeight(float64(s), -1) <= StalenessWeight(float64(s+1), -1) {
-			t.Fatalf("weight is not strictly decreasing at s=%d", s)
-		}
-	}
-}
 
 // buildAsyncCoordinator constructs a deterministic async federation: 5
 // honest workers plus one sign-flipper, collected through fl.AsyncCollector

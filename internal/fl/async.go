@@ -3,6 +3,7 @@ package fl
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"fifl/internal/faults"
@@ -58,14 +59,124 @@ func (c AsyncConfig) Validate(n int) error {
 	return nil
 }
 
+// StalenessWeight is the bounded-staleness aggregation discount for an
+// async round: a submission that trained against a model s advances old
+// contributes with weight 1/(1+s), so fresh work (s=0) keeps full weight
+// and older work decays harmonically. Submissions past the bound — s >
+// max, with max >= 0 — are rejected outright (weight 0), as are negative
+// or non-finite staleness values. max < 0 disables the bound and only the
+// harmonic decay applies.
+func StalenessWeight(s float64, max int) float64 {
+	if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
+		return 0
+	}
+	if max >= 0 && s > float64(max) {
+		return 0
+	}
+	return 1 / (1 + s)
+}
+
+// FoldWindow turns one advance window of async uploads into round t's
+// RoundResult over the engine's seated cohort — the one bounded-staleness
+// rule both async collectors share. Each upload names its worker by
+// stable ID and is placed in that worker's cohort slot; uploads from IDs
+// no longer seated are dropped unfolded. The freshest upload per worker
+// wins, and each one it displaces counts as superseded. Its staleness is
+// s = max(t − TrainedRound, 0): past maxStaleness the row is StatusStale
+// with no gradient and no sample weight, an in-bound nil gradient is
+// StatusDropped, and anything else folds with weight
+// StalenessWeight(s, maxStaleness). Workers without an upload stay
+// pending. A negative bound folds as 0. The result is freshly allocated
+// (async collection is not on the zero-alloc sync hot path).
+func FoldWindow(e *Engine, t, maxStaleness int, window []persist.AsyncUpload) *RoundResult {
+	maxStaleness = max(maxStaleness, 0)
+	n := len(e.Workers)
+	rr := &RoundResult{
+		Round:     t,
+		Grads:     make([]gradvec.Vector, n),
+		Samples:   make([]int, n),
+		Status:    make([]faults.UploadStatus, n),
+		Retries:   make([]int, n),
+		Staleness: make([]int, n),
+		Weights:   make([]float64, n),
+		Committed: true,
+		Dim:       len(e.ParamsRef()),
+	}
+	slotOf := make(map[int]int, n)
+	best := make([]int, n) // window index of each slot's freshest upload, -1 = none
+	for i, w := range e.Workers {
+		slotOf[w.ID()] = i
+		best[i] = -1
+		rr.Samples[i] = w.NumSamples()
+		rr.Status[i] = faults.StatusPending
+		rr.Staleness[i] = NoSubmission
+	}
+	superseded := 0
+	for i, u := range window {
+		slot, seated := slotOf[u.Worker]
+		if !seated {
+			continue
+		}
+		if b := best[slot]; b >= 0 {
+			superseded++
+			if u.TrainedRound <= window[b].TrainedRound {
+				continue
+			}
+		}
+		best[slot] = i
+	}
+
+	reg := e.Metrics()
+	reg.Help("fifl_async_submissions_total",
+		"Async submissions folded per advance window, bucketed by staleness; 'over' = past the bound and rejected.")
+	reg.Help("fifl_async_superseded_total",
+		"Async submissions dominated by a fresher same-worker submission in the same advance window and dropped unfolded.")
+	buckets := make([]*metrics.Counter, maxStaleness+1)
+	for s := range buckets {
+		buckets[s] = reg.Counter("fifl_async_submissions_total", "staleness", strconv.Itoa(s))
+	}
+	over := reg.Counter("fifl_async_submissions_total", "staleness", "over")
+	reg.Counter("fifl_async_superseded_total").Add(int64(superseded))
+
+	for slot, b := range best {
+		if b < 0 {
+			continue
+		}
+		u := window[b]
+		s := max(t-u.TrainedRound, 0)
+		rr.Staleness[slot] = s
+		if s > maxStaleness {
+			// The upload arrived but the bound rejects it: it contributes
+			// no gradient, so it carries no sample weight either.
+			over.Inc()
+			rr.Status[slot] = faults.StatusStale
+			rr.Samples[slot] = 0
+			continue
+		}
+		buckets[s].Inc()
+		rr.Samples[slot] = u.Samples
+		if u.Grad == nil {
+			rr.Status[slot] = faults.StatusDropped
+			continue
+		}
+		rr.Grads[slot] = u.Grad
+		rr.Status[slot] = faults.StatusOK
+		rr.Weights[slot] = StalenessWeight(float64(s), maxStaleness)
+		rr.Arrived++
+	}
+	return rr
+}
+
 // AsyncCollector is the in-process asynchronous Collect stage: instead of
 // the synchronous collect-all barrier, each advance window trains a
 // round-robin cohort of AdvanceEvery workers, each against the model its
-// lag schedule says it last pulled, and tags every submission with its
-// staleness. Workers outside the window are pending (still training);
-// submissions past the staleness bound arrive but are rejected. The
-// deterministic rotation plus a deterministic lag schedule make async
-// runs — and their kill-and-resume — exactly reproducible.
+// lag schedule says it last pulled, and folds their uploads with
+// FoldWindow. Workers outside the window are pending (still training);
+// submissions past the staleness bound arrive but are rejected, and skip
+// local training so the RNG stream stays aligned with a run where they
+// were never asked. The deterministic rotation plus a deterministic lag
+// schedule make async runs — and their kill-and-resume — exactly
+// reproducible.
 type AsyncCollector struct {
 	engine *Engine
 	cfg    AsyncConfig
@@ -75,9 +186,6 @@ type AsyncCollector struct {
 	// pulled.
 	histRounds []int
 	histParams [][]float64
-
-	subs     []*metrics.Counter // per-staleness-bucket submission counters
-	overSubs *metrics.Counter
 }
 
 // NewAsyncCollector builds a bounded-staleness collector over an engine.
@@ -91,32 +199,7 @@ func NewAsyncCollector(e *Engine, cfg AsyncConfig) (*AsyncCollector, error) {
 	if err := cfg.Validate(len(e.Workers)); err != nil {
 		return nil, err
 	}
-	c := &AsyncCollector{engine: e, cfg: cfg}
-	c.initMetrics(e.Metrics())
-	return c, nil
-}
-
-// initMetrics resolves the per-staleness-bucket submission counters.
-func (c *AsyncCollector) initMetrics(reg *metrics.Registry) {
-	reg.Help("fifl_async_submissions_total",
-		"Async submissions folded per advance window, bucketed by staleness; 'over' = past the bound and rejected.")
-	c.subs = make([]*metrics.Counter, c.cfg.MaxStaleness+1)
-	for s := range c.subs {
-		c.subs[s] = reg.Counter("fifl_async_submissions_total", "staleness", strconv.Itoa(s))
-	}
-	c.overSubs = reg.Counter("fifl_async_submissions_total", "staleness", "over")
-}
-
-// MaxStaleness reports the collector's staleness bound.
-func (c *AsyncCollector) MaxStaleness() int { return c.cfg.MaxStaleness }
-
-// observe counts one submission into its staleness bucket.
-func (c *AsyncCollector) observe(lag int) {
-	if lag > c.cfg.MaxStaleness {
-		c.overSubs.Inc()
-	} else {
-		c.subs[lag].Inc()
-	}
+	return &AsyncCollector{engine: e, cfg: cfg}, nil
 }
 
 // pushHistory records the model of advance t, trimming the window to the
@@ -142,11 +225,10 @@ func (c *AsyncCollector) paramsAt(t int) []float64 {
 	return nil
 }
 
-// CollectRound runs one advance window: the cohort (t·AdvanceEvery + j)
-// mod n, j = 0..AdvanceEvery-1, submits — each with the staleness its lag
-// schedule dictates — and every other worker stays pending. Rounds must
-// be collected sequentially; the window's RoundResult is freshly
-// allocated (async collection is not on the zero-alloc sync hot path).
+// CollectRound runs one advance window: the cohort slots (t·AdvanceEvery
+// + j) mod n, j = 0..AdvanceEvery-1, submit — each with the staleness its
+// lag schedule dictates — and every other worker stays pending. Rounds
+// must be collected sequentially.
 func (c *AsyncCollector) CollectRound(ctx context.Context, t int) (*RoundResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("fl: async round %d: %w", t, err)
@@ -159,59 +241,28 @@ func (c *AsyncCollector) CollectRound(ctx context.Context, t int) (*RoundResult,
 	}
 	c.pushHistory(t, c.engine.Params())
 	n := len(c.engine.Workers)
-	rr := &RoundResult{
-		Round:     t,
-		Grads:     make([]gradvec.Vector, n),
-		Samples:   make([]int, n),
-		Status:    make([]faults.UploadStatus, n),
-		Retries:   make([]int, n),
-		Staleness: make([]int, n),
-		Committed: true,
-		Dim:       len(c.engine.ParamsRef()),
-	}
-	for i, w := range c.engine.Workers {
-		rr.Samples[i] = w.NumSamples()
-		rr.Status[i] = faults.StatusPending
-		rr.Staleness[i] = NoSubmission
-	}
-	for j := 0; j < c.cfg.AdvanceEvery; j++ {
-		w := (t*c.cfg.AdvanceEvery + j) % n
-		if rr.Staleness[w] != NoSubmission {
-			continue // AdvanceEvery > n wrapped onto the same worker
-		}
+	// A cadence above a cohort shrunk by departures wraps onto the same
+	// slots; each slot submits at most once per window.
+	window := make([]persist.AsyncUpload, 0, min(c.cfg.AdvanceEvery, n))
+	for j := 0; j < c.cfg.AdvanceEvery && j < n; j++ {
+		slot := (t*c.cfg.AdvanceEvery + j) % n
+		w := c.engine.Workers[slot]
 		lag := 0
 		if c.cfg.Lag != nil {
-			lag = c.cfg.Lag(t, w)
+			lag = c.cfg.Lag(t, slot)
 		}
-		if lag < 0 {
-			lag = 0
+		lag = min(max(lag, 0), t) // nothing predates the first advance
+		u := persist.AsyncUpload{Worker: w.ID(), TrainedRound: t - lag, Samples: w.NumSamples()}
+		if lag <= c.cfg.MaxStaleness {
+			params := c.paramsAt(t - lag)
+			if params == nil {
+				return nil, fmt.Errorf("fl: async round %d: model of advance %d rolled out of the history window", t, t-lag)
+			}
+			u.Grad = w.LocalTrain(t-lag, params)
 		}
-		if lag > t {
-			lag = t // nothing predates the first advance
-		}
-		rr.Staleness[w] = lag
-		c.observe(lag)
-		if lag > c.cfg.MaxStaleness {
-			// Over-bound: the upload arrives but the bounded-staleness rule
-			// rejects it — no training happens on our side of the
-			// simulation, the detect stage prices the lateness.
-			rr.Status[w] = faults.StatusStale
-			continue
-		}
-		params := c.paramsAt(t - lag)
-		if params == nil {
-			return nil, fmt.Errorf("fl: async round %d: model of advance %d rolled out of the history window", t, t-lag)
-		}
-		g := c.engine.Workers[w].LocalTrain(t-lag, params)
-		if g == nil {
-			rr.Status[w] = faults.StatusDropped
-			continue
-		}
-		rr.Grads[w] = g
-		rr.Status[w] = faults.StatusOK
-		rr.Arrived++
+		window = append(window, u)
 	}
-	return rr, nil
+	return FoldWindow(c.engine, t, c.cfg.MaxStaleness, window), nil
 }
 
 // AsyncSnapshot captures the collector's inter-round state: the retained

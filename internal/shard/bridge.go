@@ -58,9 +58,6 @@ func NewBridge(hub *ShardHub, engine *fl.Engine, quorum int) (*Bridge, error) {
 // after construction; CollectRound fails loudly if it never did.
 func (b *Bridge) BindServers(fn func() []int) { b.serversFn = fn }
 
-// MaxStaleness implements core.Collector: sharded rounds are synchronous.
-func (b *Bridge) MaxStaleness() int { return 0 }
-
 // CollectRound implements core.Collector: publish the collect directive
 // and unfold the shards' evidence into the round's RoundResult.
 func (b *Bridge) CollectRound(ctx context.Context, t int) (*fl.RoundResult, error) {

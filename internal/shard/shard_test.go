@@ -284,8 +284,6 @@ type blockedFlatSource struct {
 	cohorts []int
 }
 
-func (s *blockedFlatSource) MaxStaleness() int { return 0 }
-
 func (s *blockedFlatSource) CollectRound(ctx context.Context, t int) (*fl.RoundResult, error) {
 	return s.engine.CollectGradientsContext(ctx, t)
 }

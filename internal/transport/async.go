@@ -3,13 +3,9 @@ package transport
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
-	"fifl/internal/faults"
 	"fifl/internal/fl"
-	"fifl/internal/gradvec"
-	"fifl/internal/metrics"
 	"fifl/internal/persist"
 )
 
@@ -66,10 +62,10 @@ func (c AsyncConfig) Validate() error {
 // AsyncCollector is the wire-side asynchronous Collect stage: workers
 // submit over HTTP whenever they finish training — tagged with the
 // broadcast round they trained against — and each advance window drains
-// the hub's queue, folds the freshest submission per worker with
-// staleness weight 1/(1+s), rejects anything past the bound, and leaves
-// everyone else pending. The advance cadence is count (AdvanceEvery) or
-// time (AdvanceInterval), whichever fires first.
+// the hub's queue and folds it with fl.FoldWindow: the freshest
+// submission per seated worker at staleness weight 1/(1+s), anything
+// past the bound rejected, everyone else pending. The advance cadence is
+// count (AdvanceEvery) or time (AdvanceInterval), whichever fires first.
 type AsyncCollector struct {
 	hub    *Hub
 	engine *fl.Engine
@@ -77,17 +73,14 @@ type AsyncCollector struct {
 
 	// carry holds submissions reinstated from a checkpoint; the next
 	// window folds them before draining live traffic.
-	carry []pendingSub
-
-	subs       []*metrics.Counter // per-staleness-bucket submission counters
-	overSubs   *metrics.Counter
-	superseded *metrics.Counter
+	carry []persist.AsyncUpload
 }
 
 // NewAsyncCollector switches the hub into async mode and builds the
-// collector over it. The engine must be the coordinator's engine built
-// over hub.Workers(); its synchronous runtime options (quorum, deadlines,
-// fault injection) do not apply to async windows.
+// collector over it. The engine must be the coordinator's engine, built
+// over stubs from hub.Workers() or hub.WorkersFor(cohort); its
+// synchronous runtime options (quorum, deadlines, fault injection) do
+// not apply to async windows.
 func NewAsyncCollector(hub *Hub, engine *fl.Engine, cfg AsyncConfig) (*AsyncCollector, error) {
 	if hub == nil {
 		return nil, fmt.Errorf("transport: NewAsyncCollector requires a hub")
@@ -98,37 +91,25 @@ func NewAsyncCollector(hub *Hub, engine *fl.Engine, cfg AsyncConfig) (*AsyncColl
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if got := len(engine.Workers); got != hub.n {
-		return nil, fmt.Errorf("transport: engine has %d workers, hub expects %d", got, hub.n)
+	for slot, w := range engine.Workers {
+		if id := w.ID(); id < 0 || id >= hub.n {
+			return nil, fmt.Errorf("transport: engine slot %d holds worker %d, hub covers %d IDs", slot, id, hub.n)
+		}
 	}
 	// With the timer disabled, the count trigger is the only way a window
-	// advances — and between advances each worker submits at most once (it
-	// has nothing new to train against until the next broadcast). A count
-	// above the federation size therefore deadlocks takePending on its nil
-	// deadline channel; reject it here instead of hanging the first round.
-	if cfg.AdvanceInterval <= 0 && cfg.AdvanceEvery > hub.n {
-		return nil, &UnsatisfiableAdvanceError{AdvanceEvery: cfg.AdvanceEvery, Workers: hub.n}
+	// advances — and between advances each seated worker submits at most
+	// once (it has nothing new to train against until the next broadcast).
+	// A count above the seated cohort therefore deadlocks takePending on
+	// its nil deadline channel; reject it here instead of hanging the first
+	// round.
+	if seated := len(engine.Workers); cfg.AdvanceInterval <= 0 && cfg.AdvanceEvery > seated {
+		return nil, &UnsatisfiableAdvanceError{AdvanceEvery: cfg.AdvanceEvery, Workers: seated}
 	}
 	if err := hub.EnableAsync(cfg.MaxStaleness); err != nil {
 		return nil, err
 	}
-	c := &AsyncCollector{hub: hub, engine: engine, cfg: cfg}
-	reg := engine.Metrics()
-	reg.Help("fifl_async_submissions_total",
-		"Async submissions folded per advance window, bucketed by staleness; 'over' = past the bound and rejected.")
-	c.subs = make([]*metrics.Counter, cfg.MaxStaleness+1)
-	for s := range c.subs {
-		c.subs[s] = reg.Counter("fifl_async_submissions_total", "staleness", strconv.Itoa(s))
-	}
-	c.overSubs = reg.Counter("fifl_async_submissions_total", "staleness", "over")
-	reg.Help("fifl_async_superseded_total",
-		"Async submissions dominated by a fresher same-worker submission in the same advance window and dropped unfolded.")
-	c.superseded = reg.Counter("fifl_async_superseded_total")
-	return c, nil
+	return &AsyncCollector{hub: hub, engine: engine, cfg: cfg}, nil
 }
-
-// MaxStaleness reports the collector's staleness bound.
-func (c *AsyncCollector) MaxStaleness() int { return c.cfg.MaxStaleness }
 
 // CollectRound runs one advance window: broadcast the round-t model, wait
 // for the cadence to fire, and fold what arrived. Submissions race the
@@ -142,83 +123,23 @@ func (c *AsyncCollector) CollectRound(ctx context.Context, t int) (*fl.RoundResu
 		return nil, fmt.Errorf("transport: async round %d is negative", t)
 	}
 	c.hub.publish(t, c.engine.Params())
-	need := c.cfg.AdvanceEvery - len(c.carry)
-	if need < 0 {
-		need = 0
-	}
-	taken, err := c.hub.takePending(ctx, need, c.cfg.AdvanceInterval)
+	taken, err := c.hub.takePending(ctx, max(c.cfg.AdvanceEvery-len(c.carry), 0), c.cfg.AdvanceInterval)
 	if err != nil {
 		return nil, fmt.Errorf("transport: async round %d: %w", t, err)
 	}
 	window := append(c.carry, taken...)
 	c.carry = nil
-
-	n := len(c.engine.Workers)
-	rr := &fl.RoundResult{
-		Round:     t,
-		Grads:     make([]gradvec.Vector, n),
-		Samples:   make([]int, n),
-		Status:    make([]faults.UploadStatus, n),
-		Retries:   make([]int, n),
-		Staleness: make([]int, n),
-		Committed: true,
-		Dim:       len(c.engine.ParamsRef()),
-	}
-	for i, w := range c.engine.Workers {
-		rr.Samples[i] = w.NumSamples()
-		rr.Status[i] = faults.StatusPending
-		rr.Staleness[i] = fl.NoSubmission
-	}
-	// Freshest submission per worker wins; an older one it supersedes in
-	// the same window is dominated and dropped without prejudice.
-	best := make(map[int]pendingSub, len(window))
-	for _, sub := range window {
-		if prev, seen := best[sub.worker]; !seen || sub.round > prev.round {
-			best[sub.worker] = sub
-		}
-	}
-	if dropped := len(window) - len(best); dropped > 0 {
-		c.superseded.Add(int64(dropped))
-	}
-	for w, sub := range best {
-		s := t - sub.round
-		if s < 0 {
-			s = 0 // a same-window submission for the just-published round
-		}
-		rr.Staleness[w] = s
-		if s > c.cfg.MaxStaleness {
-			c.overSubs.Inc()
-			rr.Status[w] = faults.StatusStale
-			// The rejected upload contributes no gradient, so it carries no
-			// sample weight either — the row must not claim NumSamples() it
-			// never delivered.
-			rr.Samples[w] = 0
-			continue
-		}
-		c.subs[s].Inc()
-		rr.Grads[w] = sub.grad
-		rr.Samples[w] = sub.samples
-		rr.Status[w] = faults.StatusOK
-		rr.Arrived++
-	}
-	return rr, nil
+	return fl.FoldWindow(c.engine, t, c.cfg.MaxStaleness, window), nil
 }
 
 // AsyncSnapshot captures the collector's inter-round state: the wire
 // uploads queued (or carried) but not yet folded into any window. The
-// queue is copied, not drained — checkpointing must not perturb the run.
+// queue is copied, not drained — checkpointing must not perturb the run;
+// the gradients are shared, as nothing mutates an accepted upload.
 func (c *AsyncCollector) AsyncSnapshot() (*persist.AsyncState, error) {
-	queued := append(append([]pendingSub(nil), c.carry...), c.hub.peekPending()...)
-	st := &persist.AsyncState{Pending: make([]persist.AsyncUpload, len(queued))}
-	for i, sub := range queued {
-		st.Pending[i] = persist.AsyncUpload{
-			Worker:       sub.worker,
-			TrainedRound: sub.round,
-			Samples:      sub.samples,
-			Grad:         append([]float64(nil), sub.grad...),
-		}
-	}
-	return st, nil
+	queued := c.hub.peekPending()
+	pending := make([]persist.AsyncUpload, 0, len(c.carry)+len(queued))
+	return &persist.AsyncState{Pending: append(append(pending, c.carry...), queued...)}, nil
 }
 
 // RestoreAsync reinstates checkpointed pending uploads into a collector
@@ -234,7 +155,6 @@ func (c *AsyncCollector) RestoreAsync(st *persist.AsyncState) error {
 		return fmt.Errorf("transport: RestoreAsync on a collector already carrying %d uploads", len(c.carry))
 	}
 	dim := len(c.engine.Params())
-	carry := make([]pendingSub, len(st.Pending))
 	for i, u := range st.Pending {
 		if u.Worker < 0 || u.Worker >= c.hub.n {
 			return fmt.Errorf("transport: checkpointed upload %d is from worker %d, federation has %d", i, u.Worker, c.hub.n)
@@ -242,13 +162,7 @@ func (c *AsyncCollector) RestoreAsync(st *persist.AsyncState) error {
 		if len(u.Grad) != dim {
 			return fmt.Errorf("transport: checkpointed upload %d has %d dims, model has %d", i, len(u.Grad), dim)
 		}
-		carry[i] = pendingSub{
-			worker:  u.Worker,
-			round:   u.TrainedRound,
-			samples: u.Samples,
-			grad:    append(gradvec.Vector(nil), u.Grad...),
-		}
 	}
-	c.carry = carry
+	c.carry = append([]persist.AsyncUpload(nil), st.Pending...)
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fifl/internal/core"
 	"fifl/internal/faults"
 	"fifl/internal/fl"
 	"fifl/internal/gradvec"
@@ -244,5 +245,166 @@ func mustSubmitN(t *testing.T, hub *Hub, round, id, samples int, g gradvec.Vecto
 	t.Helper()
 	if _, err := hub.submit(round, id, samples, g); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordingCollector keeps the last RoundResult its collector returned,
+// so a test can read the folded rows the coordinator assessed.
+type recordingCollector struct {
+	core.Collector
+	last *fl.RoundResult
+}
+
+func (r *recordingCollector) CollectRound(ctx context.Context, t int) (*fl.RoundResult, error) {
+	rr, err := r.Collector.CollectRound(ctx, t)
+	r.last = rr
+	return rr, err
+}
+
+// departedAsyncNet builds a 3-worker async federation behind a Server,
+// every worker registered and round 0 broadcast, whose collector folds
+// each window on the first arrival.
+func departedAsyncNet(t *testing.T) (*Server, *Hub, *recordingCollector, int) {
+	t.Helper()
+	recipe := Recipe{Seed: 5, Workers: 3, SamplesPerWorker: 20}
+	build, err := recipe.Builder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, err := NewHub(recipe.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := fl.NewEngine(fl.Config{Servers: 1, GlobalLR: 0.05}, build, hub.Workers(), rng.New(5),
+		fl.WithWorkerTimeout(time.Second), fl.WithMetrics(metrics.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := NewAsyncCollector(hub, engine, AsyncConfig{MaxStaleness: 1, AdvanceEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingCollector{Collector: col}
+	coord, err := core.NewCoordinator(coordConfig(), engine, []int{0}, core.WithCollector(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(coord, hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	for id := 0; id < recipe.Workers; id++ {
+		if err := hub.hello(id, recipe.SamplesPerWorker); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hub.publish(0, engine.Params())
+	return srv, hub, rec, len(engine.Params())
+}
+
+// TestAsyncDepartedWorkerFoldsBySlot: the async window is indexed by
+// cohort slot, not worker ID. After worker 1 leaves a 3-worker
+// federation, worker 2 sits in slot 1 — its upload must fold there
+// (indexing the 2-slot round by ID 2 would panic the coordinator), and
+// an upload worker 1 queued before leaving must not be folded at all.
+func TestAsyncDepartedWorkerFoldsBySlot(t *testing.T) {
+	ctx := context.Background()
+	t.Run("later-id-submits", func(t *testing.T) {
+		srv, hub, rec, dim := departedAsyncNet(t)
+		if err := srv.DepartWorker(1); err != nil {
+			t.Fatal(err)
+		}
+		g := make(gradvec.Vector, dim)
+		for i := range g {
+			g[i] = 1e-3 * float64(i%7-3)
+		}
+		mustSubmitN(t, hub, 0, 2, 20, g)
+		rep, err := srv.RunRound(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Committed || len(rep.WorkerIDs) != 2 || rep.WorkerIDs[0] != 0 || rep.WorkerIDs[1] != 2 {
+			t.Fatalf("round committed=%v over worker IDs %v, want committed over [0 2]", rep.Committed, rep.WorkerIDs)
+		}
+		if rep.Statuses[1] != faults.StatusOK || rep.Staleness[1] != 0 {
+			t.Fatalf("slot 1 status=%v staleness=%d, want OK/0", rep.Statuses[1], rep.Staleness[1])
+		}
+		if !gradBitsEqual(rec.last.Grads[1], g) {
+			t.Fatal("slot 1 does not hold worker 2's gradient")
+		}
+		if rep.Statuses[0] != faults.StatusPending {
+			t.Fatalf("slot 0 status=%v, want pending", rep.Statuses[0])
+		}
+	})
+	t.Run("departed-upload-dropped", func(t *testing.T) {
+		srv, hub, rec, dim := departedAsyncNet(t)
+		mustSubmitN(t, hub, 0, 1, 20, make(gradvec.Vector, dim))
+		if err := srv.DepartWorker(1); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := srv.RunRound(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.last.Arrived != 0 {
+			t.Fatalf("%d uploads folded, want none", rec.last.Arrived)
+		}
+		for slot, st := range rep.Statuses {
+			if st != faults.StatusPending || rec.last.Grads[slot] != nil {
+				t.Fatalf("slot %d (worker %d) status=%v, want pending with no gradient", slot, rep.WorkerIDs[slot], st)
+			}
+		}
+	})
+}
+
+// TestNewAsyncCollectorOverChurnedCohort: a coordinator restarted from a
+// checkpoint taken after a leave builds its engine over
+// hub.WorkersFor(activeCohort), fewer stubs than the hub has IDs. The
+// collector accepts that cohort, sizes the unsatisfiable-advance check by
+// it, and refuses a stub whose ID the hub does not cover.
+func TestNewAsyncCollectorOverChurnedCohort(t *testing.T) {
+	build, err := Recipe{Seed: 3, Workers: 3, SamplesPerWorker: 20}.Builder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineFor := func(hub *Hub, ids []int) *fl.Engine {
+		t.Helper()
+		stubs, err := hub.WorkersFor(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine, err := fl.NewEngine(fl.Config{Servers: 1, GlobalLR: 0.05}, build, stubs, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return engine
+	}
+	newHub := func(n int) *Hub {
+		t.Helper()
+		hub, err := NewHub(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hub
+	}
+
+	hub := newHub(3)
+	if err := hub.MarkInactive(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewAsyncCollector(hub, engineFor(hub, []int{0, 2}), AsyncConfig{MaxStaleness: 1, AdvanceEvery: 2}); err != nil {
+		t.Fatalf("collector over cohort [0 2] of a 3-ID hub: %v", err)
+	}
+
+	hub = newHub(3)
+	_, err = NewAsyncCollector(hub, engineFor(hub, []int{0, 2}), AsyncConfig{MaxStaleness: 1, AdvanceEvery: 3})
+	var unsat *UnsatisfiableAdvanceError
+	if !errors.As(err, &unsat) || unsat.Workers != 2 {
+		t.Fatalf("AdvanceEvery 3 over 2 seated workers: error %v, want *UnsatisfiableAdvanceError for 2 workers", err)
+	}
+
+	if _, err := NewAsyncCollector(newHub(3), engineFor(newHub(6), []int{0, 5}), AsyncConfig{MaxStaleness: 1, AdvanceEvery: 1}); err == nil {
+		t.Fatal("collector accepted a stub for worker 5 on a 3-ID hub")
 	}
 }

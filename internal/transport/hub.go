@@ -37,6 +37,7 @@ import (
 
 	"fifl/internal/fl"
 	"fifl/internal/gradvec"
+	"fifl/internal/persist"
 )
 
 // noRound marks "nothing published yet".
@@ -46,15 +47,6 @@ const noRound = -1
 type submission struct {
 	grad    gradvec.Vector
 	samples int
-}
-
-// pendingSub is one async submission queued for the next advance window,
-// in arrival order.
-type pendingSub struct {
-	worker  int
-	round   int // the model round the gradient trained against
-	samples int
-	grad    gradvec.Vector
 }
 
 // waitStatus classifies how a model long poll on the hub resolved.
@@ -103,9 +95,9 @@ type Hub struct {
 	// Async mode (EnableAsync): submissions for any broadcast round are
 	// accepted at any time and queued for the next advance window instead
 	// of waking a per-round stub.
-	asyncBound int           // staleness bound; negative = synchronous mode
-	pending    []pendingSub  // queued async submissions, arrival order
-	pendingCh  chan struct{} // closed and replaced when the queue grows
+	asyncBound int                   // staleness bound; negative = synchronous mode
+	pending    []persist.AsyncUpload // queued async submissions, arrival order
+	pendingCh  chan struct{}         // closed and replaced when the queue grows
 }
 
 // NewHub creates the coordinator-side rendezvous for a federation of n
@@ -561,7 +553,7 @@ func (h *Hub) submit(round, id, samples int, grad gradvec.Vector) (fresh bool, e
 		}
 	}
 	if h.asyncBound >= 0 {
-		h.pending = append(h.pending, pendingSub{worker: id, round: round, samples: samples, grad: grad})
+		h.pending = append(h.pending, persist.AsyncUpload{Worker: id, TrainedRound: round, Samples: samples, Grad: grad})
 		close(h.pendingCh)
 		h.pendingCh = make(chan struct{})
 		return true, nil
@@ -579,7 +571,7 @@ func (h *Hub) submit(round, id, samples int, grad gradvec.Vector) (fresh bool, e
 // ctx is cancelled, then drains and returns the queue in arrival order —
 // one advance window's intake. A time-triggered return can carry fewer
 // than min submissions (including none).
-func (h *Hub) takePending(ctx context.Context, min int, maxWait time.Duration) ([]pendingSub, error) {
+func (h *Hub) takePending(ctx context.Context, min int, maxWait time.Duration) ([]persist.AsyncUpload, error) {
 	var deadline <-chan time.Time
 	if maxWait > 0 {
 		timer := time.NewTimer(maxWait)
@@ -614,10 +606,10 @@ func (h *Hub) takePending(ctx context.Context, min int, maxWait time.Duration) (
 
 // peekPending returns a copy of the queued async submissions without
 // draining them — checkpoint capture must not consume the queue.
-func (h *Hub) peekPending() []pendingSub {
+func (h *Hub) peekPending() []persist.AsyncUpload {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]pendingSub(nil), h.pending...)
+	return append([]persist.AsyncUpload(nil), h.pending...)
 }
 
 // gradBitsEqual reports bit-exact equality of two gradient vectors — the

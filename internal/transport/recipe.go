@@ -9,6 +9,13 @@ import (
 	"fifl/internal/rng"
 )
 
+// The recipe's fixed model and training shape: an MLP with one hidden
+// layer of recipeHidden units, each worker taking one local step of batch
+// 32 at learning rate 0.05 per round.
+const recipeHidden = 16
+
+var recipeLocal = fl.LocalConfig{K: 1, BatchSize: 32, LR: 0.05}
+
 // Recipe is a deterministic federation specification every node can
 // rebuild locally from the shared seed: the synthetic digits task, an MLP
 // model, and an IID partition of the training data. Because the rng
@@ -24,52 +31,33 @@ type Recipe struct {
 	Workers int
 	// SamplesPerWorker sizes each local dataset.
 	SamplesPerWorker int
-	// Local controls worker-side training; zero fields take defaults
-	// (K=1, BatchSize=32, LR=0.05).
-	Local fl.LocalConfig
-	// Hidden is the MLP's hidden layout (nil = [16]).
-	Hidden []int
 }
 
-// normalized fills defaults and validates.
-func (r Recipe) normalized() (Recipe, error) {
+// validate reports whether the recipe describes a buildable federation.
+func (r Recipe) validate() error {
 	if r.Workers <= 0 {
-		return r, fmt.Errorf("transport: Recipe.Workers must be positive, got %d", r.Workers)
+		return fmt.Errorf("transport: Recipe.Workers must be positive, got %d", r.Workers)
 	}
 	if r.SamplesPerWorker <= 0 {
-		return r, fmt.Errorf("transport: Recipe.SamplesPerWorker must be positive, got %d", r.SamplesPerWorker)
+		return fmt.Errorf("transport: Recipe.SamplesPerWorker must be positive, got %d", r.SamplesPerWorker)
 	}
-	if r.Local.K == 0 {
-		r.Local.K = 1
-	}
-	if r.Local.BatchSize == 0 {
-		r.Local.BatchSize = 32
-	}
-	if r.Local.LR == 0 {
-		r.Local.LR = 0.05
-	}
-	if r.Hidden == nil {
-		r.Hidden = []int{16}
-	}
-	return r, nil
+	return nil
 }
 
 // Builder returns the shared model builder; every node must construct its
 // replicas from it so shapes and initializations agree.
 func (r Recipe) Builder() (nn.Builder, error) {
-	r, err := r.normalized()
-	if err != nil {
+	if err := r.validate(); err != nil {
 		return nil, err
 	}
-	return nn.NewMLP(r.Seed, 28*28, r.Hidden, 10), nil
+	return nn.NewMLP(r.Seed, 28*28, []int{recipeHidden}, 10), nil
 }
 
 // Worker rebuilds federation slot i: the full training set is regenerated
 // and partitioned exactly as every other node does it, then slot i's part
 // backs an honest worker with its own deterministic stream.
 func (r Recipe) Worker(i int) (fl.Worker, error) {
-	r, err := r.normalized()
-	if err != nil {
+	if err := r.validate(); err != nil {
 		return nil, err
 	}
 	if i < 0 || i >= r.Workers {
@@ -82,18 +70,18 @@ func (r Recipe) Worker(i int) (fl.Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fl.NewHonestWorker(i, parts[i], build, r.Local, src), nil
+	return fl.NewHonestWorker(i, parts[i], build, recipeLocal, src), nil
 }
 
 // AllWorkers rebuilds every federation slot (the in-process reference
 // configuration the loopback tests compare against).
 func (r Recipe) AllWorkers() ([]fl.Worker, error) {
-	r, err := r.normalized()
-	if err != nil {
+	if err := r.validate(); err != nil {
 		return nil, err
 	}
 	out := make([]fl.Worker, r.Workers)
 	for i := range out {
+		var err error
 		if out[i], err = r.Worker(i); err != nil {
 			return nil, err
 		}
@@ -103,8 +91,7 @@ func (r Recipe) AllWorkers() ([]fl.Worker, error) {
 
 // TestSet generates the shared held-out evaluation set.
 func (r Recipe) TestSet(n int) (*dataset.Dataset, error) {
-	r, err := r.normalized()
-	if err != nil {
+	if err := r.validate(); err != nil {
 		return nil, err
 	}
 	if n <= 0 {

@@ -242,6 +242,22 @@ grep -q 'mode=async' "$BIN/async-sim.log"
 grep -q 'stale 1' "$BIN/async-sim.log"
 grep -q 'pending' "$BIN/async-sim.log"
 
+# In-process async kill-and-resume: the same federation checkpointed after
+# advance 3 — the checkpoint carrying the collector's model-history window
+# — and resumed must end on a checkpoint byte-identical to the
+# uninterrupted run's.
+ASYNC_COMMON="-workers 6 -samples 40 -seed 7 -async -advance-every 3 -max-staleness 2 -async-lag 5:4"
+# shellcheck disable=SC2086
+"$BIN/fifl-sim" $ASYNC_COMMON -rounds 6 -checkpoint "$BIN/async-ref.ckpt" > /dev/null
+# shellcheck disable=SC2086
+"$BIN/fifl-sim" $ASYNC_COMMON -rounds 3 -checkpoint "$BIN/async-half.ckpt" > /dev/null
+# shellcheck disable=SC2086
+"$BIN/fifl-sim" $ASYNC_COMMON -rounds 6 \
+    -resume "$BIN/async-half.ckpt" -checkpoint "$BIN/async-half.ckpt" \
+    > "$BIN/async-resume.log"
+grep -q 'resumed from' "$BIN/async-resume.log"
+cmp "$BIN/async-ref.ckpt" "$BIN/async-half.ckpt"
+
 # Networked: any-time submits over HTTP, a worker-side report decode of
 # the new statuses, and a client-verified audit ledger.
 AS_PORT=7394
