@@ -52,7 +52,7 @@ func run() error {
 		outFile    = flag.String("out", "", "write the ranked CSV to this file (default: stdout)")
 		reportFile = flag.String("report", "", "write the federation report to this file (default: stderr)")
 		tol        = flag.Float64("tol", 1e-9, "reward audit tolerance: recorded vs recomputed disagreement beyond this flags the round")
-		verify     = flag.Bool("verify", false, "verify the chain's hashes and signatures before folding")
+		verify     = flag.Bool("verify", false, "verify the chain's hashes and seals before folding")
 		dumpConf   = flag.Bool("print-config", false, "print the built-in scoring configuration and exit")
 		listFields = flag.Bool("fields", false, "list every scoreable field and exit")
 	)

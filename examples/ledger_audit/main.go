@@ -1,10 +1,11 @@
 // Ledger audit: the paper's §4.5 accountability story end to end. A FIFL
-// federation trains while every assessment is written to the signed
-// hash-chain ledger. A malicious server then tries two manipulations:
-// rewriting history (defeated by hash-chain verification) and appending a
-// forged reputation record to whitewash an attacker (defeated by the task
-// publisher's audit recomputation, which traces the forgery to its signer
-// and bans the device from server election).
+// federation trains while every assessment is written to the hash-chain
+// ledger, each round sealed with one signature per executing server. A
+// malicious server then tries two manipulations: rewriting history
+// (defeated by hash-chain verification) and appending a forged reputation
+// record to whitewash an attacker (defeated by the task publisher's audit
+// recomputation, which traces the forgery to its signer and bans the
+// device from server election).
 package main
 
 import (
@@ -37,18 +38,25 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("ran %d rounds; ledger holds %d signed blocks\n", sc.TrainRounds, coord.Ledger.Len())
+	seals := 0
+	for i := 0; i < coord.Ledger.Len(); i++ {
+		if b, err := coord.Ledger.Block(i); err == nil && len(b.Signature) > 0 {
+			seals++
+		}
+	}
+	fmt.Printf("ran %d rounds; ledger holds %d blocks under %d seals\n", sc.TrainRounds, coord.Ledger.Len(), seals)
 	fmt.Printf("attacker (worker %d) reputation on chain: %.3f\n\n", attacker, coord.Rep.Reputation(attacker))
 
-	// 1. History is tamper-evident: verification walks hashes+signatures.
+	// 1. History is tamper-evident: verification checks every hash link and
+	// every seal.
 	if err := coord.Ledger.Verify(); err != nil {
 		log.Fatalf("fresh ledger failed verification: %v", err)
 	}
-	fmt.Println("✔ full-chain verification passed (hash links + ed25519 signatures)")
+	fmt.Println("✔ full-chain verification passed (hash links + ed25519 seals)")
 
 	// 2. A compromised server tries to whitewash the attacker by appending
 	// a forged high-reputation record. Appends are the only write the
-	// chain accepts — and they are signed, so the forgery is attributable.
+	// chain accepts — and they are sealed, so the forgery is attributable.
 	forged := chain.Record{
 		Kind:      chain.KindReputation,
 		Iteration: sc.TrainRounds - 1,

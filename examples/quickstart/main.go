@@ -77,5 +77,5 @@ func main() {
 	if err := coord.Ledger.Verify(); err != nil {
 		log.Fatalf("ledger verification failed: %v", err)
 	}
-	fmt.Printf("\naudit ledger intact: %d signed blocks\n", coord.Ledger.Len())
+	fmt.Printf("\naudit ledger intact: %d sealed blocks\n", coord.Ledger.Len())
 }

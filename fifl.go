@@ -576,8 +576,8 @@ func ServeShardRoot(coord *Coordinator, hub *ShardHub) (*ShardServer, error) {
 // random-stream positions — so a resumed run continues bit for bit
 // identically to one that was never interrupted. Snapshots are CRC-framed
 // and written atomically (see internal/persist); restores verify the
-// embedded ledger's hash links and signatures and refuse checkpoints from
-// a different federation.
+// embedded ledger's hash links, hashes and round seals and refuse
+// checkpoints from a different federation.
 type (
 	// CheckpointSnapshot is the decoded between-rounds state of a
 	// federation.

@@ -16,22 +16,24 @@ import (
 // the ledger: the registered executor keys (sorted by name) followed by
 // every block in chain order, all little-endian. Unlike MarshalJSON it
 // carries the public keys, so a reader can verify the chain — hash links
-// and signatures — without any out-of-band state: that is what VerifyFrom
-// does, and what the transport's /v1/ledger endpoint serves to workers
-// auditing the coordinator over the wire.
+// and seals — without any out-of-band state: that is what VerifyFrom does,
+// and what the transport's /v1/ledger endpoint serves to workers auditing
+// the coordinator over the wire.
 
-// binaryMagic identifies the export format and its version.
-const binaryMagic = "FIFLCHN1"
+// binaryMagic identifies the export format and its version. Version 2
+// carries sealed rounds; the per-record signatures of version 1 are not
+// read.
+const binaryMagic = "FIFLCHN2"
 
 // Layout, every integer little-endian, every variable field a u16 length
 // followed by that many bytes:
 //
-//	"FIFLCHN1"
+//	"FIFLCHN2"
 //	u32 executors, then per executor (sorted by name): name, public key
 //	u32 blocks, then per block:
 //	    u32 index | 32 B prev hash | 32 B hash | kind |
 //	    u64 iteration | u64 worker | u64 float64 bits of value |
-//	    executor | signature
+//	    executor | signature (empty unless the block is a seal)
 //
 // blockFixedLen is what a block occupies beyond the bytes of its three
 // variable fields.
@@ -55,17 +57,17 @@ func (l *Ledger) WriteBinary(w io.Writer) error { return l.WriteBinaryFrom(w, 0)
 func (l *Ledger) WriteBinaryFrom(w io.Writer, from int) error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if from < 0 || from > len(l.blocks) {
-		return fmt.Errorf("chain: export offset %d out of range [0,%d]", from, len(l.blocks))
+	if from < 0 || from > l.blocks.len() {
+		return fmt.Errorf("chain: export offset %d out of range [0,%d]", from, l.blocks.len())
 	}
-	// A typical block is about 170 bytes, so the slack keeps the buffer
-	// from regrowing between flushes.
+	// A seal is about 180 bytes, so the slack keeps the buffer from
+	// regrowing between flushes.
 	buf, err := l.appendExportHeader(make([]byte, 0, exportChunk+512), from)
 	if err != nil {
 		return err
 	}
-	for i := from; i < len(l.blocks); i++ {
-		if buf, err = appendBlock(buf, &l.blocks[i]); err != nil {
+	for i := from; i < l.blocks.len(); i++ {
+		if buf, err = appendBlock(buf, l.blocks.at(i)); err != nil {
 			return err
 		}
 		if len(buf) >= exportChunk {
@@ -87,20 +89,20 @@ func (l *Ledger) WriteBinaryFrom(w io.Writer, from int) error {
 func (l *Ledger) MarshalBinary() ([]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	size := len(binaryMagic) + 4 + 4 + blockFixedLen*len(l.blocks)
+	size := len(binaryMagic) + 4 + 4 + blockFixedLen*l.blocks.len()
 	for name, key := range l.keys {
 		size += 2 + len(name) + 2 + len(key)
 	}
-	for i := range l.blocks {
-		b := &l.blocks[i]
+	for i := range l.blocks.len() {
+		b := l.blocks.at(i)
 		size += len(b.Record.Kind) + len(b.Record.Executor) + len(b.Signature)
 	}
 	buf, err := l.appendExportHeader(make([]byte, 0, size), 0)
 	if err != nil {
 		return nil, err
 	}
-	for i := range l.blocks {
-		if buf, err = appendBlock(buf, &l.blocks[i]); err != nil {
+	for i := range l.blocks.len() {
+		if buf, err = appendBlock(buf, l.blocks.at(i)); err != nil {
 			return nil, err
 		}
 	}
@@ -127,7 +129,7 @@ func (l *Ledger) appendExportHeader(dst []byte, from int) ([]byte, error) {
 			return nil, fmt.Errorf("chain: writing key of %q: %w", name, err)
 		}
 	}
-	return binary.LittleEndian.AppendUint32(dst, uint32(len(l.blocks)-from)), nil
+	return binary.LittleEndian.AppendUint32(dst, uint32(l.blocks.len()-from)), nil
 }
 
 // appendBlock appends one block's serialization.
@@ -175,8 +177,8 @@ func ReadBinary(r io.Reader) (*Ledger, error) {
 			return l.RegisterExecutor(name, key)
 		},
 		func(b Block) error {
-			if b.Index != len(l.blocks) {
-				return fmt.Errorf("chain: block %d carries index %d", len(l.blocks), b.Index)
+			if b.Index != l.blocks.len() {
+				return fmt.Errorf("chain: block %d carries index %d", l.blocks.len(), b.Index)
 			}
 			l.push(b)
 			return nil
@@ -200,8 +202,8 @@ func StreamBinary(r io.Reader, fn func(Block) error) error {
 
 // StreamBinaryKeys is StreamBinary with access to the export's executor
 // key table: keyFn (if non-nil) is invoked once per registered executor,
-// before any block, so a streaming consumer can verify block signatures as
-// they pass.
+// before any block, so a streaming consumer holds what it needs to check
+// the seals of the blocks that pass.
 func StreamBinaryKeys(r io.Reader, keyFn func(name string, pub ed25519.PublicKey) error, fn func(Block) error) error {
 	next := -1
 	err := streamExport(r, keyFn, func(b Block) error {
@@ -230,6 +232,9 @@ func streamExport(r io.Reader, keyFn func(string, ed25519.PublicKey) error, fn f
 		return fmt.Errorf("chain: reading export header: %w", err)
 	}
 	if string(head) != binaryMagic {
+		if bytes.HasPrefix(head, []byte(binaryMagic[:len(binaryMagic)-1])) {
+			return fmt.Errorf("chain: export version %q is not %q, the only one this build reads", head, binaryMagic)
+		}
 		return fmt.Errorf("chain: bad export header %q", head)
 	}
 	nKeys, err := er.u32()
@@ -337,8 +342,8 @@ func (r *exportReader) str() (string, error) {
 	return s, nil
 }
 
-// block deserializes one block. Its signature is the one allocation: the
-// caller may keep it.
+// block deserializes one block. A seal's signature is the one allocation:
+// the caller may keep it.
 func (r *exportReader) block() (Block, error) {
 	var b Block
 	idx, err := r.u32()
@@ -378,7 +383,7 @@ func (r *exportReader) block() (Block, error) {
 }
 
 // VerifyFrom reads a binary export and verifies the reconstructed chain —
-// hash links, executor signatures and block hashes — returning the number
+// hash links, block hashes and seals — returning the number
 // of intact blocks. It is the round trip the /v1/ledger endpoint serves:
 // a worker can audit the coordinator's ledger from the wire bytes alone.
 func VerifyFrom(r io.Reader) (blocks int, err error) {

@@ -1,8 +1,10 @@
 package chain
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -73,6 +75,28 @@ func TestRegisterConflictingKeyFails(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsMalformedKey: a key that is not an ed25519 public key
+// is refused. Accepted, it made the next Verify panic inside a verifying
+// goroutine (ed25519.Verify panics on a bad key length), which took the
+// process down; refused, the executor's blocks fail as unknown.
+func TestRegisterRejectsMalformedKey(t *testing.T) {
+	s := signer("srv-0", 1)
+	for _, n := range []int{0, 1, ed25519.PublicKeySize - 1, ed25519.PublicKeySize + 1, ed25519.PrivateKeySize} {
+		l := newTestLedger(t)
+		regErr := l.RegisterExecutor(s.Name, make([]byte, n))
+		l.push(Block{Record: Record{Kind: KindReward, Executor: s.Name}, Signature: make([]byte, ed25519.SignatureSize)})
+		if err := l.Verify(); !errors.Is(err, ErrTampered) || !strings.Contains(err.Error(), "unknown executor") {
+			t.Fatalf("%d-byte key: Verify = %v, want an unknown executor", n, err)
+		}
+		if regErr == nil {
+			t.Fatalf("a %d-byte key was registered", n)
+		}
+		if err := l.RegisterExecutor(s.Name, s.Public()); err != nil {
+			t.Fatalf("the well-formed key after a %d-byte one: %v", n, err)
+		}
+	}
+}
+
 func TestTamperedValueDetected(t *testing.T) {
 	s := signer("srv-0", 1)
 	l := newTestLedger(t, s)
@@ -80,7 +104,7 @@ func TestTamperedValueDetected(t *testing.T) {
 		mustAppend(t, l, s, Record{Kind: KindReputation, Iteration: i, WorkerID: 0, Value: 0.5})
 	}
 	// Tamper with a block's record directly.
-	l.blocks[2].Record.Value = 0.99
+	l.blocks.at(2).Record.Value = 0.99
 	err := l.Verify()
 	if err == nil {
 		t.Fatal("tampering must be detected")
@@ -96,7 +120,7 @@ func TestTamperedHashLinkDetected(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustAppend(t, l, s, Record{Kind: KindDetection, Iteration: i, Value: 1})
 	}
-	l.blocks[3].PrevHash[0] ^= 0xff
+	l.blocks.at(3).PrevHash[0] ^= 0xff
 	if err := l.Verify(); !errors.Is(err, ErrTampered) {
 		t.Fatalf("broken hash link must be detected, got %v", err)
 	}
@@ -106,7 +130,7 @@ func TestForgedSignatureDetected(t *testing.T) {
 	s := signer("srv-0", 1)
 	l := newTestLedger(t, s)
 	mustAppend(t, l, s, Record{Kind: KindDetection, Value: 1})
-	l.blocks[0].Signature[0] ^= 0xff
+	l.blocks.at(0).Signature[0] ^= 0xff
 	if err := l.Verify(); !errors.Is(err, ErrTampered) {
 		t.Fatalf("forged signature must be detected, got %v", err)
 	}

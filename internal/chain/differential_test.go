@@ -3,12 +3,15 @@ package chain
 import (
 	"bytes"
 	"crypto/ed25519"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,8 +28,9 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// signedLedger appends n records in the coordinator's round shape, signed
-// alternately by two registered executors.
+// signedLedger appends n records written alternately by two registered
+// executors, in batches of ten, so each batch of two or more records ends
+// with two seals.
 func signedLedger(t testing.TB, n int) *Ledger {
 	t.Helper()
 	signers, recs := batchFixture(n)
@@ -36,14 +40,40 @@ func signedLedger(t testing.TB, n int) *Ledger {
 			t.Fatal(err)
 		}
 	}
-	if err := l.AppendBatch(signers, recs); err != nil {
-		t.Fatal(err)
+	for lo := 0; lo < n; lo += 10 {
+		hi := min(lo+10, n)
+		if err := l.AppendBatch(signers[lo:hi], recs[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return l
 }
 
+// rehash recomputes the stored hashes from block i to the tip, and the hash
+// links from block i+1 on, as a forger rewriting history would: only the
+// seals can then tell.
+func rehash(l *Ledger, i int) {
+	for j := i; j < l.blocks.len(); j++ {
+		b := l.blocks.at(j)
+		if j > i {
+			b.PrevHash = l.blocks.at(j - 1).Hash
+		}
+		b.Hash = sha256.Sum256(append(append(b.PrevHash[:], b.Record.payload()...), b.Signature...))
+	}
+}
+
+// forgeSignature flips a bit of a seal's signature, and gives a block
+// without one a signature of 64 zero bytes but one.
+func forgeSignature(b *Block, bit int) {
+	if len(b.Signature) == 0 {
+		b.Signature = make([]byte, ed25519.SignatureSize)
+	}
+	b.Signature[bit/8%len(b.Signature)] ^= 1 << (bit % 8)
+}
+
 // tamperings are the six mutations of TestRandomTamperAlwaysDetected plus
-// an executor swap, an unknown executor and a wrong stored hash.
+// an executor swap, an unknown executor, a wrong stored hash, and a seal
+// stripped of its signature or a block given a malformed one.
 var tamperings = []struct {
 	name  string
 	apply func(b *Block)
@@ -53,7 +83,7 @@ var tamperings = []struct {
 	{"iteration", func(b *Block) { b.Record.Iteration += 3 }},
 	{"kind", func(b *Block) { b.Record.Kind = KindElection }},
 	{"prev hash", func(b *Block) { b.PrevHash[7] ^= 1 << 3 }},
-	{"signature", func(b *Block) { b.Signature[11] ^= 1 << 5 }},
+	{"signature", func(b *Block) { forgeSignature(b, 93) }},
 	{"executor swap", func(b *Block) {
 		if b.Record.Executor == "srv-0" {
 			b.Record.Executor = "srv-1"
@@ -63,6 +93,13 @@ var tamperings = []struct {
 	}},
 	{"unknown executor", func(b *Block) { b.Record.Executor = "srv-ghost" }},
 	{"stored hash", func(b *Block) { b.Hash[31] ^= 1 }},
+	{"seal dropped or malformed", func(b *Block) {
+		if len(b.Signature) > 0 {
+			b.Signature = nil
+		} else {
+			b.Signature = []byte{1}
+		}
+	}},
 }
 
 // chunkEdges returns the first and last index of every chunk of verifyGrain
@@ -80,15 +117,19 @@ func chunkEdges(n int) []int {
 }
 
 // TestVerifyMatchesSerialReference: whatever is tampered with, wherever —
-// at the edges of the chunks the blocks are handed out in, in one block or
-// in two at once — Verify returns the serial walk's error, to the letter.
-// tier1.sh runs it under -race at -cpu 1,2,4: the inline path, and two and
-// four goroutines claiming the chunks in whatever order they get to them.
+// at the edges of the chunks the blocks are handed out in and at every
+// seal, in one block or in two at once, with the stored hashes left alone
+// or recomputed from the tampered block on — Verify returns the serial
+// walk's error, to the letter, and so does the fan-out across the cores
+// that longer chains get. tier1.sh runs it under -race at -cpu 1,2,4: the
+// inline path, and two and four goroutines claiming the chunks in
+// whatever order they get to them.
 func TestVerifyMatchesSerialReference(t *testing.T) {
 	// Chains that end a block before, at and a block after a chunk
 	// boundary, with one chunk and with several, and one whose last chunk
-	// is half full. (Short chains keep the test affordable under the race
-	// detector, which slows ed25519 tenfold.)
+	// is half full; batches of ten put seals all along them. (Short chains
+	// keep the test affordable under the race detector, which slows
+	// ed25519 tenfold.)
 	const g = verifyGrain
 	for _, n := range []int{0, 1, g - 1, g, g + 1, 63, 64, 65, 3*g + 7} {
 		l := signedLedger(t, n)
@@ -98,23 +139,51 @@ func TestVerifyMatchesSerialReference(t *testing.T) {
 			if got != want {
 				t.Fatalf("%d blocks, %s: Verify = %q, the serial walk = %q", n, what, got, want)
 			}
+			// These chains are too short for Verify to fan out, so it
+			// checks them inline; check them across the cores too.
+			l.mu.RLock()
+			fanned := errText(l.verify(l.planBatches(), runtime.GOMAXPROCS(0)))
+			l.mu.RUnlock()
+			if fanned != want {
+				t.Fatalf("%d blocks, %s: Verify across the cores = %q, the serial walk = %q", n, what, fanned, want)
+			}
 			if (what == "intact") != (want == "<nil>") {
 				t.Fatalf("%d blocks, %s: the serial walk = %q", n, what, want)
 			}
 		}
-		tamper := func(i, how int) (undo func()) {
-			saved := l.blocks[i]
-			saved.Signature = bytes.Clone(saved.Signature)
-			tamperings[how].apply(&l.blocks[i])
-			return func() { l.blocks[i] = saved }
+		tamper := func(i, how int, rehashed bool) (undo func()) {
+			saved := l.blocks.list()[i:]
+			for k := range saved {
+				saved[k].Signature = bytes.Clone(saved[k].Signature)
+			}
+			tamperings[how].apply(l.blocks.at(i))
+			if rehashed {
+				rehash(l, i)
+			}
+			return func() {
+				for k, b := range saved {
+					*l.blocks.at(i + k) = b
+				}
+			}
 		}
 		compare("intact")
 		edges := chunkEdges(n)
+		for i, b := range l.blocks.list() {
+			if len(b.Signature) > 0 && !slices.Contains(edges, i) {
+				edges = append(edges, i)
+			}
+		}
+		slices.Sort(edges)
 		for _, i := range edges {
 			for how, m := range tamperings {
-				undo := tamper(i, how)
-				compare(fmt.Sprintf("%s of block %d", m.name, i))
-				undo()
+				for _, rehashed := range []bool{false, true} {
+					if rehashed && m.name == "stored hash" {
+						continue // recomputing the hash undoes it
+					}
+					undo := tamper(i, how, rehashed)
+					compare(fmt.Sprintf("%s of block %d (rehashed %v)", m.name, i, rehashed))
+					undo()
+				}
 			}
 		}
 		how := 0
@@ -122,7 +191,7 @@ func TestVerifyMatchesSerialReference(t *testing.T) {
 			for _, j := range edges[a+1:] {
 				first, second := how%len(tamperings), (how/len(tamperings)+how)%len(tamperings)
 				how++
-				undoI, undoJ := tamper(i, first), tamper(j, second)
+				undoI, undoJ := tamper(i, first, false), tamper(j, second, false)
 				compare(fmt.Sprintf("%s of block %d with %s of block %d", tamperings[first].name, i, tamperings[second].name, j))
 				undoJ()
 				undoI()
@@ -132,12 +201,12 @@ func TestVerifyMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestLowestFailureChecksEachIndexOnce is the "exactly one signature check
-// per block per Verify" count: Verify hands lowestFailure checkBlock, which
-// runs ed25519.Verify once, so it is enough that lowestFailure calls its
-// check once for every index of an intact range — no gaps, no overlaps, no
-// sampling — never twice for any index, and on every index up to the
-// lowest failure, whose error it returns.
+// TestLowestFailureChecksEachIndexOnce is the "every block checked once
+// per Verify" count: Verify hands lowestFailure checkBlock, which hashes
+// its block once and checks a seal's signature once, so it is enough that
+// lowestFailure calls its check once for every index of an intact range —
+// no gaps, no overlaps, no sampling — never twice for any index, and on
+// every index up to the lowest failure, whose error it returns.
 func TestLowestFailureChecksEachIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, verifyGrain - 1, verifyGrain, verifyGrain + 1, 63, 64, 65, 1000, 4099} {
 		for _, failing := range [][]int{nil, {0}, {n - 1}, {n / 2, n/2 + 1}, {n / 3, n - 1}, {n - 1, 0}} {
@@ -150,7 +219,7 @@ func TestLowestFailureChecksEachIndexOnce(t *testing.T) {
 				}
 			}
 			visits := make([]atomic.Int32, n)
-			err := lowestFailure(n, func(i int, _ *[]byte) error {
+			err := lowestFailure(n, runtime.GOMAXPROCS(0), func(i int, _ *[]byte) error {
 				visits[i].Add(1)
 				if fails[i] {
 					return fmt.Errorf("index %d", i)
@@ -288,7 +357,7 @@ func TestWriterMatchesBinaryWriteReference(t *testing.T) {
 	check := func(label string, l *Ledger, from int) {
 		t.Helper()
 		var want, got bytes.Buffer
-		wantErr, gotErr := refWriteBinaryFrom(l, &want, from), l.WriteBinaryFrom(&got, from)
+		wantErr, gotErr := refWriteBinaryFrom(binaryMagic, l, &want, from), l.WriteBinaryFrom(&got, from)
 		if errText(gotErr) != errText(wantErr) {
 			t.Fatalf("%s from %d: error %v, the reference's %v", label, from, gotErr, wantErr)
 		}
@@ -319,10 +388,10 @@ func TestWriterMatchesBinaryWriteReference(t *testing.T) {
 
 	// Fields past the u16 range fail with the reference's message.
 	l := unsignedLedger(t, rng.New(9), 5)
-	l.blocks[3].Record.Kind = RecordKind(strings.Repeat("k", math.MaxUint16+1))
+	l.blocks.at(3).Record.Kind = RecordKind(strings.Repeat("k", math.MaxUint16+1))
 	check("oversized kind", l, 0)
-	l.blocks[3].Record.Kind = KindReward
-	l.blocks[4].Signature = make([]byte, math.MaxUint16+1)
+	l.blocks.at(3).Record.Kind = KindReward
+	l.blocks.at(4).Signature = make([]byte, math.MaxUint16+1)
 	check("oversized signature", l, 2)
 	l = NewLedger()
 	if err := l.RegisterExecutor(strings.Repeat("n", math.MaxUint16+1), make([]byte, 32)); err != nil {
@@ -332,7 +401,7 @@ func TestWriterMatchesBinaryWriteReference(t *testing.T) {
 }
 
 // TestGoldenExportRoundTrips: the committed export of the scoring fixture
-// is rewritten byte for byte, so no pinned ledger bytes had to change.
+// verifies and is rewritten byte for byte.
 func TestGoldenExportRoundTrips(t *testing.T) {
 	golden, err := os.ReadFile("../score/testdata/golden_ledger.bin")
 	if err != nil {
@@ -351,6 +420,97 @@ func TestGoldenExportRoundTrips(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), golden) {
 		t.Fatalf("golden export of %d bytes re-exports as %d different bytes", len(golden), out.Len())
+	}
+}
+
+// records lists a ledger's (kind, iteration, worker, value, executor)
+// tuples in chain order.
+func records(l *Ledger) []Record {
+	var out []Record
+	_ = l.Scan("", func(r Record) error {
+		out = append(out, r)
+		return nil
+	})
+	return out
+}
+
+// TestSealedGoldenHoldsV1Records: the version 1 golden export, committed
+// before sealed rounds and read by the version 1 reader, and the
+// regenerated version 2 golden hold the same record tuples in the same
+// order; each verifies under its own version's rule, and the shipped
+// reader refuses the version 1 bytes, naming the version.
+func TestSealedGoldenHoldsV1Records(t *testing.T) {
+	v1, err := os.ReadFile("testdata/golden_ledger_v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := NewLedger()
+	err = refStreamExport(v1Magic, bytes.NewReader(v1), old.RegisterExecutor, func(b Block) error {
+		old.push(b)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := refVerifyV1(old); err != nil {
+		t.Fatalf("version 1 golden: %v", err)
+	}
+	v2, err := os.ReadFile("../score/testdata/golden_ledger.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := ReadBinary(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sealed.Verify(); err != nil {
+		t.Fatalf("version 2 golden: %v", err)
+	}
+	if got, want := records(sealed), records(old); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the version 2 golden holds %d records that differ from the version 1 golden's %d", len(got), len(want))
+	}
+	if _, err := ReadBinary(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), `"FIFLCHN1"`) {
+		t.Fatalf("reading a version 1 export: %v, want an error naming the version", err)
+	}
+}
+
+// TestSealedLedgerHoldsV1Records: the same (signer, record) pairs written
+// by the version 1 per-record signer and by AppendBatch give ledgers that
+// hold the same tuples and each verify under their own rule, with one
+// signature per executor per batch instead of one per record; neither
+// verifies under the other's rule.
+func TestSealedLedgerHoldsV1Records(t *testing.T) {
+	signers, recs := batchFixture(60)
+	old := newTestLedger(t, signers[0], signers[1])
+	sealed := newTestLedger(t, signers[0], signers[1])
+	for lo := 0; lo < len(recs); lo += 20 {
+		for i := lo; i < lo+20; i++ {
+			refAppendV1(old, signers[i], recs[i])
+		}
+		if err := sealed.AppendBatch(signers[lo:lo+20], recs[lo:lo+20]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := refVerifyV1(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := sealed.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(records(sealed), records(old)) {
+		t.Fatal("the sealed ledger's records differ from the version 1 ledger's")
+	}
+	seals := 0
+	for _, b := range sealed.blocks.list() {
+		if len(b.Signature) > 0 {
+			seals++
+		}
+	}
+	if seals != 2*3 {
+		t.Fatalf("3 batches by 2 executors carry %d seals, want 6", seals)
+	}
+	if refVerifyV1(sealed) == nil || !errors.Is(old.Verify(), ErrTampered) {
+		t.Fatal("a ledger verified under the other version's rule")
 	}
 }
 
@@ -400,7 +560,15 @@ func diffReaders(in []byte) string {
 			}))
 		return p
 	}
-	want, got := parse(refStreamExport), parse(streamExport)
+	want := parse(func(r io.Reader, keyFn func(string, ed25519.PublicKey) error, fn func(Block) error) error {
+		return refStreamExport(binaryMagic, r, keyFn, fn)
+	})
+	got := parse(streamExport)
+	if head := len(binaryMagic); len(in) >= head && string(in[:head-1]) == binaryMagic[:head-1] && string(in[:head]) != binaryMagic {
+		// Another version of the format: the reference knows one version
+		// and calls the header bad, the parser names the version.
+		want.err = fmt.Sprintf("chain: export version %q is not %q, the only one this build reads", in[:head], binaryMagic)
+	}
 	switch {
 	case got.err != want.err:
 		return fmt.Sprintf("parser error %q, the reference's %q", got.err, want.err)

@@ -18,24 +18,27 @@ import (
 // is TestReadBinaryAllocationBoundedByInput's: a fuzz worker's own
 // allocations make the counters useless here), must agree with the
 // reference parser on every block, key and error, and — when ReadBinary
-// accepts the input — the ledger must export to bytes that read back to
-// the same export, and to the input itself where the input is in the
-// writer's canonical form (keys sorted, nothing after the last block).
+// accepts the input — Verify must return the serial reference's verdict on
+// the ledger (the input decides where its batches begin and end), and the
+// ledger must export to bytes that read back to the same export, and to
+// the input itself where the input is in the writer's canonical form (keys
+// sorted, nothing after the last block).
 func FuzzStreamBinary(f *testing.F) {
 	empty, err := NewLedger().MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
-	// The golden export's key table and first blocks, re-framed: all 43 KB
-	// of it would have the fuzzer spend its time minimizing 43 KB mutants
-	// (TestGoldenExportRoundTrips covers the whole file).
+	// The golden export's key table and first round, one batch sealed by
+	// four executors, re-framed: all 30 KB of it would have the fuzzer
+	// spend its time minimizing 30 KB mutants (TestGoldenExportRoundTrips
+	// covers the whole file).
 	golden, err := os.ReadFile("../score/testdata/golden_ledger.bin")
 	if err != nil {
 		f.Fatal(err)
 	}
 	head := NewLedger()
 	err = StreamBinaryKeys(bytes.NewReader(golden), head.RegisterExecutor, func(b Block) error {
-		if b.Index == 6 {
+		if b.Record.Iteration > 0 {
 			return ErrStop
 		}
 		head.push(b)
@@ -43,6 +46,9 @@ func FuzzStreamBinary(f *testing.F) {
 	})
 	if err != nil {
 		f.Fatal(err)
+	}
+	if len(seals(head)) < 2 || head.Verify() != nil {
+		f.Fatalf("the golden's first round is not a sealed batch: %d seals, %v", len(seals(head)), head.Verify())
 	}
 	golden, err = head.MarshalBinary()
 	if err != nil {
@@ -56,7 +62,28 @@ func FuzzStreamBinary(f *testing.F) {
 	if err := signedLedger(f, 10).WriteBinaryFrom(&suffix, 4); err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range [][]byte{empty, golden, small, suffix.Bytes()} {
+	// Two batches of ten, each sealed by srv-0 and then srv-1 at its last
+	// two blocks, forged three ways with every hash recomputed around the
+	// forgery.
+	forged := func(forge func(l *Ledger)) []byte {
+		l := signedLedger(f, 20)
+		forge(l)
+		out, err := l.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return out
+	}
+	cut := forged(func(l *Ledger) { l.blocks.truncate(19) })
+	movedRound := forged(func(l *Ledger) {
+		l.blocks.at(18).Signature = l.blocks.at(8).Signature
+		rehash(l, 18)
+	})
+	movedExecutor := forged(func(l *Ledger) {
+		l.blocks.at(8).Record.Executor = "srv-1"
+		rehash(l, 8)
+	})
+	for _, seed := range [][]byte{empty, golden, small, suffix.Bytes(), cut, movedRound, movedExecutor} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		f.Add(seed[:len(seed)-1])
@@ -73,6 +100,9 @@ func FuzzStreamBinary(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if got, want := errText(l.Verify()), errText(refVerify(l)); got != want {
+			t.Fatalf("Verify = %q, the serial reference = %q", got, want)
 		}
 		out, err := l.MarshalBinary()
 		if err != nil {

@@ -1,0 +1,104 @@
+package chain
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// truncate drops the blocks from n on, as a forger cutting the chain short
+// would; the iteration index is left as it was.
+func (s *blockStore) truncate(n int) {
+	blocks := s.list()[:n]
+	*s = blockStore{}
+	for _, b := range blocks {
+		s.add(b)
+	}
+}
+
+// TestStoreAcrossChunks: a ledger several chunks long, written in batches
+// whose edges fall on neither side of a chunk edge, hands back every block
+// by index, in one list, in any span and through Query; it verifies inline
+// and across the cores, and an export of it reads back block for block.
+func TestStoreAcrossChunks(t *testing.T) {
+	n := 3*chunkLen + 7
+	signers, recs := batchFixture(n)
+	l := newTestLedger(t, signers[0], signers[1])
+	for lo := 0; lo < n; lo += 300 {
+		hi := min(lo+300, n)
+		if err := l.AppendBatch(signers[lo:hi], recs[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(l.blocks.chunks); got != 4 {
+		t.Fatalf("%d blocks in %d chunks, want 4", n, got)
+	}
+	list := l.blocks.list()
+	if len(list) != n || l.Len() != n {
+		t.Fatalf("list holds %d blocks and Len is %d, want %d", len(list), l.Len(), n)
+	}
+	for i := range n {
+		b, err := l.Block(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := recs[i]
+		want.Executor = signers[i].Name
+		if b.Index != i || b.Record != want || !reflect.DeepEqual(b, list[i]) {
+			t.Fatalf("block %d = %+v, want index %d and record %+v, as listed", i, b, i, want)
+		}
+	}
+	for _, r := range [][2]int{{0, n}, {chunkLen - 1, chunkLen + 1}, {chunkLen, 2 * chunkLen}, {5, n - 1}} {
+		var got []Block
+		for lo := r[0]; lo < r[1]; {
+			bs := l.blocks.span(lo, r[1])
+			got = append(got, bs...)
+			lo += len(bs)
+		}
+		if !reflect.DeepEqual(got, list[r[0]:r[1]]) {
+			t.Fatalf("the spans of [%d,%d) hold %d blocks that differ from the list's", r[0], r[1], len(got))
+		}
+	}
+	// batchFixture gives each iteration five consecutive records, so some
+	// iterations straddle a chunk edge.
+	for it := 0; 5*it < n; it++ {
+		got := l.Query("", it, -1)
+		for k, r := range got {
+			if r != list[5*it+k].Record {
+				t.Fatalf("Query(iteration %d) record %d = %+v, want %+v", it, k, r, list[5*it+k].Record)
+			}
+		}
+		if want := min(5, n-5*it); len(got) != want {
+			t.Fatalf("Query(iteration %d) returned %d records, want %d", it, len(got), want)
+		}
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.RLock()
+	err := l.verify(l.planBatches(), runtime.GOMAXPROCS(0))
+	l.mu.RUnlock()
+	if err != nil {
+		t.Fatalf("Verify across the cores: %v", err)
+	}
+	export, err := l.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadBinary(bytes.NewReader(export))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := back.blocks.list()
+	if len(got) != n {
+		t.Fatalf("the export read back holds %d blocks, want %d", len(got), n)
+	}
+	for i, b := range got {
+		// The reader gives an unsealed block an empty signature, not nil.
+		w := list[i]
+		if b.Index != w.Index || b.PrevHash != w.PrevHash || b.Record != w.Record || b.Hash != w.Hash || !bytes.Equal(b.Signature, w.Signature) {
+			t.Fatalf("block %d read back as %+v, want %+v", i, b, w)
+		}
+	}
+}

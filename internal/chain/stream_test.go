@@ -13,10 +13,14 @@ import (
 // exactly the blocks ReadBinary materializes, in order, bit for bit.
 func TestStreamBinaryMatchesReadBinary(t *testing.T) {
 	l, signers := buildLedger(t)
+	var batch []*Signer
+	var recs []Record
 	for i := 0; i < 40; i++ {
-		if _, err := l.Append(signers[i%2], Record{Kind: KindReward, Iteration: i / 4, WorkerID: i % 4, Value: float64(i) / 7}); err != nil {
-			t.Fatal(err)
-		}
+		batch = append(batch, signers[i%2])
+		recs = append(recs, Record{Kind: KindReward, Iteration: i / 4, WorkerID: i % 4, Value: float64(i) / 7})
+	}
+	if err := l.AppendBatch(batch, recs); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := l.WriteBinary(&buf); err != nil {
@@ -56,13 +60,19 @@ func TestStreamBinaryMatchesReadBinary(t *testing.T) {
 			t.Fatalf("block %d differs between StreamBinary and ReadBinary", i)
 		}
 	}
-	// Signatures seen mid-stream verify against the streamed key table —
-	// the consumer-side spot check the collector's -verify mode performs.
-	for _, b := range streamed {
-		msg := append(b.PrevHash[:], b.Record.payload()...)
-		if !ed25519.Verify(keys[b.Record.Executor], msg, b.Signature) {
-			t.Fatalf("block %d signature does not verify from streamed keys", b.Index)
+	// The streamed key table and blocks are all it takes to verify the
+	// chain, seals included.
+	rebuilt := NewLedger()
+	for name, pub := range keys {
+		if err := rebuilt.RegisterExecutor(name, pub); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for _, b := range streamed {
+		rebuilt.push(b)
+	}
+	if err := rebuilt.Verify(); err != nil {
+		t.Fatalf("the streamed keys and blocks do not verify: %v", err)
 	}
 }
 
@@ -154,7 +164,7 @@ func TestStreamBinaryCorruptFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, idx := range []int{0, 1, 3} {
-		forged.blocks = append(forged.blocks, Block{
+		forged.blocks.add(Block{
 			Index:     idx,
 			Record:    Record{Kind: KindUpload, Executor: "x"},
 			Signature: make([]byte, ed25519.SignatureSize),
@@ -218,7 +228,7 @@ func syntheticExport(t testing.TB, n int) []byte {
 		}
 		b.Hash[0] = byte(i)
 		prev = b.Hash
-		l.blocks = append(l.blocks, b)
+		l.blocks.add(b)
 	}
 	var buf bytes.Buffer
 	if err := l.WriteBinary(&buf); err != nil {

@@ -207,7 +207,7 @@ func RestoreCoordinatorSnapshot(snap *persist.Snapshot, cfg CoordinatorConfig, e
 	}
 
 	// Rebuild the audit ledger from its export and prove it intact and
-	// ours: verification checks every hash link and signature, and
+	// ours: verification checks every hash link, hash and seal, and
 	// re-registering this federation's deterministic signer keys fails if
 	// the checkpoint was taken under different identities.
 	if len(snap.Ledger) > 0 {

@@ -346,12 +346,13 @@ func degradedDetection(n int) *DetectionResult {
 }
 
 // logRound writes this round's assessment records to the ledger. Each
-// record is signed by one of the executing servers and labeled with the
+// record is written by one of the executing servers and labeled with the
 // stable worker ID of its cohort slot, so ledger analytics survive
 // membership churn. The upload-status record makes the runtime's verdict
 // on each transmission auditable alongside the assessment that depended
 // on it. All 5n records go through one AppendBatch — a single lock
-// acquisition with the block store pre-grown — instead of 5n Append
+// acquisition with the block store pre-grown, and one seal per server
+// instead of one signature per record — instead of 5n Append
 // round-trips, which is what the large-n shard sweeps were blocked on.
 func (c *Coordinator) logRound(t int, rr *fl.RoundResult, det *DetectionResult, contrib *Contributions, reps, shares []float64) error {
 	m := len(c.servers)

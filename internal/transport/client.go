@@ -238,7 +238,7 @@ func (c *Client) FetchReport(ctx context.Context, round int) (codec.Report, erro
 }
 
 // VerifyLedger downloads the coordinator's audit chain and verifies it —
-// hash links and executor signatures — returning the block count. This is
+// hash links, hashes and executor seals — returning the block count. This is
 // the worker-side tamper check of §4.5 over the wire.
 func (c *Client) VerifyLedger(ctx context.Context) (blocks int, err error) {
 	body, err := c.get(ctx, "/v1/ledger")

@@ -70,7 +70,8 @@ go test -run TestPipelineAllocsFewerThanLegacy ./internal/core
 # without panicking and return the verdict and value of the per-field
 # decoder it replaced; the ledger export reader — fed by /v1/ledger
 # bodies and checkpoint ledger sections — must agree with its reference
-# parser and re-export what it accepts.
+# parser and re-export what it accepts, and Verify must return the serial
+# reference's verdict on it, wherever the input puts its batches and seals.
 go test -run='^$' -fuzz=FuzzDecodeUpload -fuzztime=5s ./internal/transport/codec
 go test -run='^$' -fuzz=FuzzDecodeWorkerFrames -fuzztime=5s ./internal/transport/codec
 go test -run='^$' -fuzz=FuzzDecodeShard -fuzztime=5s ./internal/transport/codec
@@ -85,6 +86,14 @@ trap 'rm -rf "$BIN"' EXIT
 go build -o "$BIN/fifl-sim" ./cmd/fifl-sim
 go build -o "$BIN/fifl-node" ./cmd/fifl-node
 "$BIN/fifl-sim" -workers 3 -rounds 1 -samples 40 -metrics | grep -q '^fifl_engine_rounds_total 1$'
+
+# Accountability smoke (§4.5): the forged-record story end to end — a
+# compromised server appends a forged reputation record under its own
+# seal, the task publisher's audit recomputation traces the forgery to it
+# by signature, and the device is banned from server election.
+go run ./examples/ledger_audit > "$BIN/ledger-audit.log"
+grep -q 'culprit traced by signature: device-001' "$BIN/ledger-audit.log"
+grep -q 'banned from server election: true' "$BIN/ledger-audit.log"
 
 # Ledger analytics gate: the seeded fixture run, checkpointed and scored
 # offline, must reproduce the committed golden CSV byte for byte with a
