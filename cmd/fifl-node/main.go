@@ -141,25 +141,23 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	so := serveOpts{
+		Listen: *listen, Rounds: *rounds, Servers: *servers, Shards: *shards, Quorum: *quorum,
+		WorkerTimeout: *wtmo, Sy: *sy, EvalEach: *evalEach, Linger: *linger,
+		CheckpointDir: *ckptDir, CheckpointEvery: *ckptN, HaltAfter: *haltAt,
+		Async: *async, MaxStaleness: *maxStale, AdvanceEvery: *advEvery, AdvanceInterval: *advIntvl,
+	}
 	var err error
 	switch *role {
 	case "coordinator":
-		err = runCoordinator(ctx, recipe, coordOpts{
-			Listen: *listen, Rounds: *rounds, Servers: *servers, Quorum: *quorum,
-			WorkerTimeout: *wtmo, Sy: *sy, EvalEach: *evalEach, Linger: *linger,
-			CheckpointDir: *ckptDir, CheckpointEvery: *ckptN, HaltAfter: *haltAt,
-			Async: *async, MaxStaleness: *maxStale, AdvanceEvery: *advEvery, AdvanceInterval: *advIntvl,
-		})
+		err = runCoordinator(ctx, recipe, so)
 	case "worker":
 		err = runWorker(ctx, recipe, workerOpts{
 			CoordURL: *coordURL, ID: *id, Join: *join, Compression: *comp, AuditEvery: *auditN, Audit: *audit,
 			Retries: *retries, RetryBackoff: *rbackoff,
 		})
 	case "root":
-		err = runRoot(ctx, recipe, rootOpts{
-			Listen: *listen, Rounds: *rounds, Servers: *servers, Shards: *shards,
-			Quorum: *quorum, Sy: *sy, EvalEach: *evalEach, Linger: *linger,
-		})
+		err = runRoot(ctx, recipe, so)
 	case "shard":
 		err = runShard(ctx, recipe, shardOpts{
 			RootURL: *shardOf, ID: *id, Shards: *shards,
@@ -171,11 +169,14 @@ func main() {
 	}
 }
 
-// coordOpts bundles the coordinator role's flags.
-type coordOpts struct {
+// serveOpts bundles the flags of the two serving roles, coordinator and
+// root. A root reads only some of them (roleFlags); the others keep their
+// defaults, which leave checkpoints, halting and async mode off.
+type serveOpts struct {
 	Listen          string
 	Rounds          int
 	Servers         int
+	Shards          int
 	Quorum          int
 	WorkerTimeout   time.Duration
 	Sy              float64
@@ -202,7 +203,7 @@ type workerOpts struct {
 	RetryBackoff time.Duration
 }
 
-func runCoordinator(ctx context.Context, recipe transport.Recipe, o coordOpts) error {
+func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) error {
 	if o.CheckpointEvery < 1 {
 		return fmt.Errorf("-checkpoint-every must be at least 1, got %d", o.CheckpointEvery)
 	}
@@ -270,14 +271,6 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o coordOpts) e
 	if err != nil {
 		return err
 	}
-	cfg := core.CoordinatorConfig{
-		Detection:      core.Detector{Threshold: o.Sy},
-		Reputation:     core.DefaultReputationConfig(),
-		Contribution:   core.ContributionConfig{BaselineWorker: -1},
-		RewardPerRound: 1,
-		RecordToLedger: true,
-	}
-
 	// -async swaps only the Collect stage: the hub accepts uploads for any
 	// already-broadcast round whenever they land, and each advance drains
 	// the queue on the count/time cadence. The collector must be built
@@ -311,7 +304,7 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o coordOpts) e
 		startRound int
 	)
 	if snap != nil {
-		coord, err = core.RestoreCoordinatorSnapshot(snap, cfg, engine, coordOpts...)
+		coord, err = core.RestoreCoordinatorSnapshot(snap, coordinatorConfig(o.Sy), engine, coordOpts...)
 		if err != nil {
 			return fmt.Errorf("restoring %s: %w", ckptPath, err)
 		}
@@ -322,12 +315,7 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o coordOpts) e
 		fmt.Printf("coordinator: resumed from %s at round %d\n", ckptPath, startRound)
 	}
 	if coord == nil {
-		initial := make([]int, o.Servers)
-		for i := range initial {
-			initial[i] = i
-		}
-		coord, err = core.NewCoordinator(cfg, engine, initial, coordOpts...)
-		if err != nil {
+		if coord, err = newCoordinator(o, engine, coordOpts...); err != nil {
 			return err
 		}
 	}
@@ -335,9 +323,60 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o coordOpts) e
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
+	return serve(ctx, recipe, o, serving{
+		name:     "coordinator",
+		waiting:  fmt.Sprintf("%d workers to register", recipe.Workers),
+		ready:    "federation ready",
+		srv:      srv,
+		coord:    coord,
+		start:    startRound,
+		ckptPath: ckptPath,
+	})
+}
 
-	httpSrv := &http.Server{Addr: o.Listen, Handler: srv.Handler()}
+// coordinatorConfig is the coordinator configuration both serving roles
+// run. It is fifl-node's own, not experiments.DefaultCoordinatorConfig:
+// it has no Clamp and no SmoothBH, and its ledger bytes depend on that.
+func coordinatorConfig(sy float64) core.CoordinatorConfig {
+	return core.CoordinatorConfig{
+		Detection:      core.Detector{Threshold: sy},
+		Reputation:     core.DefaultReputationConfig(),
+		Contribution:   core.ContributionConfig{BaselineWorker: -1},
+		RewardPerRound: 1,
+		RecordToLedger: true,
+	}
+}
+
+// newCoordinator starts a coordinator over engine with the initial server
+// cluster [0, Servers).
+func newCoordinator(o serveOpts, engine *fl.Engine, opts ...core.CoordinatorOption) (*core.Coordinator, error) {
+	initial := make([]int, o.Servers)
+	for i := range initial {
+		initial[i] = i
+	}
+	return core.NewCoordinator(coordinatorConfig(o.Sy), engine, initial, opts...)
+}
+
+// serving is one serving role's coordinator behind its server, with what
+// differs between the roles: the log prefix, what readiness waits for, and
+// the coordinator's resume round and checkpoint file (none for a root).
+type serving struct {
+	name     string // log prefix
+	waiting  string // what WaitReady waits for
+	ready    string // printed once it is ready
+	srv      *transport.Server
+	coord    *core.Coordinator
+	start    int    // the first round to run
+	ckptPath string // checkpoint file; "" = none
+}
+
+// serve is the serving roles' one path: listen, wait for every peer, run
+// the rounds through the server with a status line and an evaluation
+// each, then mark the federation done and keep serving its reports and
+// ledger for the linger period.
+func serve(ctx context.Context, recipe transport.Recipe, o serveOpts, r serving) error {
+	defer r.srv.Close()
+	httpSrv := &http.Server{Addr: o.Listen, Handler: r.srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	defer func() {
@@ -345,30 +384,31 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o coordOpts) e
 		defer cancel()
 		_ = httpSrv.Shutdown(sctx)
 	}()
-	fmt.Printf("coordinator: listening on %s, waiting for %d workers to register\n", o.Listen, recipe.Workers)
+	fmt.Printf("%s: listening on %s, waiting for %s\n", r.name, o.Listen, r.waiting)
 
-	if err := srv.WaitReady(ctx); err != nil {
+	if err := r.srv.WaitReady(ctx); err != nil {
 		select {
 		case serveErr := <-errc:
 			return fmt.Errorf("serving %s: %w", o.Listen, serveErr)
 		default:
-			return fmt.Errorf("waiting for workers: %w", err)
+			return fmt.Errorf("waiting for %s: %w", r.waiting, err)
 		}
 	}
-	fmt.Println("coordinator: federation ready")
+	fmt.Printf("%s: %s\n", r.name, r.ready)
 
 	test, err := recipe.TestSet(500)
 	if err != nil {
 		return err
 	}
-	for t := startRound; t < o.Rounds; t++ {
+	for t := r.start; t < o.Rounds; t++ {
 		// Queued join/leave handshakes land at round boundaries, mirroring
 		// the in-process contract that the cohort is stable within a round.
-		if n := srv.ProcessMembership(); n > 0 {
+		// A root mounts no membership endpoints, so it never has any.
+		if n := r.srv.ProcessMembership(); n > 0 {
 			fmt.Printf("round %2d: applied %d membership change(s), cohort now %d worker(s)\n",
-				t, n, len(coord.WorkerIDs()))
+				t, n, len(r.coord.WorkerIDs()))
 		}
-		rep, err := srv.RunRound(ctx, t)
+		rep, err := r.srv.RunRound(ctx, t)
 		if err != nil {
 			return fmt.Errorf("round %d: %w", t, err)
 		}
@@ -378,36 +418,36 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o coordOpts) e
 				arrived++
 			}
 		}
-		fmt.Printf("round %2d: %d/%d uploads arrived, committed=%v, reputations=%s\n",
-			t, arrived, len(rep.Statuses), rep.Committed, fmtF64s(rep.Reputations))
+		fmt.Printf("round %2d: %d/%d uploads arrived, committed=%v, reputations=%.3f\n",
+			t, arrived, len(rep.Statuses), rep.Committed, rep.Reputations)
 		if o.EvalEach > 0 && (t+1)%o.EvalEach == 0 {
-			acc, loss := engine.Evaluate(test, 64)
+			acc, loss := r.coord.Engine.Evaluate(test, 64)
 			fmt.Printf("round %2d: global accuracy %.3f, loss %.4f\n", t, acc, loss)
 		}
 		halting := o.HaltAfter > 0 && t+1 >= o.HaltAfter
-		if ckptPath != "" && ((t+1)%o.CheckpointEvery == 0 || halting) {
-			snap, err := coord.Snapshot()
+		if r.ckptPath != "" && ((t+1)%o.CheckpointEvery == 0 || halting) {
+			snap, err := r.coord.Snapshot()
 			if err != nil {
 				return fmt.Errorf("round %d: snapshot: %w", t, err)
 			}
-			if err := persist.WriteFile(ckptPath, snap); err != nil {
+			if err := persist.WriteFile(r.ckptPath, snap); err != nil {
 				return fmt.Errorf("round %d: writing checkpoint: %w", t, err)
 			}
-			fmt.Printf("round %2d: checkpoint written to %s\n", t, ckptPath)
+			fmt.Printf("round %2d: checkpoint written to %s\n", t, r.ckptPath)
 		}
 		if halting {
 			// Crash-recovery testing hook: the checkpoint for this round is
 			// on disk and no further round starts, so a SIGKILL here and a
 			// restart from -checkpoint reproduce the uninterrupted run bit
 			// for bit (workers ride through on their retry budget).
-			fmt.Printf("coordinator: halt-after %d — blocking until killed\n", o.HaltAfter)
+			fmt.Printf("%s: halt-after %d — blocking until killed\n", r.name, o.HaltAfter)
 			<-ctx.Done()
 			return nil
 		}
 	}
-	srv.MarkDone()
-	fmt.Printf("coordinator: done — ledger holds %d blocks; serving reports for %s\n",
-		coord.Ledger.Len(), o.Linger)
+	r.srv.MarkDone()
+	fmt.Printf("%s: done — ledger holds %d blocks; serving reports for %s\n",
+		r.name, r.coord.Ledger.Len(), o.Linger)
 	select {
 	case <-time.After(o.Linger):
 	case <-ctx.Done():
@@ -475,18 +515,6 @@ func runWorker(ctx context.Context, recipe transport.Recipe, o workerOpts) error
 	return nil
 }
 
-// rootOpts bundles the root role's flags.
-type rootOpts struct {
-	Listen   string
-	Rounds   int
-	Servers  int
-	Shards   int
-	Quorum   int
-	Sy       float64
-	EvalEach int
-	Linger   time.Duration
-}
-
 // shardOpts bundles the shard role's flags.
 type shardOpts struct {
 	RootURL string
@@ -497,7 +525,7 @@ type shardOpts struct {
 // runRoot serves the shard protocol: edge aggregators register worker
 // cohorts, and the root's coordinator runs the full FIFL pipeline over
 // their pre-aggregated evidence, unfolded into per-worker events.
-func runRoot(ctx context.Context, recipe transport.Recipe, o rootOpts) error {
+func runRoot(ctx context.Context, recipe transport.Recipe, o serveOpts) error {
 	if o.Shards < 1 || o.Shards > recipe.Workers {
 		return fmt.Errorf("-shards must be in [1,%d], got %d", recipe.Workers, o.Shards)
 	}
@@ -528,18 +556,7 @@ func runRoot(ctx context.Context, recipe transport.Recipe, o rootOpts) error {
 	if err != nil {
 		return err
 	}
-	cfg := core.CoordinatorConfig{
-		Detection:      core.Detector{Threshold: o.Sy},
-		Reputation:     core.DefaultReputationConfig(),
-		Contribution:   core.ContributionConfig{BaselineWorker: -1},
-		RewardPerRound: 1,
-		RecordToLedger: true,
-	}
-	initial := make([]int, o.Servers)
-	for i := range initial {
-		initial[i] = i
-	}
-	coord, err := core.NewCoordinator(cfg, root, initial, core.WithCollector(bridge))
+	coord, err := newCoordinator(o, root, core.WithCollector(bridge))
 	if err != nil {
 		return err
 	}
@@ -548,60 +565,13 @@ func runRoot(ctx context.Context, recipe transport.Recipe, o rootOpts) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Addr: o.Listen, Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(sctx)
-	}()
-	fmt.Printf("root: listening on %s, waiting for %d shards covering %d workers\n",
-		o.Listen, o.Shards, recipe.Workers)
-
-	if err := hub.WaitReady(ctx); err != nil {
-		select {
-		case serveErr := <-errc:
-			return fmt.Errorf("serving %s: %w", o.Listen, serveErr)
-		default:
-			return fmt.Errorf("waiting for shards: %w", err)
-		}
-	}
-	fmt.Println("root: all cohorts registered")
-
-	test, err := recipe.TestSet(500)
-	if err != nil {
-		return err
-	}
-	for t := 0; t < o.Rounds; t++ {
-		rep, err := coord.RunRoundContext(ctx, t)
-		if err != nil {
-			return fmt.Errorf("round %d: %w", t, err)
-		}
-		arrived := 0
-		for _, s := range rep.Statuses {
-			if s.Arrived() {
-				arrived++
-			}
-		}
-		fmt.Printf("round %2d: %d/%d uploads arrived, committed=%v, reputations=%s\n",
-			t, arrived, recipe.Workers, rep.Committed, fmtF64s(rep.Reputations))
-		if o.EvalEach > 0 && (t+1)%o.EvalEach == 0 {
-			acc, loss := root.Evaluate(test, 64)
-			fmt.Printf("round %2d: global accuracy %.3f, loss %.4f\n", t, acc, loss)
-		}
-	}
-	if err := bridge.Finish(); err != nil {
-		return err
-	}
-	fmt.Printf("root: done — ledger holds %d blocks; serving /v1/healthz and /v1/metrics for %s\n",
-		coord.Ledger.Len(), o.Linger)
-	select {
-	case <-time.After(o.Linger):
-	case <-ctx.Done():
-	}
-	hub.Close()
-	return nil
+	return serve(ctx, recipe, o, serving{
+		name:    "root",
+		waiting: fmt.Sprintf("%d shards covering %d workers", o.Shards, recipe.Workers),
+		ready:   "all cohorts registered",
+		srv:     srv,
+		coord:   coord,
+	})
 }
 
 // runShard hosts one worker cohort behind an edge aggregator: it rebuilds
@@ -651,15 +621,4 @@ func runShard(ctx context.Context, recipe transport.Recipe, o shardOpts) error {
 	}
 	fmt.Printf("shard %d: federation done\n", o.ID)
 	return nil
-}
-
-func fmtF64s(v []float64) string {
-	s := "["
-	for i, x := range v {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%.3f", x)
-	}
-	return s + "]"
 }

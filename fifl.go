@@ -387,8 +387,10 @@ type (
 	// the engine trains against hub stubs while real HTTP submissions feed
 	// them.
 	TransportHub = transport.Hub
-	// CoordinatorServer is the coordinator's HTTP endpoint (submit, model
-	// long poll, per-round reports, ledger export, healthz).
+	// CoordinatorServer is a coordinator's HTTP endpoint: per-round
+	// reports, ledger export, healthz and metrics, plus one wire protocol —
+	// the workers' submit and model long poll (ServeCoordinator) or a
+	// sharded root's directive stream (ServeShardRoot).
 	CoordinatorServer = transport.Server
 	// WorkerClient is a worker's connection to a coordinator: hello, then
 	// poll-train-submit until done.
@@ -533,10 +535,9 @@ type (
 	// ShardDirectLink couples an aggregator to an in-process hub, still
 	// round-tripping every frame through the wire codec.
 	ShardDirectLink = shard.DirectLink
-	// ShardHTTPLink speaks to a ShardServer's /v1/shard endpoints.
+	// ShardHTTPLink speaks to a sharded root's /v1/shard endpoints
+	// (ServeShardRoot).
 	ShardHTTPLink = shard.HTTPLink
-	// ShardServer is the root's HTTP endpoint for its aggregators.
-	ShardServer = shard.Server
 )
 
 // NewShardHub creates the root-side hub for an n-worker federation split
@@ -562,9 +563,12 @@ func NewShardAggregator(s, first int, engine *Engine, link ShardRootLink) (*Shar
 // carry sample counts for aggregation weights but never train locally.
 func ShardVirtualWorkers(samples []int) []Worker { return shard.VirtualWorkers(samples) }
 
-// ServeShardRoot wraps the root coordinator and its hub in the shard wire
-// protocol's HTTP API; serve its Handler with net/http or httptest.
-func ServeShardRoot(coord *Coordinator, hub *ShardHub) (*ShardServer, error) {
+// ServeShardRoot serves the shard wire protocol for the root coordinator
+// and its hub on the same CoordinatorServer a flat coordinator uses, so a
+// sharded root also serves /v1/round/report, /v1/ledger, /v1/healthz and
+// the instrumented /v1/metrics; its rounds go through the server's
+// RunRound. Serve its Handler with net/http or httptest.
+func ServeShardRoot(coord *Coordinator, hub *ShardHub) (*CoordinatorServer, error) {
 	return shard.NewServer(coord, hub)
 }
 

@@ -32,7 +32,6 @@ type Bridge struct {
 	// Per-round carry between the pipeline stages that consult the bridge.
 	round  int
 	detect []*codec.ShardSubmit // detect wave, held from Score for AggregateRound
-	done   bool
 }
 
 // NewBridge builds the root-side bridge over a ready hub. engine is the
@@ -193,16 +192,6 @@ func (b *Bridge) exchange(ctx context.Context, d codec.ShardDirective) ([]*codec
 	return b.hub.Await(ctx, d.Round, d.Phase)
 }
 
-// Finish broadcasts the done directive, ending every shard's loop. Safe
-// to call once after the final round; the hub stays open so shards can
-// still long-poll the directive out.
-func (b *Bridge) Finish() error {
-	if b.done {
-		return nil
-	}
-	if _, err := b.hub.Publish(codec.ShardDirective{Phase: codec.ShardPhaseDone}); err != nil {
-		return err
-	}
-	b.done = true
-	return nil
-}
+// Finish broadcasts the done directive after the final round, ending
+// every shard's loop (ShardHub.MarkDone); it fails only on a closed hub.
+func (b *Bridge) Finish() error { return b.hub.finish() }

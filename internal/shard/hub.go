@@ -42,6 +42,10 @@ type phaseKey struct {
 // has obeyed every directive up to it.
 var ErrDirectiveReleased = errors.New("shard: directive already answered by every shard and released")
 
+// ErrHubClosed reports a call on a closed hub: the root is shutting down,
+// and no directive or evidence wave will ever complete.
+var ErrHubClosed = errors.New("shard: hub is closed")
+
 // ShardHub is the root coordinator's rendezvous point with its edge
 // aggregators: it validates hello registrations against the federation
 // size, broadcasts the directive stream, and collects per-phase evidence
@@ -53,6 +57,7 @@ type ShardHub struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	closed bool
+	done   bool // the done directive is published
 
 	hellos  map[int]*codec.ShardHello // by shard index
 	samples []int                     // per-worker n_i, filled by hellos
@@ -96,9 +101,6 @@ func NewShardHub(n, shards int, reg *metrics.Registry) (*ShardHub, error) {
 // Workers returns the federation size n.
 func (h *ShardHub) Workers() int { return h.n }
 
-// Shards returns the expected shard count.
-func (h *ShardHub) Shards() int { return h.shards }
-
 // Submit accepts one shard evidence frame. Hello frames register the
 // shard's cohort; phase frames join their (round, phase) wave and wake
 // any waiting Await. A duplicate submission for a wave the shard already
@@ -110,7 +112,7 @@ func (h *ShardHub) Submit(s *codec.ShardSubmit) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return fmt.Errorf("shard: hub is closed")
+		return ErrHubClosed
 	}
 	if s.Shard < 0 || s.Shard >= h.shards {
 		return fmt.Errorf("shard: shard index %d outside [0, %d)", s.Shard, h.shards)
@@ -255,8 +257,13 @@ func (h *ShardHub) RegisteredSamples() []int {
 func (h *ShardHub) Publish(d codec.ShardDirective) (seq int, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.publishLocked(d)
+}
+
+// publishLocked is Publish with h.mu held.
+func (h *ShardHub) publishLocked(d codec.ShardDirective) (seq int, err error) {
 	if h.closed {
-		return 0, fmt.Errorf("shard: hub is closed")
+		return 0, ErrHubClosed
 	}
 	h.seq++
 	d.Seq = h.seq
@@ -319,26 +326,24 @@ func (h *ShardHub) Await(ctx context.Context, round int, phase codec.ShardPhase)
 }
 
 // wait blocks on the hub condition until pred holds (under h.mu), the hub
-// closes, or ctx is done. The watcher goroutine pattern mirrors
-// transport.Hub.takePending: cond has no native context support.
+// closes, or ctx is done. cond has no native context support, so ctx's
+// end broadcasts it; the broadcast takes h.mu, so it cannot land between a
+// waiter's ctx check and its cond.Wait and be lost.
 func (h *ShardHub) wait(ctx context.Context, pred func() bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			h.cond.Broadcast()
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.cond.Broadcast()
+	})
+	defer stop()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for !pred() {
 		if h.closed {
-			return fmt.Errorf("hub is closed")
+			return ErrHubClosed
 		}
 		if err := ctx.Err(); err != nil {
 			return err
@@ -348,7 +353,37 @@ func (h *ShardHub) wait(ctx context.Context, pred func() bool) error {
 	return nil
 }
 
-// Close shuts the hub down, unblocking every waiter with an error.
+// MarkDone publishes the done directive, ending every shard's loop. Only
+// the first call publishes; the hub stays open so shards can still
+// long-poll the directive out. A closed hub has no shard left to tell.
+func (h *ShardHub) MarkDone() { _ = h.finish() }
+
+// finish publishes the done directive unless it already has; it fails
+// only on a closed hub.
+func (h *ShardHub) finish() (err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.done {
+		_, err = h.publishLocked(codec.ShardDirective{Phase: codec.ShardPhaseDone})
+		h.done = err == nil
+	}
+	return err
+}
+
+// Health reports shard registration and the directive count for the root
+// server's /v1/healthz.
+func (h *ShardHub) Health() map[string]any {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return map[string]any{
+		"workers":    h.n,
+		"shards":     h.shards,
+		"registered": len(h.hellos),
+		"directives": h.seq,
+	}
+}
+
+// Close shuts the hub down, unblocking every waiter with ErrHubClosed.
 // Publish and Submit fail afterwards; unreleased directives remain
 // readable so shards can drain a final done directive first.
 func (h *ShardHub) Close() {

@@ -15,6 +15,7 @@ import (
 	"fifl/internal/fl"
 	"fifl/internal/nn"
 	"fifl/internal/rng"
+	"fifl/internal/transport"
 	"fifl/internal/transport/codec"
 )
 
@@ -143,8 +144,16 @@ func TestShardedRunReleasesEachRound(t *testing.T) {
 	}
 }
 
-// serveHub stands a shard Server for hub up over HTTP.
+// serveHub stands a root server for hub up over HTTP.
 func serveHub(t *testing.T, hub *ShardHub) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(rootServer(t, hub).Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// rootServer builds a root server for hub over a small coordinator.
+func rootServer(t *testing.T, hub *ShardHub) *transport.Server {
 	t.Helper()
 	samples := make([]int, hub.Workers())
 	for i := range samples {
@@ -162,9 +171,7 @@ func serveHub(t *testing.T, hub *ShardHub) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts
+	return srv
 }
 
 // TestHTTPLinkReleasedDirectiveIsGone: over HTTP a released directive is

@@ -533,6 +533,19 @@ func cohortSizes(n, s int) []int {
 // bridge, every frame through the codec via the link that linkFor returns.
 func runSharded(t *testing.T, rounds int, cohorts []int, f diffFaults, linkFor func(*core.Coordinator, *ShardHub) RootLink) runOutcome {
 	t.Helper()
+	return runShardedVia(t, rounds, cohorts, f, func(coord *core.Coordinator, hub *ShardHub) (RootLink, roundRunner) {
+		return linkFor(coord, hub), coord.RunRoundContext
+	})
+}
+
+// roundRunner runs one root round: the coordinator itself, or the root
+// server that retains its report.
+type roundRunner func(ctx context.Context, t int) (*core.RoundReport, error)
+
+// runShardedVia is runSharded with the root's rounds run by the runner
+// setup returns beside the link.
+func runShardedVia(t *testing.T, rounds int, cohorts []int, f diffFaults, setup func(*core.Coordinator, *ShardHub) (RootLink, roundRunner)) runOutcome {
+	t.Helper()
 	ctx := testCtx(t)
 	src := rng.New(diffSeed)
 	workers, build := buildDiffWorkers(src, f)
@@ -559,7 +572,7 @@ func runSharded(t *testing.T, rounds int, cohorts []int, f diffFaults, linkFor f
 	}
 	bridge.BindServers(coord.Servers)
 
-	link := linkFor(coord, hub)
+	link, run := setup(coord, hub)
 	errc := make(chan error, len(cohorts))
 	lo := 0
 	for s, size := range cohorts {
@@ -586,7 +599,7 @@ func runSharded(t *testing.T, rounds int, cohorts []int, f diffFaults, linkFor f
 
 	reports := make([]*core.RoundReport, rounds)
 	for r := 0; r < rounds; r++ {
-		if reports[r], err = coord.RunRoundContext(ctx, r); err != nil {
+		if reports[r], err = run(ctx, r); err != nil {
 			t.Fatalf("sharded round %d: %v", r, err)
 		}
 	}

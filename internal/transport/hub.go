@@ -425,8 +425,8 @@ func (h *Hub) publish(round int, params []float64) {
 	h.modelCh = make(chan struct{})
 }
 
-// markDone publishes the terminal "federation finished" state.
-func (h *Hub) markDone() {
+// MarkDone publishes the terminal "federation finished" state.
+func (h *Hub) MarkDone() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.done {
@@ -437,11 +437,17 @@ func (h *Hub) markDone() {
 	h.modelCh = make(chan struct{})
 }
 
-// model returns the current broadcast state.
-func (h *Hub) model() (round int, params []float64, done bool) {
+// Health reports registration and broadcast progress for /v1/healthz.
+func (h *Hub) Health() map[string]any {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.round, h.params, h.done
+	return map[string]any{
+		"workers":    h.n,
+		"registered": h.n - h.readyLeft,
+		"ready":      h.readyLeft == 0,
+		"round":      h.round,
+		"done":       h.done,
+	}
 }
 
 // waitModel blocks until a round newer than `after` is published (or the

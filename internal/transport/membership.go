@@ -107,6 +107,9 @@ func (s *Server) EvictWorker(id int) error { return s.removeWorker(id, true) }
 // removeWorker takes an identity out of the cohort and deactivates its
 // wire registration so stray submissions are refused.
 func (s *Server) removeWorker(id int, evict bool) error {
+	if s.hub == nil {
+		return fmt.Errorf("transport: worker %d: membership needs the worker protocol", id)
+	}
 	var err error
 	if evict {
 		err = s.coord.EvictWorker(id)

@@ -53,9 +53,11 @@ type serverMetrics struct {
 	latencyN   []*metrics.Counter
 }
 
-// newServerMetrics resolves the server's instrument set for an n-worker
-// federation.
-func newServerMetrics(r *metrics.Registry, n int) *serverMetrics {
+// newServerMetrics resolves the server's instrument set. The per-worker
+// instruments start empty: the worker protocol grows them to its
+// federation (growTo), and a server speaking another protocol registers
+// none.
+func newServerMetrics(r *metrics.Registry) *serverMetrics {
 	r.Help("fifl_http_requests_total", "HTTP requests served, by endpoint.")
 	r.Help("fifl_http_request_errors_total", "HTTP responses with status >= 400, by endpoint.")
 	r.Help("fifl_http_request_seconds", "HTTP request latency by endpoint (wall-clock, observability-only).")
@@ -70,7 +72,7 @@ func newServerMetrics(r *metrics.Registry, n int) *serverMetrics {
 	r.Help("fifl_codec_wire_bytes_total", "Actual wire bytes of the compressible payloads moved, by direction.")
 	r.Help("fifl_transport_upload_latency_seconds_total", "Total seconds between model broadcast and fresh accepted upload, by worker (wall-clock, observability-only).")
 	r.Help("fifl_transport_upload_latency_uploads_total", "Fresh accepted uploads with an observed broadcast-to-submit latency, by worker.")
-	sm := &serverMetrics{
+	return &serverMetrics{
 		reg:          r,
 		bytesIn:      r.Counter("fifl_http_frame_bytes_total", "direction", "in"),
 		bytesOut:     r.Counter("fifl_http_frame_bytes_total", "direction", "out"),
@@ -87,25 +89,12 @@ func newServerMetrics(r *metrics.Registry, n int) *serverMetrics {
 		wireBytesIn:   r.Counter("fifl_codec_wire_bytes_total", "direction", "in"),
 		denseBytesOut: r.Counter("fifl_codec_dense_bytes_total", "direction", "out"),
 		wireBytesOut:  r.Counter("fifl_codec_wire_bytes_total", "direction", "out"),
-
-		uploadBytes: make([]*metrics.Counter, n),
-		modelBytes:  make([]*metrics.Counter, n),
-		latencySum:  make([]*metrics.Gauge, n),
-		latencyN:    make([]*metrics.Counter, n),
 	}
-	for i := 0; i < n; i++ {
-		w := strconv.Itoa(i)
-		sm.uploadBytes[i] = r.Counter("fifl_transport_upload_bytes_total", "worker", w)
-		sm.modelBytes[i] = r.Counter("fifl_transport_model_bytes_total", "worker", w)
-		sm.latencySum[i] = r.Gauge("fifl_transport_upload_latency_seconds_total", "worker", w)
-		sm.latencyN[i] = r.Counter("fifl_transport_upload_latency_uploads_total", "worker", w)
-	}
-	return sm
 }
 
 // growTo extends the per-worker instrument slices to cover n workers —
-// called when elastic membership admits identities past the federation's
-// initial size.
+// called for the federation's initial size and again when elastic
+// membership admits identities past it.
 func (sm *serverMetrics) growTo(n int) {
 	sm.pwMu.Lock()
 	defer sm.pwMu.Unlock()

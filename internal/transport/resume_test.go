@@ -15,6 +15,13 @@ import (
 	"fifl/internal/rng"
 )
 
+// model returns the hub's current broadcast state.
+func (h *Hub) model() (round int, params []float64, done bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.round, h.params, h.done
+}
+
 // TestHubCloseUnderConcurrentLongPolls is the -race regression for the
 // waitModel close path: pollers blocked on an unreachable round read
 // h.round when the hub closes, while a publisher is still mutating it.

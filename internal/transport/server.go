@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -24,27 +25,51 @@ const maxUploadBytes = 64 << 20
 // defaultPollWait is the server-side cap on a model long poll.
 const defaultPollWait = 10 * time.Second
 
-// Server is the coordinator's wire endpoint: it wraps a core.Coordinator
-// whose engine runs over Hub stubs and serves the federation's HTTP API:
+// Protocol is the peer side of one wire protocol a Server speaks: the
+// worker Hub, or a sharded root's shard.ShardHub. The Server owns the rest
+// of a coordinator's HTTP front and mounts the protocol's own endpoints
+// beside it (see NewServer and shard.NewServer).
+type Protocol interface {
+	// WaitReady blocks until every expected peer has registered.
+	WaitReady(ctx context.Context) error
+	// MarkDone tells every peer the federation is finished.
+	MarkDone()
+	// Close unblocks every waiting peer.
+	Close()
+	// Health returns the protocol's progress fields for /v1/healthz.
+	Health() map[string]any
+}
+
+// Server is a coordinator's HTTP front. Every coordinator, flat or a
+// sharded root, serves these, each request counted in the fifl_http_*
+// series:
+//
+//	GET  /v1/round/report  — per-round assessment (statuses, reputations, rewards)
+//	GET  /v1/ledger        — framed chain binary export
+//	GET  /v1/healthz       — JSON liveness and the protocol's progress
+//	GET  /v1/metrics       — Prometheus text exposition of the shared registry
+//
+// Beside them it mounts one wire protocol's endpoints. The worker protocol
+// (NewServer) adds:
 //
 //	POST /v1/round/submit  — codec hello and upload frames
 //	GET  /v1/model         — long-polled global-parameter broadcast
-//	GET  /v1/round/report  — per-round assessment (statuses, reputations, rewards)
-//	GET  /v1/ledger        — framed chain binary export
-//	GET  /v1/healthz       — JSON liveness and progress
-//	GET  /v1/metrics       — Prometheus text exposition of the shared registry
+//	POST /v1/join, /v1/leave — elastic membership (membership.go)
 type Server struct {
 	coord *core.Coordinator
-	hub   *Hub
+	proto Protocol
 	mux   *http.ServeMux
 	sm    *serverMetrics
 
+	mu      sync.Mutex
+	reports map[int]*core.RoundReport
+
+	// The worker protocol's state; hub is nil on a server that speaks
+	// another protocol.
+	hub *Hub
 	// waitModel is the hub's long-poll wait, indirected so tests can stand
 	// in a misbehaving hub and prove handleModel's accounting survives it.
 	waitModel func(ctx context.Context, after int, maxWait time.Duration) (round int, params []float64, done bool, status waitStatus)
-
-	mu      sync.Mutex
-	reports map[int]*core.RoundReport
 	// Per-worker wire accounting for the netsim cross-check: bytes of
 	// upload frames received and of non-done model frames served. Grown by
 	// ProcessMembership when elastic joins extend the federation.
@@ -56,15 +81,37 @@ type Server struct {
 	leaves []leaveRequest
 }
 
-// NewServer wires a coordinator to its hub. The coordinator's engine must
-// have been built over hub.Workers() with a positive worker timeout — the
+// NewCoordinatorServer builds the HTTP front shared by every coordinator
+// over proto; the protocol mounts its own endpoints with HandleFrame and
+// HandlePoll.
+func NewCoordinatorServer(coord *core.Coordinator, proto Protocol) (*Server, error) {
+	if coord == nil {
+		return nil, fmt.Errorf("transport: a coordinator server requires a coordinator")
+	}
+	s := &Server{
+		coord:   coord,
+		proto:   proto,
+		mux:     http.NewServeMux(),
+		sm:      newServerMetrics(coord.Metrics()),
+		reports: make(map[int]*core.RoundReport),
+	}
+	s.handle("GET /v1/round/report", s.handleReport)
+	s.handle("GET /v1/ledger", s.handleLedger)
+	s.handle("GET /v1/healthz", s.handleHealthz)
+	s.handle("GET /v1/metrics", s.handleMetrics)
+	return s, nil
+}
+
+// NewServer serves the worker protocol for a coordinator whose engine runs
+// over hub's stubs. The engine needs a positive worker timeout: the
 // deadline is what resolves a silent remote worker to StatusTimedOut.
 func NewServer(coord *core.Coordinator, hub *Hub) (*Server, error) {
-	if coord == nil {
-		return nil, fmt.Errorf("transport: NewServer requires a coordinator")
-	}
 	if hub == nil {
 		return nil, fmt.Errorf("transport: NewServer requires a hub")
+	}
+	s, err := NewCoordinatorServer(coord, hub)
+	if err != nil {
+		return nil, err
 	}
 	if known := coord.Members().NumKnown(); known != hub.n {
 		return nil, fmt.Errorf("transport: coordinator knows %d worker identities, hub covers %d", known, hub.n)
@@ -72,37 +119,69 @@ func NewServer(coord *core.Coordinator, hub *Hub) (*Server, error) {
 	if coord.Engine.WorkerTimeout() <= 0 {
 		return nil, fmt.Errorf("transport: the engine needs a positive WithWorkerTimeout to bound remote workers")
 	}
-	s := &Server{
-		coord:     coord,
-		hub:       hub,
-		mux:       http.NewServeMux(),
-		sm:        newServerMetrics(coord.Metrics(), hub.n),
-		reports:   make(map[int]*core.RoundReport),
-		upBytes:   make([]int64, hub.n),
-		downBytes: make([]int64, hub.n),
-	}
+	s.hub = hub
 	s.waitModel = hub.waitModel
+	s.growAccounting()
 	hub.SetUploadObserver(s.sm.observeUploadLatency)
-	s.mux.HandleFunc("POST /v1/round/submit", s.sm.instrument("/v1/round/submit", s.handleSubmit))
-	s.mux.HandleFunc("GET /v1/model", s.sm.instrument("/v1/model", s.handleModel))
-	s.mux.HandleFunc("GET /v1/round/report", s.sm.instrument("/v1/round/report", s.handleReport))
-	s.mux.HandleFunc("GET /v1/ledger", s.sm.instrument("/v1/ledger", s.handleLedger))
-	s.mux.HandleFunc("GET /v1/healthz", s.sm.instrument("/v1/healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /v1/metrics", s.sm.instrument("/v1/metrics", s.handleMetrics))
-	s.mux.HandleFunc("POST /v1/join", s.sm.instrument("/v1/join", s.handleJoin))
-	s.mux.HandleFunc("POST /v1/leave", s.sm.instrument("/v1/leave", s.handleLeave))
+	s.HandleFrame("POST /v1/round/submit", s.handleSubmit)
+	s.HandlePoll("GET /v1/model", s.handleModel)
+	s.handle("POST /v1/join", s.handleJoin)
+	s.handle("POST /v1/leave", s.handleLeave)
 	return s, nil
+}
+
+// handle mounts one endpoint; pattern is "METHOD /path", and the path
+// names the endpoint in the request instruments.
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	_, path, _ := strings.Cut(pattern, " ")
+	s.mux.HandleFunc(pattern, s.sm.instrument(path, h))
+}
+
+// HandleFrame mounts an endpoint that takes one codec frame as its body.
+// The body is read bounded by maxUploadBytes: a larger one is 413, a
+// short or unreadable one 400, and h runs only on a whole frame.
+func (s *Server) HandleFrame(pattern string, h func(w http.ResponseWriter, r *http.Request, body []byte)) {
+	s.handle(pattern, func(w http.ResponseWriter, r *http.Request) {
+		body, err := frame.ReadFrame(r.Body, r.ContentLength, maxUploadBytes)
+		if errors.Is(err, frame.ErrFrameTooLarge) {
+			http.Error(w, "transport: submission exceeds the frame size limit", http.StatusRequestEntityTooLarge)
+			return
+		}
+		if err != nil {
+			http.Error(w, "transport: reading submission: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		s.sm.bytesIn.Add(int64(len(body)))
+		h(w, r, body)
+	})
+}
+
+// HandlePoll mounts a long-poll endpoint. h gets the request's ?wait=ms
+// cap: a wait inside (0, defaultPollWait) is kept, any other the default.
+func (s *Server) HandlePoll(pattern string, h func(w http.ResponseWriter, r *http.Request, wait time.Duration)) {
+	s.handle(pattern, func(w http.ResponseWriter, r *http.Request) {
+		ms, err := QueryInt(r, "wait", 0)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		wait := defaultPollWait
+		if d := time.Duration(ms) * time.Millisecond; d > 0 && d < wait {
+			wait = d
+		}
+		h(w, r, wait)
+	})
 }
 
 // Handler returns the server's HTTP handler, ready for http.Server or
 // httptest.NewServer (the loopback mode the integration tests use).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// WaitReady blocks until every expected worker has said hello.
-func (s *Server) WaitReady(ctx context.Context) error { return s.hub.WaitReady(ctx) }
+// WaitReady blocks until every expected peer has registered.
+func (s *Server) WaitReady(ctx context.Context) error { return s.proto.WaitReady(ctx) }
 
-// RunRound executes one FIFL iteration over the wire: the engine's round
-// fan-out publishes the model, waits for real submissions under its
+// RunRound executes one FIFL iteration through the coordinator: its
+// Collect stage waits for the protocol's real submissions under its
 // deadlines, and the coordinator assesses the arrivals exactly as it would
 // in process. The report is retained for /v1/round/report.
 func (s *Server) RunRound(ctx context.Context, t int) (*core.RoundReport, error) {
@@ -116,15 +195,14 @@ func (s *Server) RunRound(ctx context.Context, t int) (*core.RoundReport, error)
 	return rep, nil
 }
 
-// MarkDone broadcasts the terminal model frame; clients' Run loops exit
-// when they see it.
-func (s *Server) MarkDone() { s.hub.markDone() }
+// MarkDone tells every peer the federation is finished: workers see the
+// terminal model frame, shards the done directive, and their loops exit.
+func (s *Server) MarkDone() { s.proto.MarkDone() }
 
-// Close marks the federation done and unblocks every waiting stub and
-// poller.
+// Close marks the federation done and unblocks every waiting peer.
 func (s *Server) Close() {
-	s.hub.markDone()
-	s.hub.Close()
+	s.proto.MarkDone()
+	s.proto.Close()
 }
 
 // WorkerTraffic returns the per-worker wire bytes measured so far: upload
@@ -139,17 +217,7 @@ func (s *Server) WorkerTraffic() (up, down []int64) {
 // handleSubmit accepts hello and upload frames. A rejected frame gets an
 // HTTP error and never reaches the engine — the per-worker deadline turns
 // the missing arrival into StatusTimedOut.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := frame.ReadFrame(r.Body, r.ContentLength, maxUploadBytes)
-	if errors.Is(err, frame.ErrFrameTooLarge) {
-		http.Error(w, "transport: submission exceeds the frame size limit", http.StatusRequestEntityTooLarge)
-		return
-	}
-	if err != nil {
-		http.Error(w, "transport: reading submission: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.sm.bytesIn.Add(int64(len(body)))
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, body []byte) {
 	typ, err := codec.Type(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -215,12 +283,12 @@ func queryCompression(r *http.Request) (codec.Compression, error) {
 
 // handleModel serves the global-parameter broadcast as a long poll:
 // ?after=R blocks until a round newer than R is published (or the
-// federation finishes), ?wait=ms caps the block, ?worker=i attributes the
+// federation finishes) for at most wait, ?worker=i attributes the
 // download for traffic accounting, and ?enc= selects the compression mode
 // (topk degrades to f32 — parameters are dense). No news within the
 // window is 204 No Content.
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	after, err := queryInt(r, "after", noRound)
+func (s *Server) handleModel(w http.ResponseWriter, r *http.Request, wait time.Duration) {
+	after, err := QueryInt(r, "after", noRound)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -229,15 +297,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	maxWait, err := queryInt(r, "wait", int(defaultPollWait/time.Millisecond))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	wait := time.Duration(maxWait) * time.Millisecond
-	if wait <= 0 || wait > defaultPollWait {
-		wait = defaultPollWait
 	}
 	// The decrement is deferred, not sequential: a panicking wait (or
 	// anything the net/http recover machinery swallows below it) must not
@@ -267,7 +326,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if !done {
 		s.sm.denseBytesOut.Add(int64(8 * len(params)))
 		s.sm.wireBytesOut.Add(int64(len(frame)))
-		if worker, err := queryInt(r, "worker", -1); err == nil && worker >= 0 && worker < s.hub.size() {
+		if worker, err := QueryInt(r, "worker", -1); err == nil && worker >= 0 && worker < s.hub.size() {
 			s.mu.Lock()
 			if worker < len(s.downBytes) {
 				s.downBytes[worker] += int64(len(frame))
@@ -278,12 +337,12 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeFrame(w, frame)
+	WriteFrame(w, frame)
 }
 
 // handleReport serves one round's assessment (?round=t).
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	round, err := queryInt(r, "round", -1)
+	round, err := QueryInt(r, "round", -1)
 	if err != nil || round < 0 {
 		http.Error(w, "transport: /v1/round/report requires ?round=t", http.StatusBadRequest)
 		return
@@ -313,7 +372,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sm.observeEncode(encStart, len(frame))
-	writeFrame(w, frame)
+	WriteFrame(w, frame)
 }
 
 // handleLedger streams the audit chain as a framed binary export.
@@ -324,7 +383,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // is not an error: it yields a zero-block export the poller recognizes as
 // "no news".
 func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
-	from, err := queryInt(r, "from", 0)
+	from, err := QueryInt(r, "from", 0)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -348,7 +407,7 @@ func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sm.observeEncode(encStart, len(frame))
-	writeFrame(w, frame)
+	WriteFrame(w, frame)
 }
 
 // handleMetrics serves the shared registry — engine round phases,
@@ -359,34 +418,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.coord.Metrics().WritePrometheus(w)
 }
 
-// handleHealthz reports liveness and federation progress as JSON.
+// handleHealthz reports liveness, the ledger height and the protocol's
+// progress as JSON.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	round, _, done := s.hub.model()
-	s.hub.mu.Lock()
-	ready := s.hub.readyLeft == 0
-	registered := s.hub.n - s.hub.readyLeft
-	s.hub.mu.Unlock()
+	fields := s.proto.Health()
+	fields["status"] = "ok"
+	fields["ledger"] = s.coord.Ledger.Len()
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"status":     "ok",
-		"workers":    s.hub.n,
-		"registered": registered,
-		"ready":      ready,
-		"round":      round,
-		"done":       done,
-		"ledger":     s.coord.Ledger.Len(),
-	})
+	_ = json.NewEncoder(w).Encode(fields)
 }
 
-// writeFrame sends a codec frame as an octet stream.
-func writeFrame(w http.ResponseWriter, frame []byte) {
+// WriteFrame sends a codec frame as an octet stream.
+func WriteFrame(w http.ResponseWriter, frame []byte) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	_, _ = w.Write(frame)
 }
 
-// queryInt parses an optional integer query parameter.
-func queryInt(r *http.Request, key string, def int) (int, error) {
+// QueryInt parses an optional integer query parameter.
+func QueryInt(r *http.Request, key string, def int) (int, error) {
 	raw := r.URL.Query().Get(key)
 	if raw == "" {
 		return def, nil

@@ -296,7 +296,10 @@ grep -q 'audit ledger verified' "$BIN/async-w1.log"
 
 # Multi-process sharded smoke: a root and two shard processes over
 # 127.0.0.1 must finish a 3-round federation, and while the root lingers
-# its ledger must hold 5 records per worker per round (5·4·3 = 60).
+# its ledger must hold 5 records per worker per round (5·4·3 = 60). The
+# root is served by the same coordinator server as a flat coordinator:
+# fifl-score must verify and audit its live ledger, and its /v1/metrics
+# must count the shards' directive polls.
 SH_PORT=7395
 SH_COMMON="-workers 4 -shards 2 -samples 40 -seed 5"
 SH_RPID= SH_S0= SH_S1=
@@ -322,6 +325,11 @@ wait "$SH_S0" "$SH_S1"
 grep -q 'federation done' "$BIN/sh-0.log"
 grep -q 'federation done' "$BIN/sh-1.log"
 curl -fsS http://127.0.0.1:$SH_PORT/v1/healthz | grep '"ledger":60' >/dev/null
+"$BIN/fifl-score" -url http://127.0.0.1:$SH_PORT -verify -out /dev/null \
+    -report "$BIN/sh-score.txt"
+grep -q '0 mismatches' "$BIN/sh-score.txt"
+curl -fsS http://127.0.0.1:$SH_PORT/v1/metrics \
+    | grep 'fifl_http_requests_total{endpoint="/v1/shard/directive"}' >/dev/null
 kill "$SH_RPID" 2>/dev/null || true
 wait "$SH_RPID" 2>/dev/null || true
 
