@@ -173,9 +173,9 @@ type Ledger struct {
 	// of 5n per round as the coordinator writes them); byIter lists, in
 	// chain order, the runs of each iteration, since the API lets
 	// iterations repeat and go backwards. Both cost O(rounds) memory and
-	// are maintained by push alone. The index only narrows where a look-up
-	// reads: every visited record is still filtered on its own fields, and
-	// Verify never consults it.
+	// are maintained by push alone. The index, like the store's worker
+	// tags, only narrows where a look-up reads: every visited record is
+	// still filtered on its own fields, and Verify never consults either.
 	runs   []iterRun
 	byIter map[int][]int // iteration -> indices into runs
 
@@ -607,22 +607,22 @@ func lowestFailure(n, workers int, check func(i int, scratch *[]byte) error) err
 // returned. The ledger's lock is held for the duration — fn must not call
 // back into the same ledger's locking methods.
 func (l *Ledger) Scan(kind RecordKind, fn func(Record) error) error {
-	return l.scan(kind, -1, fn)
+	return l.scan(kind, -1, -1, fn)
 }
 
-// scan is Scan narrowed to one iteration (negative = all): the iteration's
-// runs are walked in chain order through the index, so the cost is that of
-// the rounds that wrote the iteration, not of the chain.
-func (l *Ledger) scan(kind RecordKind, iteration int, fn func(Record) error) error {
+// scan is Scan narrowed to one iteration and one worker (negative = all):
+// the iteration's runs are walked in chain order through the index, so the
+// cost is that of the rounds that wrote the iteration, not of the chain.
+func (l *Ledger) scan(kind RecordKind, iteration, worker int, fn func(Record) error) error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var err error
 	if iteration < 0 {
-		err = l.scanRange(0, l.blocks.len(), kind, iteration, fn)
+		err = l.scanRange(0, l.blocks.len(), kind, iteration, worker, fn)
 	} else {
 		for _, ri := range l.byIter[iteration] {
 			run := l.runs[ri]
-			if err = l.scanRange(run.lo, run.hi, kind, iteration, fn); err != nil {
+			if err = l.scanRange(run.lo, run.hi, kind, iteration, worker, fn); err != nil {
 				break
 			}
 		}
@@ -634,17 +634,26 @@ func (l *Ledger) scan(kind RecordKind, iteration int, fn func(Record) error) err
 }
 
 // scanRange passes fn the records of blocks [lo,hi) that match kind
-// (empty = all) and iteration (negative = all), stopping at fn's first
-// error. The caller holds mu.
-func (l *Ledger) scanRange(lo, hi int, kind RecordKind, iteration int, fn func(Record) error) error {
+// (empty = all), iteration and worker (negative = all), stopping at fn's
+// first error. With a worker given, a block whose tag differs is skipped
+// unread. The caller holds mu.
+func (l *Ledger) scanRange(lo, hi int, kind RecordKind, iteration, worker int, fn func(Record) error) error {
+	want := tagOf(worker)
 	for lo < hi {
 		blocks := l.blocks.span(lo, hi)
+		tags := l.blocks.tagSpan(lo, hi)[:len(blocks)]
 		for i := range blocks {
+			if worker >= 0 && tags[i] != want {
+				continue
+			}
 			r := &blocks[i].Record
 			if kind != "" && r.Kind != kind {
 				continue
 			}
 			if iteration >= 0 && r.Iteration != iteration {
+				continue
+			}
+			if worker >= 0 && r.WorkerID != worker {
 				continue
 			}
 			if err := fn(*r); err != nil {
@@ -659,16 +668,14 @@ func (l *Ledger) scanRange(lo, hi int, kind RecordKind, iteration int, fn func(R
 // Query returns all records matching the given filters; a negative
 // iteration or worker matches everything, and an empty kind matches all
 // kinds. Records are returned in chain order. With an iteration given the
-// look-up reads only that iteration's blocks. Each call copies the
-// matches; iteration-heavy callers should Scan instead.
+// look-up reads only that iteration's blocks, and with a worker given only
+// those of them tagged for the worker. Each call copies the matches;
+// iteration-heavy callers should Scan instead.
 func (l *Ledger) Query(kind RecordKind, iteration, worker int) []Record {
 	var out []Record
 	// The only error scan can surface is the callback's, and this one
 	// never fails.
-	_ = l.scan(kind, iteration, func(r Record) error {
-		if worker >= 0 && r.WorkerID != worker {
-			return nil
-		}
+	_ = l.scan(kind, iteration, worker, func(r Record) error {
 		out = append(out, r)
 		return nil
 	})
@@ -685,10 +692,7 @@ func (l *Ledger) Audit(kind RecordKind, iteration, worker int, recomputed, tol f
 	found := false
 	// scan instead of Query: the audit only needs the last match, so the
 	// per-call record copying Query pays is pure waste in audit loops.
-	_ = l.scan(kind, iteration, func(rec Record) error {
-		if worker >= 0 && rec.WorkerID != worker {
-			return nil
-		}
+	_ = l.scan(kind, iteration, worker, func(rec Record) error {
 		r, found = rec, true
 		return nil
 	})

@@ -16,8 +16,15 @@ const (
 // blockStore holds the blocks in index order: chunks of chunkLen blocks,
 // every one full but the last. The first chunk grows like a slice, so a
 // short ledger stays small; every later one is allocated at full size.
+//
+// Beside each chunk of blocks lies a chunk of one-byte worker tags, tags[k][j]
+// = tagOf(chunks[k][j].Record.WorkerID). A look-up for one worker reads the
+// tags and only the blocks whose tag matches, a few bytes a block instead of
+// a 152-byte block each, so its cost barely depends on whether the blocks
+// are in cache.
 type blockStore struct {
 	chunks [][]Block
+	tags   [][]byte
 	n      int
 }
 
@@ -32,12 +39,16 @@ func (s *blockStore) add(b Block) {
 	k := s.n >> chunkShift
 	if k == len(s.chunks) {
 		var c []Block
+		var t []byte
 		if k > 0 {
 			c = make([]Block, 0, chunkLen)
+			t = make([]byte, 0, chunkLen)
 		}
 		s.chunks = append(s.chunks, c)
+		s.tags = append(s.tags, t)
 	}
 	s.chunks[k] = append(s.chunks[k], b)
+	s.tags[k] = append(s.tags[k], tagOf(b.Record.WorkerID))
 	s.n++
 }
 
@@ -62,4 +73,18 @@ func (s *blockStore) span(lo, hi int) []Block {
 	c := s.chunks[lo>>chunkShift]
 	off := lo & (chunkLen - 1)
 	return c[off:min(len(c), off+hi-lo)]
+}
+
+// tagSpan returns the tags of span(lo, hi)'s blocks.
+func (s *blockStore) tagSpan(lo, hi int) []byte {
+	t := s.tags[lo>>chunkShift]
+	off := lo & (chunkLen - 1)
+	return t[off:min(len(t), off+hi-lo)]
+}
+
+// tagOf is a worker ID's tag: the top byte of its Fibonacci hash, so IDs
+// that share their low bits (sparse or strided IDs) still spread over all
+// 256 tags.
+func tagOf(worker int) byte {
+	return byte(uint64(worker) * 0x9E3779B97F4A7C15 >> 56)
 }

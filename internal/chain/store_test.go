@@ -102,3 +102,59 @@ func TestStoreAcrossChunks(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerTagsNarrowNotFilter: every block's tag is its worker's, across
+// chunk edges, and a look-up still filters on the record itself, so two
+// workers that share a tag never see each other's records.
+func TestWorkerTagsNarrowNotFilter(t *testing.T) {
+	a, b := 0, 1
+	for tagOf(b) != tagOf(a) {
+		b++
+	}
+	workers := []int{a, b, a + 1, -1}
+	n := 2*chunkLen + 13
+	signers, recs := batchFixture(n)
+	for i := range recs {
+		recs[i].WorkerID = workers[i%len(workers)]
+	}
+	l := newTestLedger(t, signers[0], signers[1])
+	for lo := 0; lo < n; lo += 700 {
+		hi := min(lo+700, n)
+		if err := l.AppendBatch(signers[lo:hi], recs[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lo := 0; lo < n; {
+		tags := l.blocks.tagSpan(lo, n)
+		for k, tag := range tags {
+			if want := tagOf(l.blocks.at(lo + k).Record.WorkerID); tag != want {
+				t.Fatalf("block %d tagged %d, want %d", lo+k, tag, want)
+			}
+		}
+		lo += len(tags)
+	}
+	list := l.blocks.list()
+	for it := 0; 5*it < n; it++ {
+		for _, w := range workers {
+			var want []Record
+			for _, r := range list[5*it : min(5*it+5, n)] {
+				if w < 0 || r.Record.WorkerID == w {
+					want = append(want, r.Record)
+				}
+			}
+			if got := l.Query("", it, w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Query(iteration %d, worker %d) = %+v, want %+v", it, w, got, want)
+			}
+		}
+	}
+	last := recs[len(recs)-1]
+	for _, w := range []int{a, b} {
+		r := l.Query(last.Kind, -1, w)
+		if len(r) == 0 {
+			t.Fatalf("no %s record for worker %d", last.Kind, w)
+		}
+		if culprit, err := l.Audit(last.Kind, r[len(r)-1].Iteration, w, r[len(r)-1].Value, 0); err != nil || culprit != "" {
+			t.Fatalf("Audit of worker %d's own record: culprit %q, %v", w, culprit, err)
+		}
+	}
+}

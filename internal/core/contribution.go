@@ -163,26 +163,55 @@ func assessContributions(ctx context.Context, cfg ContributionConfig, src gradie
 // the flat Contribution stage, and each edge aggregator of a sharded
 // federation runs it over its own cohort, so both paths are bit-identical
 // by construction. The distances are independent per worker, so they fan
-// out across cores; each iteration writes only its own index and evaluates
-// ‖G̃ − G_i‖² in the same serial operation order.
+// out across cores in contiguous chunks, each writing only its own
+// indices. Within a chunk the uploads of G̃'s length go four at a time
+// through SqDist4, which is bit-for-bit four SqDist calls; the 1–3 the last
+// group cannot fill, like every unusable upload, go through sqDistToGlobal.
 func CohortDistances(global gradvec.Vector, grads []gradvec.Vector, dists []float64) {
-	parallel.For(len(grads), func(i int) {
-		dists[i], _ = sqDistToGlobal(global, grads[i])
+	parallel.ForChunked(len(grads), func(lo, hi int) {
+		var rows [4]int
+		k := 0
+		for i := lo; i < hi; i++ {
+			if g := grads[i]; g == nil || len(g) != len(global) {
+				dists[i], _ = sqDistToGlobal(global, g)
+				continue
+			}
+			rows[k] = i
+			if k++; k < 4 {
+				continue
+			}
+			k = 0
+			r0, r1, r2, r3 := rows[0], rows[1], rows[2], rows[3]
+			d0, d1, d2, d3 := global.SqDist4(grads[r0], grads[r1], grads[r2], grads[r3])
+			dists[r0], _ = guardDist(d0, grads[r0])
+			dists[r1], _ = guardDist(d1, grads[r1])
+			dists[r2], _ = guardDist(d2, grads[r2])
+			dists[r3], _ = guardDist(d3, grads[r3])
+		}
+		for _, i := range rows[:k] {
+			dists[i], _ = sqDistToGlobal(global, grads[i])
+		}
 	})
 }
 
 // sqDistToGlobal is one upload's Eq. 13 distance plus whether the guarded
-// per-element scan ran. The gradient is read once: (x−y)² is never
-// negative, so the sum is NaN iff some difference was NaN and +Inf iff one
-// was ±Inf or the sum overflowed, and every non-finite element of g makes
-// its difference non-finite. A finite distance therefore proves g finite; only a
-// non-finite one sends g through HasNaN, to tell a poisoned upload (NaN)
-// from a huge finite one or a non-finite G̃ (the distance as computed).
+// per-element scan ran. A missing or wrong-length upload is NaN unscanned;
+// otherwise the gradient is read once and guardDist vets the sum.
 func sqDistToGlobal(global, g gradvec.Vector) (d float64, rescanned bool) {
 	if g == nil || len(g) != len(global) {
 		return math.NaN(), false
 	}
-	d = global.SqDist(g)
+	return guardDist(global.SqDist(g), g)
+}
+
+// guardDist vets d = ‖G̃ − g‖² for an upload g of G̃'s length: (x−y)² is
+// never negative, so the sum is NaN iff some difference was NaN and +Inf
+// iff one was ±Inf or the sum overflowed, and every non-finite element of
+// g makes its difference non-finite. A finite distance therefore proves g
+// finite; only a non-finite one sends g through HasNaN, to tell a poisoned
+// upload (NaN) from a huge finite one or a non-finite G̃ (the distance as
+// computed).
+func guardDist(d float64, g gradvec.Vector) (float64, bool) {
 	if !math.IsNaN(d) && !math.IsInf(d, 1) {
 		return d, false
 	}

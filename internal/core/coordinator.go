@@ -386,7 +386,10 @@ func (c *Coordinator) logRound(t int, rr *fl.RoundResult, det *DetectionResult, 
 
 // detectWithScorer adapts a custom Scorer's output into a DetectionResult:
 // scores at or above the threshold are accepted; dropped uploads are
-// uncertain; NaN scores are rejected.
+// uncertain; NaN scores are rejected. An arrival that is not usable — of
+// the wrong length, or holding a NaN or ±Inf — is rejected whatever the
+// Scorer made of it, as the cosine screen rejects it, so aggregation never
+// folds it.
 func detectWithScorer(s Scorer, threshold float64, params []float64, rr *fl.RoundResult) *DetectionResult {
 	scores := s.Scores(params, rr.Grads)
 	res := &DetectionResult{
@@ -395,8 +398,11 @@ func detectWithScorer(s Scorer, threshold float64, params []float64, rr *fl.Roun
 		Uncertain: make([]bool, len(scores)),
 	}
 	for i := range res.Uncertain {
-		if rr.Dropped(i) {
+		switch {
+		case rr.Dropped(i):
 			res.Uncertain[i] = true
+			res.Accept[i] = false
+		case !rr.Usable(i):
 			res.Accept[i] = false
 		}
 	}

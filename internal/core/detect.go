@@ -123,23 +123,93 @@ func (d *Detector) detect(ctx context.Context, rr *fl.RoundResult, servers []int
 // training proceeds, which reputation records as positive, the optimistic
 // default of the SLM model. The flat detector runs it over the whole round
 // and each edge aggregator of a sharded federation over its own cohort, so
-// both paths are bit-identical by construction; the per-worker scoring
-// fans out across CPU cores, each worker writing its own index.
+// both paths are bit-identical by construction. The rows fan out across
+// CPU cores in contiguous chunks, each chunk writing only its own indices;
+// within a chunk the rows of the benchmark's length are scored four at a
+// time (scoreFours), and the 1–3 the last group cannot fill, like every
+// wrong-length row, through scoreAgainstBenchmark.
 func ScoreCohort(rr *fl.RoundResult, first int, bench gradvec.Vector, owners []int, threshold float64, scores []float64, accept []bool) {
-	parallel.For(len(rr.Grads), func(i int) {
-		g := rr.Grads[i]
-		scores[i], accept[i] = math.NaN(), false
-		switch {
-		case g == nil:
-		case bench == nil:
-			accept[i] = rr.Usable(i)
-		default:
-			scores[i], _ = scoreAgainstBenchmark(bench, owners, first+i, g)
+	parallel.ForChunked(len(rr.Grads), func(lo, hi int) {
+		grads := rr.Grads[lo:hi]
+		grouped := 0
+		if bench != nil {
+			grouped = scoreFours(bench, owners, first+lo, grads, scores[lo:hi], accept[lo:hi])
+		}
+		for i, g := range grads {
+			row := lo + i
+			switch {
+			case g == nil:
+				scores[row], accept[row] = math.NaN(), false
+				continue
+			case bench == nil:
+				scores[row], accept[row] = math.NaN(), rr.Usable(row)
+				continue
+			case len(g) == len(bench) && grouped > 0:
+				grouped--
+				scores[row] = finishScore(scores[row], independentRegions(owners, first+row), accept[row], g)
+			default:
+				scores[row], _ = scoreAgainstBenchmark(bench, owners, first+row, g)
+			}
 			// A -Inf score (malformed or NaN-poisoned upload) never clears
 			// the threshold, so the uniform comparison rejects it.
-			accept[i] = scores[i] >= threshold
+			accept[row] = scores[row] >= threshold
 		}
 	})
+}
+
+// scoreFours runs scoreAgainstBenchmark's region loop over the rows of
+// grads that have the benchmark's length, row i being worker first+i, as
+// many of them as fill whole groups of four; it returns that count, the
+// rows being the first of that length. It goes region-major: Σb² of each
+// region is summed once, and the rows stream past the region four at a
+// time through DotSumSq4. Nothing is allocated: until finishScore turns
+// them into a score, sums[i] carries row i's running sum of cosines —
+// added in region order, as scoreAgainstBenchmark adds them — and
+// rescan[i] whether one of its Σg² was non-finite.
+func scoreFours(bench gradvec.Vector, owners []int, first int, grads []gradvec.Vector, sums []float64, rescan []bool) (grouped int) {
+	total, m := len(bench), len(owners)
+	for i, g := range grads {
+		if g != nil && len(g) == total {
+			sums[i], rescan[i] = 0, false
+			grouped++
+		}
+	}
+	if grouped -= grouped % 4; grouped == 0 {
+		return 0
+	}
+	for j := 0; j < m; j++ {
+		lo, hi := gradvec.SliceBounds(total, m, j)
+		b := bench[lo:hi]
+		bb := b.Dot(b)
+		add := func(i int, dot, gg float64) {
+			if math.IsNaN(gg) || math.IsInf(gg, 1) {
+				rescan[i] = true
+			}
+			if owners[j] != first+i {
+				sums[i] += gradvec.CosFromSums(dot, bb, gg)
+			}
+		}
+		var rows [4]int
+		k, left := 0, grouped
+		for i := 0; left > 0; i++ {
+			if g := grads[i]; g == nil || len(g) != total {
+				continue
+			}
+			rows[k] = i
+			left--
+			if k++; k < 4 {
+				continue
+			}
+			k = 0
+			r0, r1, r2, r3 := rows[0], rows[1], rows[2], rows[3]
+			d0, d1, d2, d3, s0, s1, s2, s3 := b.DotSumSq4(grads[r0][lo:hi], grads[r1][lo:hi], grads[r2][lo:hi], grads[r3][lo:hi])
+			add(r0, d0, s0)
+			add(r1, d1, s1)
+			add(r2, d2, s2)
+			add(r3, d3, s3)
+		}
+	}
+	return grouped
 }
 
 // scoreAgainstBenchmark computes one worker's normalized detection score
@@ -162,26 +232,43 @@ func scoreAgainstBenchmark(bench gradvec.Vector, owners []int, self int, g gradv
 	}
 	m := len(owners)
 	sum := 0.0
-	regions := 0
 	for j := 0; j < m; j++ {
 		lo, hi := gradvec.SliceBounds(total, m, j)
 		dot, bb, gg := bench[lo:hi].DotSumSq(g[lo:hi])
 		if math.IsNaN(gg) || math.IsInf(gg, 1) {
 			rescanned = true
 		}
-		if owners[j] == self {
-			continue
+		if owners[j] != self {
+			sum += gradvec.CosFromSums(dot, bb, gg)
 		}
-		sum += gradvec.CosFromSums(dot, bb, gg)
-		regions++
 	}
+	return finishScore(sum, independentRegions(owners, self), rescanned, g), rescanned
+}
+
+// finishScore turns a row's sum of per-region cosines into its score: -Inf
+// for a poisoned upload, told apart by HasNaN only when rescan says some
+// Σg² was non-finite; 0 when no region is independent of the worker; else
+// the average verdict.
+func finishScore(sum float64, regions int, rescan bool, g gradvec.Vector) float64 {
 	switch {
-	case rescanned && g.HasNaN():
-		return math.Inf(-1), true
+	case rescan && g.HasNaN():
+		return math.Inf(-1)
 	case regions == 0:
-		return 0, rescanned
+		return 0
 	}
-	return sum / float64(regions), rescanned
+	return sum / float64(regions)
+}
+
+// independentRegions counts the benchmark regions worker self's own slice
+// does not fill — the regions its score averages over.
+func independentRegions(owners []int, self int) int {
+	n := 0
+	for _, o := range owners {
+		if o != self {
+			n++
+		}
+	}
+	return n
 }
 
 // flatBenchmark assembles the composite benchmark without a slice table:

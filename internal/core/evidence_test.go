@@ -9,6 +9,8 @@ import (
 
 	"fifl/internal/fl"
 	"fifl/internal/gradvec"
+	"fifl/internal/nn"
+	"fifl/internal/tensor"
 )
 
 // refScore and refDist are the multi-pass screens the round ran before the
@@ -168,7 +170,19 @@ func TestDistanceMatchesReference(t *testing.T) {
 // workers' uploads rewritten before they leave, and returns the reports.
 func runTampered(t *testing.T, rounds int, rewrite map[int]func(gradvec.Vector) gradvec.Vector) []*RoundReport {
 	t.Helper()
+	return runTamperedScored(t, rounds, nil, rewrite)
+}
+
+// runTamperedScored is runTampered with the custom Scorer s, when non-nil,
+// replacing the cosine screen. The Scorer's threshold accepts every step
+// that does not double the validation loss, so a usable upload is always
+// accepted and an unusable one is rejected only for being unusable.
+func runTamperedScored(t *testing.T, rounds int, s Scorer, rewrite map[int]func(gradvec.Vector) gradvec.Vector) []*RoundReport {
+	t.Helper()
 	coord := buildAllocCoordinator(t, 8)
+	if s != nil {
+		coord.Cfg.Scorer, coord.Cfg.Detection.Threshold = s, -1
+	}
 	for i, fn := range rewrite {
 		w := coord.Engine.Workers[i].(*fixedWorker)
 		w.grad = fn(w.grad.Clone())
@@ -212,6 +226,58 @@ func TestWrongLengthGradientIsRejectedNotFatal(t *testing.T) {
 					}
 					if det.Events()[victim] != EventNegative {
 						t.Fatalf("round %d: victim's reputation event is %v, want negative", r, det.Events()[victim])
+					}
+					if c := got[r].Contributions; !math.IsNaN(c.Dist[victim]) || c.C[victim] != 0 {
+						t.Fatalf("round %d: victim distance %v contribution %v, want NaN and 0", r, c.Dist[victim], c.C[victim])
+					}
+				}
+			})
+		}
+	}
+}
+
+// lossDeltaFor returns a loss-delta Scorer for buildAllocCoordinator's
+// model (24 inputs, 4 classes) on a fixed random validation set.
+func lossDeltaFor(t *testing.T) *LossDeltaScorer {
+	t.Helper()
+	r := rand.New(rand.NewSource(13))
+	const k = 32
+	x := make([]float64, k*24)
+	for i := range x {
+		x[i] = r.NormFloat64()
+	}
+	labels := make([]int, k)
+	for i := range labels {
+		labels[i] = r.Intn(4)
+	}
+	return &LossDeltaScorer{
+		Model:     nn.NewMLP(11, 24, []int{8}, 4)(),
+		ValX:      tensor.FromSlice(x, k, 24),
+		ValLabels: labels,
+		Eta:       0.05,
+	}
+}
+
+// TestWrongLengthGradientUnderScorerIsRejectedNotFatal is the custom
+// Scorer's side of TestWrongLengthGradientIsRejectedNotFatal: the exact
+// loss-delta screen must score a wrong-length upload NaN instead of
+// indexing past its end, and the adapter must reject it whatever the
+// Scorer said, so the aggregate never folds it. Every report must equal
+// the NaN-poisoned run's.
+func TestWrongLengthGradientUnderScorerIsRejectedNotFatal(t *testing.T) {
+	for _, victim := range []int{5, 1, 0} {
+		for name, malform := range map[string]func(gradvec.Vector) gradvec.Vector{"short": truncate, "long": pad} {
+			t.Run(fmt.Sprintf("worker=%d/%s", victim, name), func(t *testing.T) {
+				got := runTamperedScored(t, 3, lossDeltaFor(t), map[int]func(gradvec.Vector) gradvec.Vector{victim: malform})
+				want := runTamperedScored(t, 3, lossDeltaFor(t), map[int]func(gradvec.Vector) gradvec.Vector{victim: poison})
+				for r := range got {
+					if d := diffReports(got[r], want[r]); d != "" {
+						t.Fatalf("round %d: report differs from the NaN-poisoned run in %s", r, d)
+					}
+					det := got[r].Detection
+					if det.Accept[victim] || det.Uncertain[victim] || !math.IsNaN(det.Scores[victim]) {
+						t.Fatalf("round %d: victim verdict accept=%v uncertain=%v score=%v, want a rejection at NaN",
+							r, det.Accept[victim], det.Uncertain[victim], det.Scores[victim])
 					}
 					if c := got[r].Contributions; !math.IsNaN(c.Dist[victim]) || c.C[victim] != 0 {
 						t.Fatalf("round %d: victim distance %v contribution %v, want NaN and 0", r, c.Dist[victim], c.C[victim])

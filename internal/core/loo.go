@@ -34,9 +34,9 @@ type LOOContribution struct {
 	BatchSize int
 }
 
-// Scores returns LOO_i per worker. Workers with no usable gradient get
-// NaN. weights are the aggregation weights (e.g. sample counts); nil means
-// uniform.
+// Scores returns LOO_i per worker. Workers with no usable gradient (see
+// scorable) get NaN and stay out of every aggregate. weights are the
+// aggregation weights (e.g. sample counts); nil means uniform.
 func (l *LOOContribution) Scores(params []float64, grads []gradvec.Vector, weights []float64) []float64 {
 	n := len(grads)
 	out := make([]float64, n)
@@ -52,7 +52,7 @@ func (l *LOOContribution) Scores(params []float64, grads []gradvec.Vector, weigh
 	aggregate := func(skip int) gradvec.Vector {
 		total := 0.0
 		for i, g := range grads {
-			if i == skip || g == nil || g.HasNaN() {
+			if i == skip || !scorable(g, params) {
 				continue
 			}
 			total += weights[i]
@@ -62,7 +62,7 @@ func (l *LOOContribution) Scores(params []float64, grads []gradvec.Vector, weigh
 		}
 		acc := gradvec.Zeros(len(params))
 		for i, g := range grads {
-			if i == skip || g == nil || g.HasNaN() {
+			if i == skip || !scorable(g, params) {
 				continue
 			}
 			acc.AddScaled(weights[i]/total, g)
@@ -83,7 +83,7 @@ func (l *LOOContribution) Scores(params []float64, grads []gradvec.Vector, weigh
 	}
 	full := lossAfter(aggregate(-1))
 	for i, g := range grads {
-		if g == nil || g.HasNaN() {
+		if !scorable(g, params) {
 			continue
 		}
 		out[i] = lossAfter(aggregate(i)) - full

@@ -37,7 +37,7 @@ type LossDeltaScorer struct {
 }
 
 // Scores returns the normalized loss-delta score per worker; NaN for
-// workers with no usable gradient.
+// workers with no usable gradient (see scorable).
 func (s *LossDeltaScorer) Scores(params []float64, grads []gradvec.Vector) []float64 {
 	out := make([]float64, len(grads))
 	for i := range out {
@@ -51,7 +51,7 @@ func (s *LossDeltaScorer) Scores(params []float64, grads []gradvec.Vector) []flo
 	}
 	probe := make([]float64, len(params))
 	for i, g := range grads {
-		if g == nil || g.HasNaN() {
+		if !scorable(g, params) {
 			continue
 		}
 		copy(probe, params)
@@ -69,6 +69,12 @@ func (s *LossDeltaScorer) Scores(params []float64, grads []gradvec.Vector) []flo
 	}
 	s.Model.SetParamsVector(params)
 	return out
+}
+
+// scorable reports whether g can be stepped against params: it arrived, has
+// the model's dimension and holds no NaN or ±Inf.
+func scorable(g gradvec.Vector, params []float64) bool {
+	return g != nil && len(g) == len(params) && !g.HasNaN()
 }
 
 // Threshold applies an accept threshold S_y to loss-delta scores, returning

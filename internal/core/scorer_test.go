@@ -72,13 +72,14 @@ func TestCoordinatorWithLossDeltaScorer(t *testing.T) {
 	}
 }
 
-// TestDetectWithScorerFlags checks the adapter's handling of drops and NaN
-// scores.
+// TestDetectWithScorerFlags checks the adapter's handling of drops, NaN
+// scores and unusable arrivals, which are rejected whatever they scored.
 func TestDetectWithScorerFlags(t *testing.T) {
-	fake := fakeScorer{scores: []float64{0.5, -0.1, math.NaN(), 0.2}}
+	fake := fakeScorer{scores: []float64{0.5, -0.1, math.NaN(), 0.2, 1, 1}}
 	rr := &fl.RoundResult{
-		Grads:   []gradvec.Vector{{1}, {1}, {1}, nil},
-		Samples: []int{1, 1, 1, 1},
+		Grads:   []gradvec.Vector{{1}, {1}, {1}, nil, {1, 2}, {math.Inf(1)}},
+		Samples: []int{1, 1, 1, 1, 1, 1},
+		Dim:     1,
 	}
 	res := detectWithScorer(fake, 0, []float64{0}, rr)
 	if !res.Accept[0] || res.Accept[1] || res.Accept[2] {
@@ -86,6 +87,11 @@ func TestDetectWithScorerFlags(t *testing.T) {
 	}
 	if !res.Uncertain[3] || res.Accept[3] {
 		t.Fatal("dropped worker must be uncertain and rejected")
+	}
+	for _, i := range []int{4, 5} {
+		if res.Accept[i] || res.Uncertain[i] {
+			t.Fatalf("unusable arrival %d: accept=%v uncertain=%v, want a rejection", i, res.Accept[i], res.Uncertain[i])
+		}
 	}
 }
 

@@ -102,6 +102,26 @@ func (v Vector) SqDist(o Vector) float64 {
 	return s
 }
 
+// SqDist4 is SqDist for four rows against one shared vector v: it returns
+// ‖v − gₖ‖² for k = 0..3 from one pass that loads each v[i] once. Each sum
+// is a single accumulator adding in element order, so dₖ is bit-for-bit
+// v.SqDist(gₖ).
+func (v Vector) SqDist4(g0, g1, g2, g3 Vector) (d0, d1, d2, d3 float64) {
+	n := len(v)
+	if len(g0) != n || len(g1) != n || len(g2) != n || len(g3) != n {
+		panic(fmt.Sprintf("gradvec: SqDist4 length mismatch %d vs %d, %d, %d, %d", n, len(g0), len(g1), len(g2), len(g3)))
+	}
+	g0, g1, g2, g3 = g0[:n], g1[:n], g2[:n], g3[:n]
+	for i, x := range v {
+		e0, e1, e2, e3 := x-g0[i], x-g1[i], x-g2[i], x-g3[i]
+		d0 += e0 * e0
+		d1 += e1 * e1
+		d2 += e2 * e2
+		d3 += e3 * e3
+	}
+	return d0, d1, d2, d3
+}
+
 // DotSumSq returns ⟨v,o⟩, Σv² and Σo² from ONE pass over the pair — the
 // evidence a cosine needs. Each sum is a single accumulator adding in
 // element order, so it is bit-for-bit the float Dot (resp. Norm2, before
@@ -119,6 +139,34 @@ func (v Vector) DotSumSq(o Vector) (dot, vv, oo float64) {
 		oo += y * y
 	}
 	return dot, vv, oo
+}
+
+// DotSumSq4 is DotSumSq for four rows against one shared vector v: it
+// returns ⟨v,gₖ⟩ and Σgₖ² for k = 0..3 from one pass that loads each v[i]
+// once. Each of the eight sums is a single accumulator adding in element
+// order, so dₖ and sₖ are bit-for-bit DotSumSq(gₖ)'s dot and Σo². Σv² is
+// not among them: it is the same for all four rows, and a ninth chain in
+// the loop measured slower, so callers hoist it (v.Dot(v) is the same
+// sum). The eight chains are independent and overlap, so one four-row pass
+// costs about half what four one-row passes do.
+func (v Vector) DotSumSq4(g0, g1, g2, g3 Vector) (d0, d1, d2, d3, s0, s1, s2, s3 float64) {
+	n := len(v)
+	if len(g0) != n || len(g1) != n || len(g2) != n || len(g3) != n {
+		panic(fmt.Sprintf("gradvec: DotSumSq4 length mismatch %d vs %d, %d, %d, %d", n, len(g0), len(g1), len(g2), len(g3)))
+	}
+	g0, g1, g2, g3 = g0[:n], g1[:n], g2[:n], g3[:n]
+	for i, x := range v {
+		y0, y1, y2, y3 := g0[i], g1[i], g2[i], g3[i]
+		d0 += x * y0
+		s0 += y0 * y0
+		d1 += x * y1
+		s1 += y1 * y1
+		d2 += x * y2
+		s2 += y2 * y2
+		d3 += x * y3
+		s3 += y3 * y3
+	}
+	return d0, d1, d2, d3, s0, s1, s2, s3
 }
 
 // CosFromSums is the guarded cosine of CosSim evaluated on the sums
@@ -216,8 +264,9 @@ const minParallelFold = 1 << 18
 
 // AddWeighted adds Σ_i weights[i]·vs[i] into v. A zero weight skips its
 // vector, which may then be nil or of any length. A large fold fans the
-// parameter dimension out across cores in contiguous column blocks; every
-// element still folds the vectors in slice order, so the result is
+// parameter dimension out across cores in contiguous column blocks. Each
+// block folds four vectors per pass over v (addScaled4), but every element
+// still adds the terms one at a time in slice order, so the result is
 // bit-identical to one AddScaled call per vector.
 func (v Vector) AddWeighted(vs []Vector, weights []float64) {
 	if len(vs) != len(weights) {
@@ -234,10 +283,24 @@ func (v Vector) AddWeighted(vs []Vector, weights []float64) {
 		terms++
 	}
 	fold := func(lo, hi int) {
-		for i, o := range vs {
-			if w := weights[i]; w != 0 {
-				v[lo:hi].AddScaled(w, o[lo:hi])
+		// Gather the non-zero terms four at a time; the 1–3 left over fold
+		// one by one, still in slice order.
+		var rows [4]int
+		k := 0
+		for i := range vs {
+			if weights[i] == 0 {
+				continue
 			}
+			rows[k] = i
+			if k++; k == 4 {
+				a, b, c, d := rows[0], rows[1], rows[2], rows[3]
+				v[lo:hi].addScaled4(weights[a], vs[a][lo:hi], weights[b], vs[b][lo:hi],
+					weights[c], vs[c][lo:hi], weights[d], vs[d][lo:hi])
+				k = 0
+			}
+		}
+		for _, i := range rows[:k] {
+			v[lo:hi].AddScaled(weights[i], vs[i][lo:hi])
 		}
 	}
 	if terms*len(v) < minParallelFold {
@@ -245,6 +308,22 @@ func (v Vector) AddWeighted(vs []Vector, weights []float64) {
 		return
 	}
 	parallel.ForChunked(len(v), fold)
+}
+
+// addScaled4 adds w0·o0 + … + w3·o3 into v, one term at a time per
+// element in argument order, so it is bit-for-bit four AddScaled calls
+// while loading and storing each v[i] once. The arguments stay scalar: the
+// fold measured slower taking them as arrays. The caller checks lengths.
+func (v Vector) addScaled4(w0 float64, o0 Vector, w1 float64, o1 Vector, w2 float64, o2 Vector, w3 float64, o3 Vector) {
+	n := len(v)
+	o0, o1, o2, o3 = o0[:n], o1[:n], o2[:n], o3[:n]
+	for i, x := range v {
+		x += w0 * o0[i]
+		x += w1 * o1[i]
+		x += w2 * o2[i]
+		x += w3 * o3[i]
+		v[i] = x
+	}
 }
 
 // WeightedSum returns Σ_i weights[i]·vs[i]. All vectors must share one

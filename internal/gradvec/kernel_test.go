@@ -50,8 +50,8 @@ func refCosSim(v, o Vector) float64 {
 	}
 }
 
-func refWeightedSum(vs []Vector, weights []float64) Vector {
-	out := Zeros(len(vs[0]))
+func refWeightedSum(n int, vs []Vector, weights []float64) Vector {
+	out := Zeros(n)
 	for i, v := range vs {
 		if weights[i] != 0 {
 			out.AddScaled(weights[i], v)
@@ -177,32 +177,103 @@ func TestSumOfSquaresCarriesFiniteness(t *testing.T) {
 	}
 }
 
-// TestAddWeightedMatchesSerialFold holds the column-blocked fan-out
-// bit-equal to one AddScaled per vector, on one core and on several.
+// TestFourRowKernelsMatchReference holds DotSumSq4 and SqDist4 bit-equal
+// to DotSumSq and SqDist on every row, whatever value regime or planted
+// NaN or ±Inf each of the four rows and the shared vector hold.
+func TestFourRowKernelsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for _, n := range kernelLengths {
+		var pool []Vector
+		for _, fn := range kernelFills {
+			base := make(Vector, n)
+			fn(r, base)
+			for _, v := range plantings(base) {
+				pool = append(pool, v)
+			}
+		}
+		pick := func() Vector { return pool[r.Intn(len(pool))] }
+		for trial := 0; trial < 24; trial++ {
+			v, g := pick(), [4]Vector{pick(), pick(), pick(), pick()}
+			var dot, ss, dist [4]float64
+			dot[0], dot[1], dot[2], dot[3], ss[0], ss[1], ss[2], ss[3] = v.DotSumSq4(g[0], g[1], g[2], g[3])
+			dist[0], dist[1], dist[2], dist[3] = v.SqDist4(g[0], g[1], g[2], g[3])
+			for k := range g {
+				wantDot, _, wantSS := v.DotSumSq(g[k])
+				if !sameBits(dot[k], wantDot) || !sameBits(ss[k], wantSS) {
+					t.Fatalf("n=%d trial %d row %d: DotSumSq4 = (%v, %v), DotSumSq (%v, %v)", n, trial, k, dot[k], ss[k], wantDot, wantSS)
+				}
+				if want := v.SqDist(g[k]); !sameBits(dist[k], want) {
+					t.Fatalf("n=%d trial %d row %d: SqDist4 = %v, SqDist %v", n, trial, k, dist[k], want)
+				}
+			}
+			// Σv² is the caller's to hoist: v.Dot(v) is DotSumSq's Σv².
+			if _, vv, _ := v.DotSumSq(g[0]); !sameBits(v.Dot(v), vv) {
+				t.Fatalf("n=%d trial %d: v.Dot(v) = %v, DotSumSq Σv² %v", n, trial, v.Dot(v), vv)
+			}
+		}
+	}
+}
+
+// TestAddWeightedMatchesSerialFold holds the column-blocked, four-term fold
+// bit-equal to one AddScaled per vector, on one core and on several, for
+// every count of non-zero terms from 0 to 9 — each remainder of the
+// four-term groups — interleaved with zero-weight rows that are nil or
+// hold a NaN.
 func TestAddWeightedMatchesSerialFold(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 2, 3, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, n := range kernelLengths {
-			vs := make([]Vector, 9)
-			weights := make([]float64, len(vs))
-			for i := range vs {
-				vs[i] = make(Vector, n)
-				kernelFills["random"](r, vs[i])
-				weights[i] = r.NormFloat64()
-			}
-			// A zero weight skips its vector, whatever it holds.
-			weights[3], vs[3] = 0, nil
-			weights[6], vs[6] = 0, Vector{math.NaN()}
-			want := refWeightedSum(vs, weights)
-			got := WeightedSum(vs, weights)
-			for j := range want {
-				if !sameBits(got[j], want[j]) {
-					t.Fatalf("procs=%d n=%d: element %d = %v, serial fold %v", procs, n, j, got[j], want[j])
+			for terms := 0; terms <= 9; terms++ {
+				var vs []Vector
+				var weights []float64
+				for added := 0; added < terms; {
+					// A zero weight skips its vector, whatever it holds.
+					switch r.Intn(4) {
+					case 0:
+						vs, weights = append(vs, nil), append(weights, 0)
+					case 1:
+						vs, weights = append(vs, Vector{math.NaN()}), append(weights, 0)
+					default:
+						v := make(Vector, n)
+						kernelFills["random"](r, v)
+						vs, weights = append(vs, v), append(weights, r.NormFloat64())
+						added++
+					}
+				}
+				want := refWeightedSum(n, vs, weights)
+				got := make(Vector, n)
+				got.AddWeighted(vs, weights)
+				for j := range want {
+					if !sameBits(got[j], want[j]) {
+						t.Fatalf("procs=%d n=%d terms=%d: element %d = %v, serial fold %v", procs, n, terms, j, got[j], want[j])
+					}
 				}
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestAddWeightedAllocatesNothingPerRow pins that the fold gathers its
+// four-term groups on the stack: on one core folding 256 vectors allocates
+// exactly what folding 8 does.
+func TestAddWeightedAllocatesNothingPerRow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := rand.New(rand.NewSource(5))
+	const n = 1024
+	allocs := func(k int) float64 {
+		vs, weights := make([]Vector, k), make([]float64, k)
+		for i := range vs {
+			vs[i] = make(Vector, n)
+			kernelFills["random"](r, vs[i])
+			weights[i] = r.NormFloat64()
+		}
+		out := make(Vector, n)
+		return testing.AllocsPerRun(20, func() { out.AddWeighted(vs, weights) })
+	}
+	if a8, a256 := allocs(8), allocs(256); a256 != a8 {
+		t.Errorf("AddWeighted allocates %v objects folding 256 vectors, %v folding 8", a256, a8)
 	}
 }
 
@@ -236,6 +307,21 @@ func BenchmarkScreenCohort(b *testing.B) {
 	}
 }
 
+// BenchmarkScreenCohort4 is the same read four rows per pass: Σb² once,
+// then DotSumSq4, as the Detect stage runs it.
+func BenchmarkScreenCohort4(b *testing.B) {
+	m, bench := cohort(b)
+	b.SetBytes(int64(m.Rows() * m.Dim() * 8))
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		bb := bench.Dot(bench)
+		for i := 0; i < m.Rows(); i += 4 {
+			d0, d1, d2, d3, s0, s1, s2, s3 := bench.DotSumSq4(m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3))
+			benchSink += CosFromSums(d0, bb, s0) + CosFromSums(d1, bb, s1) + CosFromSums(d2, bb, s2) + CosFromSums(d3, bb, s3)
+		}
+	}
+}
+
 // BenchmarkDistanceCohort is one Contribution-stage read of the cohort:
 // every gradient's squared distance to the global gradient.
 func BenchmarkDistanceCohort(b *testing.B) {
@@ -245,6 +331,46 @@ func BenchmarkDistanceCohort(b *testing.B) {
 	for k := 0; k < b.N; k++ {
 		for i := 0; i < m.Rows(); i++ {
 			benchSink += global.SqDist(m.Row(i))
+		}
+	}
+}
+
+// BenchmarkDistanceCohort4 is the same read four rows per pass (SqDist4).
+func BenchmarkDistanceCohort4(b *testing.B) {
+	m, global := cohort(b)
+	b.SetBytes(int64(m.Rows() * m.Dim() * 8))
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		for i := 0; i < m.Rows(); i += 4 {
+			d0, d1, d2, d3 := global.SqDist4(m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3))
+			benchSink += d0 + d1 + d2 + d3
+		}
+	}
+}
+
+// BenchmarkFoldCohort is one Aggregate-stage read of the cohort on one
+// core: every gradient scaled into the global gradient, one AddScaled each.
+func BenchmarkFoldCohort(b *testing.B) {
+	m, out := cohort(b)
+	b.SetBytes(int64(m.Rows() * m.Dim() * 8))
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		for i := 0; i < m.Rows(); i++ {
+			out.AddScaled(1.0/64, m.Row(i))
+		}
+	}
+}
+
+// BenchmarkFoldCohort4 is the same fold four rows per pass over the
+// output (addScaled4), as each of AddWeighted's column blocks runs it.
+func BenchmarkFoldCohort4(b *testing.B) {
+	m, out := cohort(b)
+	b.SetBytes(int64(m.Rows() * m.Dim() * 8))
+	b.ResetTimer()
+	const w = 1.0 / 64
+	for k := 0; k < b.N; k++ {
+		for i := 0; i < m.Rows(); i += 4 {
+			out.addScaled4(w, m.Row(i), w, m.Row(i+1), w, m.Row(i+2), w, m.Row(i+3))
 		}
 	}
 }

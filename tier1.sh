@@ -26,6 +26,15 @@ go test ./internal/experiments/
 # membership and churn tests; no later leg re-runs them by name.
 go test -race -timeout 20m $(go list ./... | grep -v internal/experiments)
 
+# Gradient-plane differential gate: the four-row screen, distance and fold
+# kernels must write the bits of the per-row loops they replaced, and the
+# parallel loops move their chunk edges — and so which rows fall in a
+# four-row group and which in the 1–3 left over — with GOMAXPROCS, so the
+# differentials run at one, two and three cores
+# (TestScoreCohortMatchesReference, TestCohortDistancesMatchesReference,
+# TestAddWeightedMatchesSerialFold).
+go test -cpu 1,2,3 -run 'MatchesReference|MatchesSerialFold|Cohort' ./internal/gradvec ./internal/core
+
 # Ledger read-plane race gate: Verify fans the blocks out over the cores
 # and must return the serial walk's verdict, so the chain package is raced
 # at one core (the inline path) and with two and four goroutines claiming
@@ -44,6 +53,12 @@ go test -race -count 5 -run 'ShardHub|Bridge|HTTPLink|Release' ./internal/shard
 # blocks must complete, so the chain.* layer numbers reproduce without the
 # harness (for numbers: -cpu 1,2 and a real -benchtime).
 go test -run '^$' -bench 'Verify|Query|WriteBinary' -benchtime=1x ./internal/chain
+
+# Gradient kernel smoke: the per-row and four-row screen, distance and fold
+# passes over a deep-flat cohort (64 rows of 78,378 parameters) must run,
+# so the gradient-plane numbers reproduce without the harness (for
+# numbers: -cpu 1 and a real -benchtime).
+go test -run '^$' -bench Cohort -benchtime=1x ./internal/gradvec
 
 # Shard frame smoke: the exact-size encoders of a deep-model detect submit
 # and directive, and the append-grown reference writer they replaced, must
