@@ -242,22 +242,10 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) e
 	if err != nil {
 		return err
 	}
+	// The engine's cohort follows the checkpoint's slot order, not the
+	// dense 0..n-1 identity.
 	engineWorkers := hub.Workers()
 	if snap != nil && len(snap.ActiveCohort) > 0 {
-		// Identities the checkpoint knows but does not seat (departed or
-		// banned) must not park readiness, and the engine's cohort follows
-		// the persisted slot order, not the dense 0..n-1 identity.
-		seated := make(map[int]bool, len(snap.ActiveCohort))
-		for _, id := range snap.ActiveCohort {
-			seated[id] = true
-		}
-		for id := 0; id < nKnown; id++ {
-			if !seated[id] {
-				if err := hub.MarkInactive(id); err != nil {
-					return err
-				}
-			}
-		}
 		if engineWorkers, err = hub.WorkersFor(snap.ActiveCohort); err != nil {
 			return err
 		}
@@ -308,7 +296,7 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) e
 		if err != nil {
 			return fmt.Errorf("restoring %s: %w", ckptPath, err)
 		}
-		if err := hub.Restore(snap.NextRound-1, snap.Params, snap.Samples); err != nil {
+		if err := hub.Restore(snap); err != nil {
 			return fmt.Errorf("restoring %s: %w", ckptPath, err)
 		}
 		startRound = snap.NextRound

@@ -11,9 +11,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,18 +77,8 @@ func parseChurnSpec(spec string) ([]churnEvent, error) {
 		}
 		events = append(events, ev)
 	}
-	sortStableByRound(events)
+	slices.SortStableFunc(events, func(a, b churnEvent) int { return a.round - b.round })
 	return events, nil
-}
-
-// sortStableByRound orders the schedule by round, preserving input order
-// within a round (insertion sort: schedules are tiny).
-func sortStableByRound(events []churnEvent) {
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && events[j].round < events[j-1].round; j-- {
-			events[j], events[j-1] = events[j-1], events[j]
-		}
-	}
 }
 
 // applyChurn replays one schedule event through the coordinator's
@@ -131,63 +123,6 @@ func applyChurn(coord *core.Coordinator, ev churnEvent, mk func(int) (fl.Worker,
 	return nil
 }
 
-// replayChurn fast-forwards a freshly built engine's worker list through
-// the membership events a resumed run's checkpoint has already absorbed
-// (those scheduled before snap.NextRound), so the restore's
-// registry-vs-engine cohort check lines up. The coordinator-side state —
-// lifecycle registry, bootstrapped reputations, banned set — comes from
-// the checkpoint itself; only the live worker implementations need
-// rebuilding here.
-func replayChurn(engine *fl.Engine, events []churnEvent, startRound, initial int, mk func(int) (fl.Worker, error)) error {
-	active := make([]int, initial)
-	for i := range active {
-		active[i] = i
-	}
-	nextID := initial
-	for _, ev := range events {
-		if ev.round >= startRound {
-			break
-		}
-		switch ev.op {
-		case "join", "rejoin":
-			id := ev.id
-			if ev.op == "join" {
-				id = nextID
-				nextID++
-			}
-			w, err := mk(id)
-			if err != nil {
-				return err
-			}
-			if err := engine.AddWorker(w); err != nil {
-				return err
-			}
-			active = append(active, id)
-		case "leave", "evict":
-			slot := -1
-			for s, id := range active {
-				if id == ev.id {
-					slot = s
-					break
-				}
-			}
-			if slot < 0 {
-				if ev.op == "evict" {
-					// Evicting an already-absent identity only marks the ban;
-					// the cohort (and so the engine) is unchanged.
-					continue
-				}
-				return fmt.Errorf("churn replay: worker %d not active at round %d", ev.id, ev.round)
-			}
-			if err := engine.RemoveWorker(slot); err != nil {
-				return err
-			}
-			active = append(active[:slot], active[slot+1:]...)
-		}
-	}
-	return nil
-}
-
 // parseLagSpec turns the -async-lag "worker:lag,worker:lag" spelling into
 // a per-worker lag slice for fl.StaticLag. Unlisted workers are fresh.
 func parseLagSpec(spec string, workers int) ([]int, error) {
@@ -211,6 +146,13 @@ func parseLagSpec(spec string, workers int) ([]int, error) {
 	return lags, nil
 }
 
+// exitf reports why fifl-sim stops and exits with code: 2 for a bad flag,
+// 1 for a run that failed.
+func exitf(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "fifl-sim: "+format+"\n", args...)
+	os.Exit(code)
+}
+
 func main() {
 	var (
 		workers   = flag.Int("workers", 10, "federation size N")
@@ -225,16 +167,15 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "root seed")
 		perWkr    = flag.Int("samples", 200, "local samples per worker")
 		audit     = flag.Bool("audit", false, "verify the blockchain ledger and audit a reputation at the end")
-		evalEach  = flag.Int("eval", 5, "evaluate global model every this many rounds")
+		evalEach  = flag.Int("eval", 5, "evaluate global model every this many rounds (0 = after the final round only)")
 		traceFile = flag.String("trace", "", "write a JSONL run trace to this file (.csv extension switches to CSV)")
 		drop      = flag.Float64("drop", 0, "per-round upload loss probability")
 		quorum    = flag.Int("quorum", 0, "minimum arrivals for a round to commit (0 = no quorum)")
 		retries   = flag.Int("retries", 0, "retransmission attempts for lost uploads")
 		backoff   = flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff between retransmissions")
 		dumpMet   = flag.Bool("metrics", false, "dump the run's metrics in Prometheus text format at the end")
-		ckptFile  = flag.String("checkpoint", "", "write a durable checkpoint to this file after each round (atomic replace)")
+		ckptFile  = flag.String("checkpoint", "", "write a durable checkpoint to this file after each round (atomic replace); if the file exists, resume from it first (same flags as the run that wrote it)")
 		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint every this many rounds (with -checkpoint)")
-		resume    = flag.String("resume", "", "resume from a checkpoint file written by a previous run with identical flags")
 		mechName  = flag.String("mechanism", "fifl", "reward mechanism: "+strings.Join(core.MechanismNames(), ", ")+" (baselines pay by sample count and ignore detection; shapley-mc is the sampled estimator for large N)")
 		compress  = flag.String("compression", "none", "simulated wire compression for gradient uploads and model downloads: none, f32, topk, int8 or int16")
 		async     = flag.Bool("async", false, "asynchronous rounds: each advance folds a round-robin cohort with bounded-staleness weights instead of the collect-all barrier")
@@ -247,25 +188,26 @@ func main() {
 	flag.Parse()
 
 	if *nFlip+*nPoison >= *workers {
-		fmt.Fprintln(os.Stderr, "fifl-sim: attackers must be fewer than workers")
-		os.Exit(2)
+		exitf(2, "attackers must be fewer than workers")
+	}
+	if *perWkr < 1 || *servers < 1 {
+		exitf(2, "-samples and -servers must be at least 1, got %d and %d", *perWkr, *servers)
+	}
+	if *evalEach < 0 {
+		exitf(2, "-eval must be non-negative, got %d", *evalEach)
 	}
 	if *drop < 0 || *drop > 1 {
-		fmt.Fprintf(os.Stderr, "fifl-sim: -drop must be in [0,1], got %g\n", *drop)
-		os.Exit(2)
+		exitf(2, "-drop must be in [0,1], got %g", *drop)
 	}
 	if *quorum > *workers {
-		fmt.Fprintf(os.Stderr, "fifl-sim: -quorum %d exceeds -workers %d\n", *quorum, *workers)
-		os.Exit(2)
+		exitf(2, "-quorum %d exceeds -workers %d", *quorum, *workers)
 	}
 	if *retries < 0 || *backoff < 0 {
-		fmt.Fprintln(os.Stderr, "fifl-sim: -retries and -retry-backoff must be non-negative")
-		os.Exit(2)
+		exitf(2, "-retries and -retry-backoff must be non-negative")
 	}
 	churn, err := parseChurnSpec(*churnSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fifl-sim: %v\n", err)
-		os.Exit(2)
+		exitf(2, "%v", err)
 	}
 	if len(churn) > 0 {
 		// Elastic membership rides the flat synchronous coordinator: the
@@ -274,37 +216,29 @@ func main() {
 		// ranges do not yet follow.
 		switch {
 		case *async:
-			fmt.Fprintln(os.Stderr, "fifl-sim: -churn and -async are mutually exclusive")
-			os.Exit(2)
+			exitf(2, "-churn and -async are mutually exclusive")
 		case *shardsN > 0:
-			fmt.Fprintln(os.Stderr, "fifl-sim: -churn and -shards are mutually exclusive")
-			os.Exit(2)
+			exitf(2, "-churn and -shards are mutually exclusive")
 		case *mechName != "fifl":
-			fmt.Fprintln(os.Stderr, "fifl-sim: -churn supports only the fifl mechanism")
-			os.Exit(2)
+			exitf(2, "-churn supports only the fifl mechanism")
 		}
 	}
 	mech, err := core.MechanismByName(*mechName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fifl-sim: %v\n", err)
-		os.Exit(2)
+		exitf(2, "%v", err)
 	}
 	if err := core.ValidateMechanismScale(mech, *workers); err != nil {
-		fmt.Fprintf(os.Stderr, "fifl-sim: %v\n", err)
-		os.Exit(2)
+		exitf(2, "%v", err)
 	}
 	cmode, err := codec.ParseCompression(*compress)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fifl-sim: %v\n", err)
-		os.Exit(2)
+		exitf(2, "%v", err)
 	}
 	if *ckptEvery < 1 {
-		fmt.Fprintf(os.Stderr, "fifl-sim: -checkpoint-every must be at least 1, got %d\n", *ckptEvery)
-		os.Exit(2)
+		exitf(2, "-checkpoint-every must be at least 1, got %d", *ckptEvery)
 	}
 	if *shardsN < 0 || *shardsN > *workers {
-		fmt.Fprintf(os.Stderr, "fifl-sim: -shards must be in [0,%d], got %d\n", *workers, *shardsN)
-		os.Exit(2)
+		exitf(2, "-shards must be in [0,%d], got %d", *workers, *shardsN)
 	}
 	if *shardsN > 0 {
 		// Sharded federation keeps the root's eight-stage pipeline intact by
@@ -312,14 +246,11 @@ func main() {
 		// reshape the flat collect path don't compose with that.
 		switch {
 		case *async:
-			fmt.Fprintln(os.Stderr, "fifl-sim: -shards and -async are mutually exclusive (edge aggregation is a synchronous barrier)")
-			os.Exit(2)
+			exitf(2, "-shards and -async are mutually exclusive (edge aggregation is a synchronous barrier)")
 		case *quorum > 0 || *retries > 0:
-			fmt.Fprintln(os.Stderr, "fifl-sim: -quorum and -retries are flat-engine options, not supported with -shards")
-			os.Exit(2)
+			exitf(2, "-quorum and -retries are flat-engine options, not supported with -shards")
 		case *mechName != "fifl":
-			fmt.Fprintln(os.Stderr, "fifl-sim: -shards supports only the fifl mechanism")
-			os.Exit(2)
+			exitf(2, "-shards supports only the fifl mechanism")
 		}
 	}
 
@@ -333,7 +264,7 @@ func main() {
 	for _, ev := range churn {
 		// Each join event consumes one reserved data partition past the
 		// initial cohort; sizing them here keeps a joiner's data identical
-		// whether it is built at admission or during a resume replay.
+		// whether it is built at admission or when a resume reseats it.
 		if ev.op == "join" {
 			sc.ExtraJoinSlots++
 		}
@@ -359,8 +290,7 @@ func main() {
 	case "images":
 		dk = experiments.TaskImages
 	default:
-		fmt.Fprintf(os.Stderr, "fifl-sim: unknown task %q\n", *task)
-		os.Exit(2)
+		exitf(2, "unknown task %q", *task)
 	}
 
 	sc.DropRate = *drop
@@ -375,10 +305,21 @@ func main() {
 	var coordOpts []core.CoordinatorOption
 	coordOpts = append(coordOpts, core.WithMechanism(mech))
 
-	// -resume rebuilds the same federation from the same flags (seed, sizes,
-	// attacker mix must match the run that wrote the checkpoint — the restore
-	// cross-checks what it can and rejects mismatches) and fast-forwards it
-	// to the checkpointed state instead of starting from round 0.
+	// An existing -checkpoint file makes this run a resume: the same flags
+	// rebuild the same federation (seed, sizes and attacker mix must match
+	// the run that wrote it; the restore cross-checks what it can and
+	// rejects mismatches), and the checkpoint fast-forwards it to the saved
+	// state instead of starting from round 0.
+	var snap *persist.Snapshot
+	if *ckptFile != "" {
+		s, err := persist.ReadFile(*ckptFile)
+		switch {
+		case err == nil:
+			snap = s
+		case !errors.Is(err, os.ErrNotExist):
+			exitf(1, "reading %s: %v", *ckptFile, err)
+		}
+	}
 	var (
 		coord      *core.Coordinator
 		run        *experiments.ShardedRun
@@ -386,7 +327,6 @@ func main() {
 		evalTest   *dataset.Dataset
 		mkWorker   func(int) (fl.Worker, error)
 	)
-	startRound := 0
 	src := rng.New(sc.Seed).Split("sim")
 	if *shardsN > 0 {
 		// -shards partitions the workers under in-process edge aggregators:
@@ -395,29 +335,18 @@ func main() {
 		// pipeline unfolds it into the same per-worker events a flat run
 		// produces. Checkpoints carry one extra section per shard.
 		var err error
-		if *resume != "" {
-			snap, rerr := persist.ReadFile(*resume)
-			if rerr != nil {
-				fmt.Fprintf(os.Stderr, "fifl-sim: reading %s: %v\n", *resume, rerr)
-				os.Exit(1)
-			}
+		if snap != nil {
 			run, err = experiments.RestoreShardedRun(snap, sc, dk, kinds, *shardsN, *sy, true, src, coordOpts...)
 		} else {
 			run, err = experiments.BuildShardedRun(sc, dk, kinds, *shardsN, *sy, true, src, coordOpts...)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fifl-sim: %v\n", err)
-			os.Exit(1)
+			exitf(1, "%v", err)
 		}
 		coord = run.Coord
 		evalEngine, evalTest = run.Root, run.Fed.Test
-		if *resume != "" {
-			startRound = coord.NextRound()
-			fmt.Printf("resumed from %s at round %d\n", *resume, startRound)
-		}
 		if err := run.Start(context.Background()); err != nil {
-			fmt.Fprintf(os.Stderr, "fifl-sim: starting shards: %v\n", err)
-			os.Exit(1)
+			exitf(1, "starting shards: %v", err)
 		}
 	} else {
 		fed := experiments.BuildFederation(sc, dk, kinds, src, opts...)
@@ -427,6 +356,19 @@ func main() {
 			// (seed, label)-derived streams BuildFederation used, so a worker
 			// built here is bit-identical to its construction-time twin.
 			return experiments.ElasticWorker(sc, dk, kinds, id, rng.New(sc.Seed).Split("sim"))
+		}
+		if snap != nil && len(snap.ActiveCohort) > 0 {
+			// Seat the cohort the checkpoint names, in its slot order; the
+			// restore refuses any other seating.
+			cohort := make([]fl.Worker, len(snap.ActiveCohort))
+			for slot, id := range snap.ActiveCohort {
+				w, err := mkWorker(id)
+				if err != nil {
+					exitf(1, "resuming from %s: %v", *ckptFile, err)
+				}
+				cohort[slot] = w
+			}
+			fed.Engine.Workers = cohort
 		}
 
 		// -async swaps only the Collect stage: the same detection, reputation,
@@ -441,8 +383,7 @@ func main() {
 			}
 			lags, err := parseLagSpec(*asyncLag, *workers)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "fifl-sim: %v\n", err)
-				os.Exit(2)
+				exitf(2, "%v", err)
 			}
 			col, err := fl.NewAsyncCollector(fed.Engine, fl.AsyncConfig{
 				MaxStaleness: *maxStale,
@@ -450,36 +391,23 @@ func main() {
 				Lag:          fl.StaticLag(lags),
 			})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "fifl-sim: %v\n", err)
-				os.Exit(2)
+				exitf(2, "%v", err)
 			}
 			coordOpts = append(coordOpts, core.WithCollector(col))
 		}
 
-		if *resume != "" {
-			snap, err := persist.ReadFile(*resume)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fifl-sim: reading %s: %v\n", *resume, err)
-				os.Exit(1)
+		if snap != nil {
+			var err error
+			if coord, err = core.RestoreCoordinatorSnapshot(snap, experiments.DefaultCoordinatorConfig(*sy, true), fed.Engine, coordOpts...); err != nil {
+				exitf(1, "resuming from %s: %v", *ckptFile, err)
 			}
-			// Membership events the checkpoint has already absorbed must be
-			// replayed into the engine's worker list before the restore: the
-			// coordinator validates that the engine cohort matches the
-			// persisted registry's active set.
-			if err := replayChurn(fed.Engine, churn, snap.NextRound, *workers, mkWorker); err != nil {
-				fmt.Fprintf(os.Stderr, "fifl-sim: resuming from %s: %v\n", *resume, err)
-				os.Exit(1)
-			}
-			coord, err = core.RestoreCoordinatorSnapshot(snap, experiments.DefaultCoordinatorConfig(*sy, true), fed.Engine, coordOpts...)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fifl-sim: resuming from %s: %v\n", *resume, err)
-				os.Exit(1)
-			}
-			startRound = coord.NextRound()
-			fmt.Printf("resumed from %s at round %d\n", *resume, startRound)
 		} else {
 			coord = experiments.DefaultCoordinator(fed, *sy, true, coordOpts...)
 		}
+	}
+	startRound := coord.NextRound()
+	if snap != nil {
+		fmt.Printf("resumed from %s at round %d\n", *ckptFile, startRound)
 	}
 
 	mode := "sync"
@@ -496,8 +424,8 @@ func main() {
 	pending := churn
 	for t := startRound; t < *rounds; t++ {
 		// Membership changes land at round boundaries, mirroring the
-		// transport server's queue-and-apply contract. Events the resumed
-		// checkpoint already absorbed were replayed into the engine above.
+		// transport server's queue-and-apply contract. Events before a
+		// resumed run's first round are already in its checkpoint.
 		for len(pending) > 0 && pending[0].round <= t {
 			ev := pending[0]
 			pending = pending[1:]
@@ -505,14 +433,12 @@ func main() {
 				continue
 			}
 			if err := applyChurn(coord, ev, mkWorker); err != nil {
-				fmt.Fprintf(os.Stderr, "fifl-sim: round %d: churn %s: %v\n", t, ev.op, err)
-				os.Exit(1)
+				exitf(1, "round %d: churn %s: %v", t, ev.op, err)
 			}
 		}
 		rep, err := coord.RunRoundContext(context.Background(), t)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fifl-sim: round %d: %v\n", t, err)
-			os.Exit(1)
+			exitf(1, "round %d: %v", t, err)
 		}
 		for _, rec := range rep.TraceRecords() {
 			recorder.RecordWorker(rec)
@@ -539,7 +465,7 @@ func main() {
 		if !rep.Committed {
 			line += "  QUORUM MISSED (round degraded)"
 		}
-		if t%sc.EvalEvery == 0 || t == *rounds-1 {
+		if (sc.EvalEvery > 0 && t%sc.EvalEvery == 0) || t == *rounds-1 {
 			acc, loss := evalEngine.Evaluate(evalTest, 256)
 			recorder.RecordMetrics(trace.RoundMetrics{Round: t, Accuracy: acc, Loss: loss})
 			line += fmt.Sprintf("  acc=%.3f loss=%.3f", acc, loss)
@@ -554,19 +480,16 @@ func main() {
 			}
 			snap, err := snapshot()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "fifl-sim: round %d: snapshot: %v\n", t, err)
-				os.Exit(1)
+				exitf(1, "round %d: snapshot: %v", t, err)
 			}
 			if err := persist.WriteFile(*ckptFile, snap); err != nil {
-				fmt.Fprintf(os.Stderr, "fifl-sim: round %d: writing checkpoint: %v\n", t, err)
-				os.Exit(1)
+				exitf(1, "round %d: writing checkpoint: %v", t, err)
 			}
 		}
 	}
 	if run != nil {
 		if err := run.Finish(); err != nil {
-			fmt.Fprintf(os.Stderr, "fifl-sim: shard aggregator: %v\n", err)
-			os.Exit(1)
+			exitf(1, "shard aggregator: %v", err)
 		}
 	}
 
@@ -604,8 +527,7 @@ func main() {
 		}
 		st, err := members.State(id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fifl-sim: %v\n", err)
-			os.Exit(1)
+			exitf(1, "%v", err)
 		}
 		fmt.Printf("%-4d %-10s %-9s %12.4f %12.4f\n", id, kind, st, coord.Rep.Reputation(id), cum[id])
 	}

@@ -128,8 +128,14 @@ func RestoreCoordinatorSnapshot(snap *persist.Snapshot, cfg CoordinatorConfig, e
 		return nil, fmt.Errorf("core: checkpoint covers %d workers, registry knows %d", len(snap.Reputations), n)
 	}
 	if members.NumActive() != len(engine.Workers) {
-		return nil, fmt.Errorf("core: checkpoint seats %d active workers, engine has %d — rebuild the cohort the interrupted run held (membership schedule included)",
+		return nil, fmt.Errorf("core: checkpoint seats %d active workers, engine has %d — rebuild the cohort in the checkpoint's ActiveCohort order",
 			members.NumActive(), len(engine.Workers))
+	}
+	for slot, w := range engine.Workers {
+		if id := members.activeRef()[slot]; w.ID() != id {
+			return nil, fmt.Errorf("core: engine slot %d holds worker %d, checkpoint seats worker %d there — rebuild the cohort in the checkpoint's ActiveCohort order",
+				slot, w.ID(), id)
+		}
 	}
 	if len(snap.Servers) != engine.NumServers() {
 		return nil, fmt.Errorf("core: checkpoint has %d servers, engine expects %d", len(snap.Servers), engine.NumServers())
@@ -189,11 +195,8 @@ func RestoreCoordinatorSnapshot(snap *persist.Snapshot, cfg CoordinatorConfig, e
 		return nil, fmt.Errorf("core: checkpoint recorded mechanism RNG state (%d draws), but the restored mechanism %q is not resumable — pass the interrupted run's mechanism via WithMechanism",
 			snap.MechDraws, c.mech.Name())
 	}
-	for slot, w := range engine.Workers {
-		id, err := members.IDOf(slot)
-		if err != nil {
-			return nil, err
-		}
+	for _, w := range engine.Workers {
+		id := w.ID()
 		rw, ok := w.(fl.ResumableWorker)
 		if !ok {
 			if snap.WorkerDraws[id] != 0 {

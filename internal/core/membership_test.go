@@ -335,3 +335,30 @@ func TestBannedCarryoverAcrossResume(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestoreRejectsMisSeatedCohort: an engine whose cohort has the
+// checkpoint's size but not its slot order must be refused. Accepting it
+// would fast-forward each worker's RNG stream by another identity's draws
+// and credit its uploads to the wrong reputation.
+func TestRestoreRejectsMisSeatedCohort(t *testing.T) {
+	f := newElasticFixture(t, 5, 0, true)
+	runRound(t, f.coord, 0)
+	if err := f.coord.DepartWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	runRound(t, f.coord, 1)
+	var ckpt bytes.Buffer
+	if err := f.coord.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	// The checkpoint seats 0, 2, 3, 4; the rebuilt engine swaps 2 and 4.
+	re := newElasticFixture(t, 5, 0, true)
+	if err := re.engine.RemoveWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	re.engine.Workers[1], re.engine.Workers[3] = re.engine.Workers[3], re.engine.Workers[1]
+	if _, err := RestoreCoordinator(bytes.NewReader(ckpt.Bytes()), re.coord.Cfg, re.engine); err == nil {
+		t.Fatal("restore accepted an engine whose slots 1 and 3 hold each other's workers")
+	}
+}

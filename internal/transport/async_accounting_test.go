@@ -390,9 +390,6 @@ func TestNewAsyncCollectorOverChurnedCohort(t *testing.T) {
 	}
 
 	hub := newHub(3)
-	if err := hub.MarkInactive(1); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := NewAsyncCollector(hub, engineFor(hub, []int{0, 2}), AsyncConfig{MaxStaleness: 1, AdvanceEvery: 2}); err != nil {
 		t.Fatalf("collector over cohort [0 2] of a 3-ID hub: %v", err)
 	}

@@ -223,8 +223,7 @@ func (h *Hub) addWorker(id, samples int) error {
 
 // deactivate marks a departed or evicted identity: its submissions and
 // hellos are refused until reactivate. Unregistered IDs stop counting
-// toward readiness — a cohort member the checkpoint knows departed must
-// not park WaitReady forever.
+// toward readiness.
 func (h *Hub) deactivate(id int) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -241,11 +240,6 @@ func (h *Hub) deactivate(id int) error {
 	}
 	return nil
 }
-
-// MarkInactive is deactivate for restore wiring: a federation rebuilt
-// from a churned checkpoint marks every non-active identity before
-// Restore, so readiness waits only on the cohort the checkpoint seats.
-func (h *Hub) MarkInactive(id int) error { return h.deactivate(id) }
 
 // reactivate re-admits a previously deactivated identity with its
 // (possibly re-registered) dataset size.
@@ -281,16 +275,19 @@ func (h *Hub) Close() {
 	}
 }
 
-// Restore seeds a fresh hub with checkpointed state so a restarted
-// coordinator picks up a federation mid-flight: workers the checkpoint
-// knew (samples > 0) are pre-registered — their hellos become idempotent
-// re-registrations and WaitReady does not block on them — and, when round
-// is non-negative, (round, params) becomes the current broadcast, so
-// reconnecting workers long-polling after an earlier round receive the
-// restored model and ride straight into the resumed round. It must be
-// called before any live traffic (hello/publish); a hub that has already
-// published refuses to rewrite history.
-func (h *Hub) Restore(round int, params []float64, samples []int) error {
+// Restore seeds a fresh hub with a checkpoint so a restarted coordinator
+// picks up a federation mid-flight. Identities the checkpoint knows but
+// does not seat in snap.ActiveCohort (departed or banned) are marked
+// inactive, so readiness waits only on the seated cohort and their hellos
+// are refused until a rejoin. Workers the checkpoint knew (Samples > 0)
+// are pre-registered: their hellos become idempotent re-registrations and
+// WaitReady does not block on them. Once a round has run, (NextRound-1,
+// Params) becomes the current broadcast, so reconnecting workers
+// long-polling after an earlier round receive the restored model and ride
+// straight into the resumed round. It must be called before any live
+// traffic (hello/publish); a hub that has already published refuses to
+// rewrite history.
+func (h *Hub) Restore(snap *persist.Snapshot) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	select {
@@ -301,13 +298,14 @@ func (h *Hub) Restore(round int, params []float64, samples []int) error {
 	if h.done || h.round != noRound {
 		return fmt.Errorf("transport: Restore on a hub that already published round %d", h.round)
 	}
+	round := snap.NextRound - 1
 	if round < noRound {
 		return fmt.Errorf("transport: Restore with negative round %d", round)
 	}
-	if len(samples) != h.n {
-		return fmt.Errorf("transport: Restore with %d sample counts for %d workers", len(samples), h.n)
+	if len(snap.Samples) != h.n {
+		return fmt.Errorf("transport: Restore with %d sample counts for %d workers", len(snap.Samples), h.n)
 	}
-	for id, s := range samples {
+	for id, s := range snap.Samples {
 		if s < 0 {
 			return fmt.Errorf("transport: Restore with negative sample count for worker %d", id)
 		}
@@ -316,8 +314,21 @@ func (h *Hub) Restore(round int, params []float64, samples []int) error {
 				id, h.samples[id], s)
 		}
 	}
-	for id, s := range samples {
-		if s > 0 && !h.helloed[id] {
+	seated := make([]bool, h.n)
+	for _, id := range snap.ActiveCohort {
+		if id < 0 || id >= h.n {
+			return fmt.Errorf("transport: Restore seats worker %d, hub covers %d IDs", id, h.n)
+		}
+		seated[id] = true
+	}
+	for id, s := range snap.Samples {
+		switch {
+		case len(snap.ActiveCohort) > 0 && !seated[id]:
+			if !h.inactive[id] && !h.helloed[id] {
+				h.readyLeft--
+			}
+			h.inactive[id] = true
+		case s > 0 && !h.helloed[id]:
 			h.helloed[id] = true
 			h.samples[id] = s
 			h.readyLeft--
@@ -326,7 +337,7 @@ func (h *Hub) Restore(round int, params []float64, samples []int) error {
 	h.maybeReady()
 	if round >= 0 {
 		h.round = round
-		h.params = append([]float64(nil), params...)
+		h.params = append([]float64(nil), snap.Params...)
 		h.pubAt[round] = time.Now()
 		close(h.modelCh)
 		h.modelCh = make(chan struct{})

@@ -1,6 +1,10 @@
 package transport
 
-import "testing"
+import (
+	"testing"
+
+	"fifl/internal/persist"
+)
 
 // TestHubUploadObserver pins the latency observer contract: every fresh
 // accepted submission for a stamped round is observed exactly once with a
@@ -62,7 +66,7 @@ func TestHubUploadObserverRestoredRound(t *testing.T) {
 	}
 	calls := 0
 	hub.SetUploadObserver(func(int, float64) { calls++ })
-	if err := hub.Restore(3, []float64{1, 2}, []int{10}); err != nil {
+	if err := hub.Restore(&persist.Snapshot{NextRound: 4, Params: []float64{1, 2}, Samples: []int{10}}); err != nil {
 		t.Fatal(err)
 	}
 	if fresh, err := hub.submit(3, 0, 10, make([]float64, 2)); err != nil || !fresh {

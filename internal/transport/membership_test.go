@@ -284,18 +284,7 @@ func TestBannedWorkerRefusedOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seated := make(map[int]bool, len(snap.ActiveCohort))
-	for _, id := range snap.ActiveCohort {
-		seated[id] = true
-	}
-	for id := 0; id < len(snap.Reputations); id++ {
-		if !seated[id] {
-			if err := hub2.MarkInactive(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := hub2.Restore(snap.NextRound-1, snap.Params, snap.Samples); err != nil {
+	if err := hub2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	stubs, err := hub2.WorkersFor(snap.ActiveCohort)

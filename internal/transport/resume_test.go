@@ -12,6 +12,7 @@ import (
 
 	"fifl/internal/core"
 	"fifl/internal/fl"
+	"fifl/internal/persist"
 	"fifl/internal/rng"
 )
 
@@ -66,7 +67,7 @@ func TestHubRestore(t *testing.T) {
 	}
 	params := []float64{1, 2, 3, 4}
 	// Worker 2 never registered before the checkpoint (samples 0).
-	if err := hub.Restore(2, params, []int{10, 20, 0}); err != nil {
+	if err := hub.Restore(&persist.Snapshot{NextRound: 3, Params: params, Samples: []int{10, 20, 0}}); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	if round, p, done := hub.model(); round != 2 || done || len(p) != 4 {
@@ -119,29 +120,29 @@ func TestHubRestore(t *testing.T) {
 	}
 
 	// History cannot be rewritten.
-	if err := hub.Restore(5, params, []int{10, 20, 30}); err == nil {
+	if err := hub.Restore(&persist.Snapshot{NextRound: 6, Params: params, Samples: []int{10, 20, 30}}); err == nil {
 		t.Fatal("second Restore accepted")
 	}
 
 	// Shape and state errors.
 	if h2, _ := NewHub(2); true {
-		if err := h2.Restore(0, params, []int{1}); err == nil {
+		if err := h2.Restore(&persist.Snapshot{NextRound: 1, Params: params, Samples: []int{1}}); err == nil {
 			t.Fatal("Restore with wrong sample-count length accepted")
 		}
-		if err := h2.Restore(0, params, []int{-1, 1}); err == nil {
+		if err := h2.Restore(&persist.Snapshot{NextRound: 1, Params: params, Samples: []int{-1, 1}}); err == nil {
 			t.Fatal("Restore with negative samples accepted")
 		}
-		if err := h2.Restore(-5, params, []int{1, 1}); err == nil {
+		if err := h2.Restore(&persist.Snapshot{NextRound: -4, Params: params, Samples: []int{1, 1}}); err == nil {
 			t.Fatal("Restore with negative round accepted")
 		}
 		h2.publish(0, params)
-		if err := h2.Restore(1, params, []int{1, 1}); err == nil {
+		if err := h2.Restore(&persist.Snapshot{NextRound: 2, Params: params, Samples: []int{1, 1}}); err == nil {
 			t.Fatal("Restore after a live publish accepted")
 		}
 	}
 	if h3, _ := NewHub(1); true {
 		h3.Close()
-		if err := h3.Restore(0, params, []int{1}); err == nil {
+		if err := h3.Restore(&persist.Snapshot{NextRound: 1, Params: params, Samples: []int{1}}); err == nil {
 			t.Fatal("Restore on a closed hub accepted")
 		}
 	}
@@ -149,7 +150,7 @@ func TestHubRestore(t *testing.T) {
 	// An empty-run checkpoint (no round yet) only seeds registrations:
 	// submissions stay rejected until a real broadcast.
 	h4, _ := NewHub(2)
-	if err := h4.Restore(noRound, nil, []int{5, 5}); err != nil {
+	if err := h4.Restore(&persist.Snapshot{Samples: []int{5, 5}}); err != nil {
 		t.Fatalf("empty-state Restore: %v", err)
 	}
 	if err := h4.WaitReady(context.Background()); err != nil {
@@ -157,6 +158,41 @@ func TestHubRestore(t *testing.T) {
 	}
 	if _, err := h4.submit(0, 0, 5, make([]float64, 4)); err == nil {
 		t.Fatal("submission before any broadcast accepted after empty-state Restore")
+	}
+}
+
+// TestHubRestoreSeatsActiveCohort: a churned checkpoint seats a subset of
+// the identities it knows. Restore marks the rest inactive, so readiness
+// waits only on the seated cohort and an unseated identity's hello is
+// refused until it rejoins.
+func TestHubRestoreSeatsActiveCohort(t *testing.T) {
+	hub, err := NewHub(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Worker 1 departed; worker 3 joined but never registered here.
+	snap := &persist.Snapshot{NextRound: 2, Params: []float64{1}, Samples: []int{10, 0, 30, 0}, ActiveCohort: []int{0, 3, 2}}
+	if err := hub.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.hello(1, 20); err == nil {
+		t.Fatal("hello from an unseated identity accepted after restore")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := hub.WaitReady(ctx); err == nil {
+		t.Fatal("WaitReady returned with seated worker 3 still missing")
+	}
+	if err := hub.hello(3, 40); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.WaitReady(context.Background()); err != nil {
+		t.Fatalf("WaitReady once the seated cohort registered: %v", err)
+	}
+
+	h2, _ := NewHub(2)
+	if err := h2.Restore(&persist.Snapshot{Samples: []int{1, 1}, ActiveCohort: []int{0, 2}}); err == nil {
+		t.Fatal("Restore seating an identity outside the hub accepted")
 	}
 }
 
@@ -326,7 +362,7 @@ func TestLoopbackKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if err := hub2.Restore(snap.NextRound-1, snap.Params, snap.Samples); err != nil {
+	if err := hub2.Restore(snap); err != nil {
 		t.Fatalf("restoring hub: %v", err)
 	}
 	if err := srv2.WaitReady(ctx); err != nil {

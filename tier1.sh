@@ -122,17 +122,18 @@ cmp "$BIN/scored.csv" internal/score/testdata/golden.csv
 grep -q '0 mismatches' "$BIN/score-report.txt"
 
 # Sharded smoke: the hierarchical mode must run end to end, checkpoint,
-# resume bit-identically (the resumed run's final checkpoint scores byte
-# for byte like the uninterrupted reference), and pass the offline reward
-# audit unchanged — the per-shard evidence unfolds into the same ledger
-# records a flat federation writes.
+# resume bit-identically when rerun over its existing -checkpoint file
+# (the resumed run's final checkpoint scores byte for byte like the
+# uninterrupted reference; the checkpoints themselves differ only in each
+# shard's unread LastSeq cursor), and pass the offline reward audit
+# unchanged — the per-shard evidence unfolds into the same ledger records
+# a flat federation writes.
 "$BIN/fifl-sim" -workers 8 -shards 4 -signflip 1 -rounds 6 -samples 60 -seed 9 \
     -checkpoint "$BIN/shard-ref.ckpt" > /dev/null
 "$BIN/fifl-sim" -workers 8 -shards 4 -signflip 1 -rounds 3 -samples 60 -seed 9 \
     -checkpoint "$BIN/shard-half.ckpt" > /dev/null
 "$BIN/fifl-sim" -workers 8 -shards 4 -signflip 1 -rounds 6 -samples 60 -seed 9 \
-    -resume "$BIN/shard-half.ckpt" -checkpoint "$BIN/shard-half.ckpt" \
-    > "$BIN/shard-resume.log"
+    -checkpoint "$BIN/shard-half.ckpt" > "$BIN/shard-resume.log"
 grep -q 'resumed from' "$BIN/shard-resume.log"
 grep -q 'mode=sharded(4)' "$BIN/shard-resume.log"
 "$BIN/fifl-score" -checkpoint "$BIN/shard-ref.ckpt" \
@@ -144,13 +145,14 @@ grep -q '0 mismatches' "$BIN/shard-report.txt"
 
 # Churn smoke: an elastic-membership run (join, leave, rejoin, evict —
 # every lifecycle transition) must run end to end, checkpoint, and
-# resume bit-identically from a mid-run kill: the resumed run replays
-# pre-checkpoint membership into the engine, restores the registry —
-# bans included — from FIFLCKP5, applies the post-checkpoint events
-# live, and its final checkpoint must equal the uninterrupted
-# reference's byte for byte. The churned ledger (sparse per-round
-# cohorts, a banned ID, a late joiner) must then pass fifl-score's
-# offline reward audit cleanly.
+# resume bit-identically from a mid-run kill: the resumed run seats the
+# cohort the checkpoint names, restores the registry — bans included —
+# from FIFLCKP5, applies the post-checkpoint events live, and its final
+# checkpoint must equal the uninterrupted reference's byte for byte. It
+# is killed at two splits: after round 5 (a joiner seated, worker 1
+# departed) and after round 7 (worker 1 rejoined into the last slot).
+# The churned ledger (sparse per-round cohorts, a banned ID, a late
+# joiner) must then pass fifl-score's offline reward audit cleanly.
 CHURN="3:join,5:leave:1,6:rejoin:1,7:evict:4"
 CHURN_COMMON="-workers 5 -samples 60 -seed 11 -churn $CHURN"
 # shellcheck disable=SC2086
@@ -161,14 +163,22 @@ CHURN_COMMON="-workers 5 -samples 60 -seed 11 -churn $CHURN"
     -checkpoint "$BIN/churn-half.ckpt" > /dev/null
 # shellcheck disable=SC2086
 "$BIN/fifl-sim" $CHURN_COMMON -rounds 8 \
-    -resume "$BIN/churn-half.ckpt" -checkpoint "$BIN/churn-half.ckpt" \
-    > "$BIN/churn-resume.log"
+    -checkpoint "$BIN/churn-half.ckpt" > "$BIN/churn-resume.log"
 grep -q 'resumed from' "$BIN/churn-resume.log"
 grep -q 'worker 5 joined' "$BIN/churn-ref.log"
 grep -q 'worker 1 rejoined' "$BIN/churn-resume.log"
 grep -q 'worker 4 evicted' "$BIN/churn-resume.log"
 grep -q 'banned' "$BIN/churn-resume.log"
 cmp "$BIN/churn-ref.ckpt" "$BIN/churn-half.ckpt"
+# shellcheck disable=SC2086
+"$BIN/fifl-sim" $CHURN_COMMON -rounds 7 \
+    -checkpoint "$BIN/churn-late.ckpt" > /dev/null
+# shellcheck disable=SC2086
+"$BIN/fifl-sim" $CHURN_COMMON -rounds 8 \
+    -checkpoint "$BIN/churn-late.ckpt" > "$BIN/churn-late.log"
+grep -q 'resumed from .* at round 7' "$BIN/churn-late.log"
+grep -q 'worker 4 evicted' "$BIN/churn-late.log"
+cmp "$BIN/churn-ref.ckpt" "$BIN/churn-late.ckpt"
 "$BIN/fifl-score" -checkpoint "$BIN/churn-ref.ckpt" \
     -out "$BIN/churn.csv" -report "$BIN/churn-report.txt"
 grep -q '0 mismatches' "$BIN/churn-report.txt"
@@ -277,8 +287,7 @@ ASYNC_COMMON="-workers 6 -samples 40 -seed 7 -async -advance-every 3 -max-stalen
 "$BIN/fifl-sim" $ASYNC_COMMON -rounds 3 -checkpoint "$BIN/async-half.ckpt" > /dev/null
 # shellcheck disable=SC2086
 "$BIN/fifl-sim" $ASYNC_COMMON -rounds 6 \
-    -resume "$BIN/async-half.ckpt" -checkpoint "$BIN/async-half.ckpt" \
-    > "$BIN/async-resume.log"
+    -checkpoint "$BIN/async-half.ckpt" > "$BIN/async-resume.log"
 grep -q 'resumed from' "$BIN/async-resume.log"
 cmp "$BIN/async-ref.ckpt" "$BIN/async-half.ckpt"
 
