@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"fifl/internal/core"
 	"fifl/internal/faults"
 	"fifl/internal/fl"
+	"fifl/internal/frame"
 	"fifl/internal/nn"
 	"fifl/internal/rng"
 	"fifl/internal/transport"
@@ -219,9 +221,9 @@ func TestHTTPLinkReleasedDirectiveIsGone(t *testing.T) {
 // frame that then fails its CRC check.
 func TestHTTPLinkRejectsOversizedDirective(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Length", strconv.Itoa(maxSubmitBytes+1))
+		w.Header().Set("Content-Length", strconv.Itoa(transport.MaxFrameBytes+1))
 		chunk := make([]byte, 64<<10)
-		for left := maxSubmitBytes + 1; left > 0; left -= len(chunk) {
+		for left := transport.MaxFrameBytes + 1; left > 0; left -= len(chunk) {
 			if _, err := w.Write(chunk[:min(len(chunk), left)]); err != nil {
 				return // the link hung up
 			}
@@ -230,7 +232,8 @@ func TestHTTPLinkRejectsOversizedDirective(t *testing.T) {
 	defer ts.Close()
 	link := HTTPLink{Base: ts.URL, Client: ts.Client()}
 	_, err := link.NextDirective(testCtx(t), 0)
-	if err == nil || !strings.Contains(err.Error(), "exceeds the frame size limit") {
+	want := fmt.Sprintf("response exceeds the %d-byte limit", transport.MaxFrameBytes)
+	if !errors.Is(err, frame.ErrFrameTooLarge) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("oversized directive polled with %v, want an explicit frame size error", err)
 	}
 }

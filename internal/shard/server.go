@@ -5,20 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"fifl/internal/core"
-	"fifl/internal/frame"
 	"fifl/internal/transport"
 	"fifl/internal/transport/codec"
 )
-
-// maxSubmitBytes bounds a directive response on the link side. It matches
-// the coordinator server's bound on a request frame, which a collect
-// frame carrying several full server gradients must fit.
-const maxSubmitBytes = 64 << 20
 
 // NewServer serves the shard protocol for a root coordinator on the
 // coordinator server every protocol shares (transport.NewCoordinatorServer),
@@ -92,21 +85,16 @@ func (h *ShardHub) handleDirective(w http.ResponseWriter, r *http.Request, wait 
 }
 
 // HTTPLink is an edge aggregator's RootLink over HTTP, speaking to the
-// root server's /v1/shard endpoints (NewServer).
+// root server's /v1/shard endpoints (NewServer) through transport.Exchange.
 type HTTPLink struct {
 	// Base is the root server's base URL, e.g. "http://root:8080".
 	Base string
-	// Client is the HTTP client to use; nil means http.DefaultClient.
+	// Client is the HTTP client to use; nil means transport.Exchange's
+	// default, which fails a request whose reply headers do not arrive
+	// within the server's long-poll cap plus a grace period.
 	Client *http.Client
 	// PollWait caps each directive long poll; 0 uses the server default.
 	PollWait time.Duration
-}
-
-func (l HTTPLink) client() *http.Client {
-	if l.Client != nil {
-		return l.Client
-	}
-	return http.DefaultClient
 }
 
 // Submit implements RootLink.
@@ -115,19 +103,13 @@ func (l HTTPLink) Submit(ctx context.Context, s codec.ShardSubmit) error {
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, l.Base+"/v1/shard/submit", bytes.NewReader(frame))
+	status, reply, err := transport.Exchange(ctx, l.Client, http.MethodPost, l.Base, "/v1/shard/submit",
+		"application/octet-stream", frame, transport.MaxFrameBytes)
 	if err != nil {
-		return err
+		return fmt.Errorf("shard: submit: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := l.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("shard: submit rejected (%s): %s", resp.Status, bytes.TrimSpace(msg))
+	if status != http.StatusNoContent {
+		return fmt.Errorf("shard: submit rejected (%d %s): %s", status, http.StatusText(status), bytes.TrimSpace(reply))
 	}
 	return nil
 }
@@ -137,31 +119,19 @@ func (l HTTPLink) Submit(ctx context.Context, s codec.ShardSubmit) error {
 // already released fails with ErrDirectiveReleased, a poll of a root whose
 // hub is closed with ErrHubClosed.
 func (l HTTPLink) NextDirective(ctx context.Context, after int) (codec.ShardDirective, error) {
-	url := fmt.Sprintf("%s/v1/shard/directive?after=%d", l.Base, after)
+	path := fmt.Sprintf("/v1/shard/directive?after=%d", after)
 	if l.PollWait > 0 {
-		url += fmt.Sprintf("&wait=%d", l.PollWait.Milliseconds())
+		path += fmt.Sprintf("&wait=%d", l.PollWait.Milliseconds())
 	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return codec.ShardDirective{}, err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		status, body, err := transport.Exchange(ctx, l.Client, http.MethodGet, l.Base, path, "", nil, transport.MaxFrameBytes)
 		if err != nil {
-			return codec.ShardDirective{}, err
+			return codec.ShardDirective{}, fmt.Errorf("shard: directive poll: %w", err)
 		}
-		resp, err := l.client().Do(req)
-		if err != nil {
-			return codec.ShardDirective{}, err
-		}
-		body, err := frame.ReadFrame(resp.Body, resp.ContentLength, maxSubmitBytes)
-		resp.Body.Close()
-		if errors.Is(err, frame.ErrFrameTooLarge) {
-			return codec.ShardDirective{}, fmt.Errorf("shard: directive poll (%s): response exceeds the frame size limit of %d bytes", resp.Status, maxSubmitBytes)
-		}
-		if err != nil {
-			return codec.ShardDirective{}, err
-		}
-		switch resp.StatusCode {
+		switch status {
 		case http.StatusOK:
 			return codec.DecodeShardDirective(body)
 		case http.StatusNoContent:
@@ -171,8 +141,8 @@ func (l HTTPLink) NextDirective(ctx context.Context, after int) (codec.ShardDire
 		case http.StatusServiceUnavailable:
 			return codec.ShardDirective{}, fmt.Errorf("shard: directive %d: %w", after+1, ErrHubClosed)
 		default:
-			return codec.ShardDirective{}, fmt.Errorf("shard: directive poll failed (%s): %s",
-				resp.Status, bytes.TrimSpace(body))
+			return codec.ShardDirective{}, fmt.Errorf("shard: directive poll failed (%d %s): %s",
+				status, http.StatusText(status), bytes.TrimSpace(body))
 		}
 	}
 }

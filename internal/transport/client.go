@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -95,12 +94,8 @@ func DialWorker(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	if cfg.Worker == nil {
 		return nil, fmt.Errorf("transport: DialWorker requires a worker")
 	}
-	u, err := url.Parse(cfg.BaseURL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("transport: DialWorker requires an absolute coordinator URL (scheme://host[:port]), got %q", cfg.BaseURL)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return nil, fmt.Errorf("transport: DialWorker speaks http/https, got scheme %q in %q", u.Scheme, cfg.BaseURL)
+	if err := checkBaseURL(cfg.BaseURL); err != nil {
+		return nil, fmt.Errorf("transport: DialWorker: %w", err)
 	}
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = 5 * time.Second
@@ -262,34 +257,27 @@ func (c *Client) VerifyLedger(ctx context.Context) (blocks int, err error) {
 // tip carries zero blocks, so an auditor can tail a live chain paying for
 // new blocks only. maxBytes <= 0 uses the default 1 GiB ledger budget. The
 // export is returned unverified; stream it with chain.StreamBinary
-// (checking continuity) or chain.VerifyFrom.
+// (checking continuity) or chain.VerifyFrom. A coordinator that accepts
+// the connection but sends no reply headers fails the call once the
+// server's 10 s long-poll cap plus 30 s have passed; a download that is
+// making progress is never cut.
 func FetchLedger(ctx context.Context, baseURL string, from int, maxBytes int64) ([]byte, error) {
-	u, err := url.Parse(baseURL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("transport: FetchLedger requires an absolute coordinator URL, got %q", baseURL)
-	}
 	if from < 0 {
 		return nil, fmt.Errorf("transport: FetchLedger requires a non-negative index, got %d", from)
 	}
 	if maxBytes <= 0 {
 		maxBytes = maxLedgerBytes
 	}
-	path := baseURL + "/v1/ledger"
+	path := "/v1/ledger"
 	if from > 0 {
 		path += "?from=" + strconv.Itoa(from)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
+	status, body, err := Exchange(ctx, nil, http.MethodGet, baseURL, path, "", nil, maxBytes)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("transport: fetching ledger: %w", err)
-	}
-	defer resp.Body.Close()
-	body, err := readResponse(resp, "/v1/ledger", maxBytes)
-	if err != nil {
-		return nil, err
+	if status < 200 || status >= 300 {
+		return nil, fmt.Errorf("GET /v1/ledger: %d %s: %s", status, http.StatusText(status), bytes.TrimSpace(body))
 	}
 	return codec.DecodeLedger(body)
 }
@@ -301,36 +289,15 @@ const maxMetricsBytes = 64 << 20
 // FetchMetrics downloads a coordinator's Prometheus text exposition from
 // /v1/metrics — the read-only companion to FetchLedger for analytics
 // consumers that overlay transport observations (upload latency) onto
-// ledger-derived signals.
+// ledger-derived signals. Its wait for reply headers is bounded as
+// FetchLedger's is.
 func FetchMetrics(ctx context.Context, baseURL string) ([]byte, error) {
-	u, err := url.Parse(baseURL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("transport: FetchMetrics requires an absolute coordinator URL, got %q", baseURL)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/metrics", nil)
+	status, body, err := Exchange(ctx, nil, http.MethodGet, baseURL, "/v1/metrics", "", nil, maxMetricsBytes)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("transport: fetching metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	return readResponse(resp, "/v1/metrics", maxMetricsBytes)
-}
-
-// readResponse reads the body of a one-shot GET of endpoint, at most limit
-// bytes, and turns a non-2xx status into an error carrying the body.
-func readResponse(resp *http.Response, endpoint string, limit int64) ([]byte, error) {
-	body, err := frame.ReadFrame(resp.Body, resp.ContentLength, limit)
-	if errors.Is(err, frame.ErrFrameTooLarge) {
-		return nil, fmt.Errorf("GET %s: %s: response exceeds the %d-byte limit", endpoint, resp.Status, limit)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("transport: reading %s response: %w", endpoint, err)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return nil, fmt.Errorf("GET %s: %s: %s", endpoint, resp.Status, bytes.TrimSpace(body))
+	if status < 200 || status >= 300 {
+		return nil, fmt.Errorf("GET /v1/metrics: %d %s: %s", status, http.StatusText(status), bytes.TrimSpace(body))
 	}
 	return body, nil
 }
@@ -363,7 +330,7 @@ func (c *Client) responseLimit(endpoint string) int64 {
 	if endpoint == "/v1/ledger" {
 		return maxLedgerBytes
 	}
-	return maxUploadBytes
+	return MaxFrameBytes
 }
 
 // retryWait returns the clamped exponential backoff before retry attempt
@@ -385,12 +352,11 @@ func retryWait(base time.Duration, attempt int) time.Duration {
 	return wait
 }
 
-// do issues one HTTP request with exponential-backoff retries on transport
-// errors and 5xx responses. 4xx responses are terminal: the coordinator
-// rejected the request and a retransmission cannot fix it. A response body
-// larger than the endpoint's budget is also terminal — the body is read
-// with a limit+1 over-read probe so truncation is detected explicitly
-// instead of surfacing as a downstream CRC failure.
+// do issues one HTTP request through Exchange, with exponential-backoff
+// retries on transport errors and 5xx responses. 4xx responses are
+// terminal: the coordinator rejected the request and a retransmission
+// cannot fix it. A response body larger than the endpoint's budget is also
+// terminal — a bigger response will not fit on retry either.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	endpoint := endpointOf(path)
 	limit := c.responseLimit(endpoint)
@@ -408,58 +374,35 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 				return nil, ctx.Err()
 			}
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
-		if err != nil {
-			return nil, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/octet-stream")
-		}
 		start := time.Now()
-		resp, err := c.http.Do(req)
+		status, out, err := Exchange(ctx, c.http, method, c.cfg.BaseURL, path, "application/octet-stream", body, limit)
 		reqs.Inc()
-		if err != nil {
-			if errsC != nil {
-				errsC.Inc()
+		if status != 0 { // a reply arrived
+			if lat != nil {
+				lat.ObserveSince(start)
 			}
-			lastErr = err
-			continue
+			c.cm.bytesOut.Add(int64(len(body)))
 		}
-		out, err := frame.ReadFrame(resp.Body, resp.ContentLength, limit)
-		resp.Body.Close()
-		if lat != nil {
-			lat.ObserveSince(start)
-		}
-		c.cm.bytesOut.Add(int64(len(body)))
 		switch {
-		case resp.StatusCode == http.StatusNoContent:
+		case status >= 500:
+			lastErr = fmt.Errorf("%s %s: %d %s", method, path, status, http.StatusText(status))
+		case errors.Is(err, frame.ErrFrameTooLarge):
+			return nil, err
+		case err != nil:
+			lastErr = err
+		case status == http.StatusNoContent:
 			return nil, nil
-		case resp.StatusCode >= 200 && resp.StatusCode < 300:
-			if errors.Is(err, frame.ErrFrameTooLarge) {
-				// Terminal: a bigger response will not fit on retry either.
-				return nil, fmt.Errorf("%s %s: response exceeds the %d-byte limit", method, endpoint, limit)
-			}
-			if err != nil {
-				lastErr = err
-				continue
-			}
+		case status >= 200 && status < 300:
 			c.cm.bytesIn.Add(int64(len(out)))
 			return out, nil
-		case resp.StatusCode >= 500:
-			if errsC != nil {
-				errsC.Inc()
-			}
-			lastErr = fmt.Errorf("%s %s: %s", method, path, resp.Status)
-			continue
 		default:
 			if errsC != nil {
 				errsC.Inc()
 			}
-			return nil, fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(out))
+			return nil, fmt.Errorf("%s %s: %d %s: %s", method, path, status, http.StatusText(status), bytes.TrimSpace(out))
+		}
+		if errsC != nil { // a failure the next attempt retries
+			errsC.Inc()
 		}
 	}
 	return nil, fmt.Errorf("%s %s failed after %d attempts: %w", method, path, c.cfg.RetryAttempts+1, lastErr)

@@ -140,7 +140,7 @@ func TestFetchLedgerIncremental(t *testing.T) {
 }
 
 // TestFetchLedgerRejectsBadRequests: invalid inputs fail fast on both
-// sides of the wire.
+// sides of the wire (a bad base URL: TestEntryPointsRejectBadBaseURL).
 func TestFetchLedgerRejectsBadRequests(t *testing.T) {
 	_, ts, shutdown := ledgerServer(t)
 	defer shutdown()
@@ -149,9 +149,6 @@ func TestFetchLedgerRejectsBadRequests(t *testing.T) {
 
 	if _, err := FetchLedger(ctx, ts.URL, -1, 0); err == nil {
 		t.Fatal("negative index must be rejected before any request")
-	}
-	if _, err := FetchLedger(ctx, "not-a-url", 0, 0); err == nil {
-		t.Fatal("relative base URL must be rejected")
 	}
 	resp, err := http.Get(ts.URL + "/v1/ledger?from=" + strconv.Itoa(-2))
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"net/http"
 
 	"fifl/internal/core"
-	"fifl/internal/frame"
 )
 
 // Elastic membership over the wire. Join and leave are control-plane
@@ -243,47 +242,17 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// membershipPost issues one JSON control-plane POST (no retries: the
-// server already queues the request durably for the boundary, so a
-// replayed join could admit twice).
-func membershipPost(ctx context.Context, baseURL, path string, payload any) (body []byte, status int, err error) {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+path, bytes.NewReader(raw))
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, 0, fmt.Errorf("transport: POST %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	body, err = frame.ReadFrame(resp.Body, resp.ContentLength, maxMembershipBytes)
-	if errors.Is(err, frame.ErrFrameTooLarge) {
-		return nil, 0, fmt.Errorf("transport: POST %s: %s: response exceeds the %d-byte limit", path, resp.Status, maxMembershipBytes)
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("transport: reading %s response: %w", path, err)
-	}
-	return body, resp.StatusCode, nil
-}
-
 // JoinFederation performs the elastic-membership handshake for a brand-
 // new participant: it declares the dataset size and blocks until the
 // coordinator's next round boundary assigns a stable worker ID, which is
 // returned. The join subsumes hello — the caller builds its fl.Worker
 // around the assigned ID and connects with DialWorker (whose hello is an
-// idempotent re-registration).
+// idempotent re-registration). The wait is bounded only by ctx: a round
+// can legitimately outlast any fixed header timeout.
 func JoinFederation(ctx context.Context, baseURL string, samples int) (int, error) {
-	body, status, err := membershipPost(ctx, baseURL, "/v1/join", map[string]int{"worker": -1, "samples": samples})
+	body, err := join(ctx, baseURL, -1, samples)
 	if err != nil {
 		return 0, err
-	}
-	if status < 200 || status >= 300 {
-		return 0, joinError(status, body)
 	}
 	var rep struct {
 		Worker int `json:"worker"`
@@ -295,37 +264,45 @@ func JoinFederation(ctx context.Context, baseURL string, samples int) (int, erro
 }
 
 // RejoinFederation re-admits a previously departed identity with its
-// reputation and reward history intact. A banned identity is refused with
-// an error wrapping core.ErrBanned.
+// reputation and reward history intact, blocking (bounded only by ctx)
+// until the next round boundary. A banned identity is refused with an
+// error wrapping core.ErrBanned.
 func RejoinFederation(ctx context.Context, baseURL string, worker, samples int) error {
 	if worker < 0 {
 		return fmt.Errorf("transport: RejoinFederation requires a non-negative worker, got %d", worker)
 	}
-	body, status, err := membershipPost(ctx, baseURL, "/v1/join", map[string]int{"worker": worker, "samples": samples})
+	_, err := join(ctx, baseURL, worker, samples)
+	return err
+}
+
+// join sends one /v1/join handshake and returns the 2xx reply body. A
+// refusal maps to an error; 403 marks the banned case so callers can
+// errors.Is(err, core.ErrBanned).
+func join(ctx context.Context, baseURL string, worker, samples int) ([]byte, error) {
+	// Sent once, never retried: the server queues the join for the
+	// boundary, so a replayed one could admit twice. The body is the JSON
+	// encoding/json writes for the map {"worker", "samples"}.
+	status, body, err := Exchange(ctx, http.DefaultClient, http.MethodPost, baseURL, "/v1/join", "application/json",
+		fmt.Appendf(nil, `{"samples":%d,"worker":%d}`, samples, worker), maxMembershipBytes)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if status < 200 || status >= 300 {
-		return joinError(status, body)
-	}
-	return nil
-}
-
-// joinError maps a join refusal to an error; 403 marks the banned case so
-// callers can errors.Is(err, core.ErrBanned).
-func joinError(status int, body []byte) error {
 	msg := string(bytes.TrimSpace(body))
-	if status == http.StatusForbidden {
-		return fmt.Errorf("transport: join refused (%s): %w", msg, core.ErrBanned)
+	switch {
+	case status == http.StatusForbidden:
+		return nil, fmt.Errorf("transport: join refused (%s): %w", msg, core.ErrBanned)
+	case status < 200 || status >= 300:
+		return nil, fmt.Errorf("transport: join refused: HTTP %d: %s", status, msg)
 	}
-	return fmt.Errorf("transport: join refused: HTTP %d: %s", status, msg)
+	return body, nil
 }
 
-// Leave departs the federation voluntarily, blocking until the
-// coordinator's next round boundary unseats this worker. The identity
-// keeps its history and may return via RejoinFederation.
+// Leave departs the federation voluntarily, blocking (bounded only by
+// ctx) until the coordinator's next round boundary unseats this worker.
+// The identity keeps its history and may return via RejoinFederation.
 func (c *Client) Leave(ctx context.Context) error {
-	body, status, err := membershipPost(ctx, c.cfg.BaseURL, "/v1/leave", map[string]int{"worker": c.cfg.Worker.ID()})
+	status, body, err := Exchange(ctx, http.DefaultClient, http.MethodPost, c.cfg.BaseURL, "/v1/leave", "application/json",
+		fmt.Appendf(nil, `{"worker":%d}`, c.cfg.Worker.ID()), maxMembershipBytes)
 	if err != nil {
 		return err
 	}

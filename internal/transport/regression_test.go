@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -388,45 +387,14 @@ func TestResponseLimitExplicitError(t *testing.T) {
 	}
 }
 
-// TestOneShotReadersRejectOversizedReplies: the ledger, metrics and
-// membership readers fail with an explicit limit error on a reply past
-// their budget. The membership reader used to cut such a reply at the
-// budget and hand the truncated JSON to the decoder.
-func TestOneShotReadersRejectOversizedReplies(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		size := 100
-		switch r.URL.Path {
-		case "/v1/metrics":
-			// Declared past the budget: refused before a byte is read.
-			w.Header().Set("Content-Length", strconv.Itoa(maxMetricsBytes+1))
-			return
-		case "/v1/join":
-			size = maxMembershipBytes + 1
-		}
-		_, _ = w.Write(bytes.Repeat([]byte{' '}, size))
-	}))
-	defer ts.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for name, fetch := range map[string]func() error{
-		"ledger":  func() error { _, err := FetchLedger(ctx, ts.URL, 0, 16); return err },
-		"metrics": func() error { _, err := FetchMetrics(ctx, ts.URL); return err },
-		"join":    func() error { _, err := JoinFederation(ctx, ts.URL, 10); return err },
-	} {
-		if err := fetch(); err == nil || !strings.Contains(err.Error(), "response exceeds the") {
-			t.Errorf("%s: oversized reply read as %v, want the limit error", name, err)
-		}
-	}
-}
-
 // TestResponseLimitDefaults: the ledger endpoint gets its own much larger
 // budget — a full-run chain export dwarfs a gradient frame — while
 // everything else keeps the frame-size cap, and an explicit
 // MaxResponseBytes overrides both.
 func TestResponseLimitDefaults(t *testing.T) {
 	c := &Client{cfg: ClientConfig{}}
-	if got := c.responseLimit("/v1/model"); got != maxUploadBytes {
-		t.Fatalf("model budget = %d, want %d", got, int64(maxUploadBytes))
+	if got := c.responseLimit("/v1/model"); got != MaxFrameBytes {
+		t.Fatalf("model budget = %d, want %d", got, int64(MaxFrameBytes))
 	}
 	if got := c.responseLimit("/v1/ledger"); got != maxLedgerBytes {
 		t.Fatalf("ledger budget = %d, want %d", got, int64(maxLedgerBytes))

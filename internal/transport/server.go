@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,13 +19,35 @@ import (
 	"fifl/internal/transport/codec"
 )
 
-// maxUploadBytes bounds a submission body: header + gradient + CRC for the
-// largest model this repo trains, with generous slack. Larger bodies are
-// rejected before buffering.
-const maxUploadBytes = 64 << 20
+// MaxFrameBytes bounds one codec frame on either side of the wire: a
+// request body the server reads (HandleFrame) and a frame reply a client
+// reads through Exchange. It is header + gradient + CRC for the largest
+// model this repo trains, with generous slack; a collect frame carrying
+// several full server gradients must fit. Larger bodies are rejected
+// before buffering.
+const MaxFrameBytes = 64 << 20
 
-// defaultPollWait is the server-side cap on a model long poll.
+// defaultPollWait is the server-side cap on a long poll.
 const defaultPollWait = 10 * time.Second
+
+// replyHeaderWait bounds how long defaultClient waits for a reply's
+// headers. The server answers every request at once except a long poll,
+// which it holds for at most defaultPollWait, so a longer silence is a
+// stalled server, not a slow one. Only the headers are timed: a download
+// that is making progress is never cut.
+const replyHeaderWait = defaultPollWait + 30*time.Second
+
+// defaultClient carries the requests of callers that bring no
+// http.Client of their own (Exchange with a nil client).
+var defaultClient = headerBoundClient(replyHeaderWait)
+
+// headerBoundClient returns a client that fails a request whose reply
+// headers take longer than wait to arrive.
+func headerBoundClient(wait time.Duration) *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.ResponseHeaderTimeout = wait
+	return &http.Client{Transport: t}
+}
 
 // Protocol is the peer side of one wire protocol a Server speaks: the
 // worker Hub, or a sharded root's shard.ShardHub. The Server owns the rest
@@ -138,11 +162,11 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 }
 
 // HandleFrame mounts an endpoint that takes one codec frame as its body.
-// The body is read bounded by maxUploadBytes: a larger one is 413, a
+// The body is read bounded by MaxFrameBytes: a larger one is 413, a
 // short or unreadable one 400, and h runs only on a whole frame.
 func (s *Server) HandleFrame(pattern string, h func(w http.ResponseWriter, r *http.Request, body []byte)) {
 	s.handle(pattern, func(w http.ResponseWriter, r *http.Request) {
-		body, err := frame.ReadFrame(r.Body, r.ContentLength, maxUploadBytes)
+		body, err := frame.ReadFrame(r.Body, r.ContentLength, MaxFrameBytes)
 		if errors.Is(err, frame.ErrFrameTooLarge) {
 			http.Error(w, "transport: submission exceeds the frame size limit", http.StatusRequestEntityTooLarge)
 			return
@@ -171,6 +195,61 @@ func (s *Server) HandlePoll(pattern string, h func(w http.ResponseWriter, r *htt
 		}
 		h(w, r, wait)
 	})
+}
+
+// Exchange sends one request to a coordinator server and reads its reply:
+// the one request path of every client of the server (the worker Client,
+// FetchLedger, FetchMetrics, the membership calls and the shard link).
+// base must be an absolute http(s) URL. body, if not nil, is sent as
+// contentType to base+path through hc (nil = a client that bounds the wait
+// for the reply's headers, see replyHeaderWait). The reply body is read
+// whole, at most limit bytes, and closed. Exchange returns the reply's
+// status, 0 when no reply arrived, and its body; a body past limit fails
+// with an error wrapping frame.ErrFrameTooLarge. What a status means —
+// re-poll, retry or refusal — is the caller's to decide.
+func Exchange(ctx context.Context, hc *http.Client, method, base, path, contentType string, body []byte, limit int64) (status int, reply []byte, err error) {
+	if err := checkBaseURL(base); err != nil {
+		return 0, nil, err
+	}
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
+	if err != nil {
+		return 0, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if hc == nil {
+		hc = defaultClient
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	reply, err = frame.ReadFrame(resp.Body, resp.ContentLength, limit)
+	if errors.Is(err, frame.ErrFrameTooLarge) {
+		return resp.StatusCode, nil, fmt.Errorf("%s %s: %s: response exceeds the %d-byte limit: %w",
+			method, endpointOf(path), resp.Status, limit, err)
+	}
+	if err != nil {
+		return resp.StatusCode, nil, fmt.Errorf("%s %s: reading the reply: %w", method, endpointOf(path), err)
+	}
+	return resp.StatusCode, reply, nil
+}
+
+// checkBaseURL accepts only an absolute http or https URL, so a typo fails
+// up front with its own message instead of as an opaque "unsupported
+// protocol scheme" or a retry exhaustion.
+func checkBaseURL(base string) error {
+	u, err := url.Parse(base)
+	if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
+		return fmt.Errorf("coordinator URL %q is not an absolute http(s) URL (scheme://host[:port])", base)
+	}
+	return nil
 }
 
 // Handler returns the server's HTTP handler, ready for http.Server or

@@ -102,6 +102,23 @@ go build -o "$BIN/fifl-sim" ./cmd/fifl-sim
 go build -o "$BIN/fifl-node" ./cmd/fifl-node
 "$BIN/fifl-sim" -workers 3 -rounds 1 -samples 40 -metrics | grep -q '^fifl_engine_rounds_total 1$'
 
+# Base-URL smoke: a shard link and a membership join given a coordinator
+# URL that is not an absolute http(s) URL must exit non-zero with the one
+# base-URL message every client of the coordinator server shares, not
+# Go's opaque "unsupported protocol scheme".
+if "$BIN/fifl-node" -role shard -workers 4 -shards 2 -samples 40 -id 0 \
+    -shard-of not-a-url > "$BIN/badurl-shard.log" 2>&1; then
+    echo "fifl-node -shard-of not-a-url exited 0" >&2
+    exit 1
+fi
+grep -q 'not an absolute http(s) URL' "$BIN/badurl-shard.log"
+if "$BIN/fifl-node" -role worker -join -coordinator not-a-url \
+    > "$BIN/badurl-join.log" 2>&1; then
+    echo "fifl-node -join -coordinator not-a-url exited 0" >&2
+    exit 1
+fi
+grep -q 'not an absolute http(s) URL' "$BIN/badurl-join.log"
+
 # Accountability smoke (§4.5): the forged-record story end to end — a
 # compromised server appends a forged reputation record under its own
 # seal, the task publisher's audit recomputation traces the forgery to it
