@@ -579,12 +579,9 @@ func runShard(ctx context.Context, recipe transport.Recipe, o shardOpts) error {
 	for s := 0; s < o.ID; s++ {
 		first += sizes[s]
 	}
-	workers := make([]fl.Worker, sizes[o.ID])
-	for i := range workers {
-		var err error
-		if workers[i], err = recipe.Worker(first + i); err != nil {
-			return err
-		}
+	workers, err := recipe.Cohort(first, sizes[o.ID])
+	if err != nil {
+		return err
 	}
 	build, err := recipe.Builder()
 	if err != nil {

@@ -193,6 +193,9 @@ func main() {
 	if *perWkr < 1 || *servers < 1 {
 		exitf(2, "-samples and -servers must be at least 1, got %d and %d", *perWkr, *servers)
 	}
+	if *rounds < 1 {
+		exitf(2, "-rounds must be at least 1, got %d", *rounds)
+	}
 	if *evalEach < 0 {
 		exitf(2, "-eval must be non-negative, got %d", *evalEach)
 	}

@@ -115,6 +115,8 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-samples", "0"},
 		{"-servers", "0"},
 		{"-eval", "-1"},
+		{"-rounds", "0"},
+		{"-rounds", "-2", "-audit"},
 	} {
 		_, stderr, code := runSim(t, append([]string{"-workers", "3", "-rounds", "1"}, args...)...)
 		if code != 2 || !strings.HasPrefix(stderr, "fifl-sim: ") || strings.Contains(stderr, "panic") {

@@ -117,9 +117,9 @@ type Contributions struct {
 
 // ComputeContributions assesses every worker's utility against the global
 // gradient. global must be the aggregated G̃ of the round (nil yields all
-// zeros — no information). The distances decompose over the polycentric
-// slices, Σ_j Dis(g̃^j, g_i^j) = Dis(G̃, G_i), so computing them on the full
-// vectors is exactly Eq. 13.
+// zeros — no information), and every gradient nil or of its length. The
+// distances decompose over the polycentric slices, Σ_j Dis(g̃^j, g_i^j) =
+// Dis(G̃, G_i), so computing them on the full vectors is exactly Eq. 13.
 func ComputeContributions(cfg ContributionConfig, global gradvec.Vector, grads []gradvec.Vector) *Contributions {
 	out, _ := assessContributions(context.Background(), cfg, engineSource{}, &fl.RoundResult{Grads: grads}, global)
 	return out
@@ -158,22 +158,22 @@ func assessContributions(ctx context.Context, cfg ContributionConfig, src gradie
 }
 
 // CohortDistances writes b_i = ‖G̃ − g_i‖² (Eq. 13) for every upload of a
-// cohort to dists, NaN when the upload is unusable: missing, of another
-// length than G̃, or holding a NaN or ±Inf. It is the distance kernel of
-// the flat Contribution stage, and each edge aggregator of a sharded
-// federation runs it over its own cohort, so both paths are bit-identical
-// by construction. The distances are independent per worker, so they fan
-// out across cores in contiguous chunks, each writing only its own
-// indices. Within a chunk the uploads of G̃'s length go four at a time
-// through SqDist4, which is bit-for-bit four SqDist calls; the 1–3 the last
-// group cannot fill, like every unusable upload, go through sqDistToGlobal.
+// cohort to dists, NaN when the upload is unusable: missing, or holding a
+// NaN or ±Inf. Every upload must be nil or of G̃'s length (fl.UploadRow).
+// It is the distance kernel of the flat Contribution stage, and each edge
+// aggregator of a sharded federation runs it over its own cohort, so both
+// paths are bit-identical by construction. The distances are independent
+// per worker, so they fan out across cores in contiguous chunks, each
+// writing only its own indices. Within a chunk the arrived uploads go four
+// at a time through SqDist4, which is bit-for-bit four SqDist calls, and
+// the 1–3 the last group cannot fill through sqDistToGlobal.
 func CohortDistances(global gradvec.Vector, grads []gradvec.Vector, dists []float64) {
 	parallel.ForChunked(len(grads), func(lo, hi int) {
 		var rows [4]int
 		k := 0
 		for i := lo; i < hi; i++ {
-			if g := grads[i]; g == nil || len(g) != len(global) {
-				dists[i], _ = sqDistToGlobal(global, g)
+			if grads[i] == nil {
+				dists[i] = math.NaN()
 				continue
 			}
 			rows[k] = i
@@ -195,10 +195,10 @@ func CohortDistances(global gradvec.Vector, grads []gradvec.Vector, dists []floa
 }
 
 // sqDistToGlobal is one upload's Eq. 13 distance plus whether the guarded
-// per-element scan ran. A missing or wrong-length upload is NaN unscanned;
-// otherwise the gradient is read once and guardDist vets the sum.
+// per-element scan ran. A missing upload is NaN unscanned; otherwise the
+// gradient is read once and guardDist vets the sum.
 func sqDistToGlobal(global, g gradvec.Vector) (d float64, rescanned bool) {
-	if g == nil || len(g) != len(global) {
+	if g == nil {
 		return math.NaN(), false
 	}
 	return guardDist(global.SqDist(g), g)

@@ -386,10 +386,9 @@ func (c *Coordinator) logRound(t int, rr *fl.RoundResult, det *DetectionResult, 
 
 // detectWithScorer adapts a custom Scorer's output into a DetectionResult:
 // scores at or above the threshold are accepted; dropped uploads are
-// uncertain; NaN scores are rejected. An arrival that is not usable — of
-// the wrong length, or holding a NaN or ±Inf — is rejected whatever the
-// Scorer made of it, as the cosine screen rejects it, so aggregation never
-// folds it.
+// uncertain; NaN scores are rejected. An arrival that is not Usable is
+// rejected whatever the Scorer made of it, as the cosine screen rejects
+// it, so aggregation never folds it.
 func detectWithScorer(s Scorer, threshold float64, params []float64, rr *fl.RoundResult) *DetectionResult {
 	scores := s.Scores(params, rr.Grads)
 	res := &DetectionResult{

@@ -113,21 +113,21 @@ func (d *Detector) detect(ctx context.Context, rr *fl.RoundResult, servers []int
 	return res, nil
 }
 
-// ScoreCohort screens one cohort of uploads against the composite
-// benchmark (Eq. 6–7): rr holds the cohort's rows, row i being worker
-// first+i, and owners[j] is the worker whose slice fills benchmark region
-// j. It writes every row of scores and accept: NaN and false for an upload
-// that never arrived, else the normalized score and whether it clears
-// threshold. A nil benchmark means no server upload survived and detection
-// is impossible this round: every usable upload is accepted on trust so
-// training proceeds, which reputation records as positive, the optimistic
-// default of the SLM model. The flat detector runs it over the whole round
-// and each edge aggregator of a sharded federation over its own cohort, so
-// both paths are bit-identical by construction. The rows fan out across
-// CPU cores in contiguous chunks, each chunk writing only its own indices;
-// within a chunk the rows of the benchmark's length are scored four at a
-// time (scoreFours), and the 1–3 the last group cannot fill, like every
-// wrong-length row, through scoreAgainstBenchmark.
+// ScoreCohort screens one cohort of uploads against the composite benchmark
+// (Eq. 6–7): rr holds the cohort's rows, each nil or of the benchmark's
+// length (fl.UploadRow), row i being worker first+i, and owners[j] is the
+// worker whose slice fills benchmark region j. It writes every row of
+// scores and accept: NaN and false for an upload that never arrived, else
+// the normalized score and whether it clears threshold. A nil benchmark
+// means no server upload survived and detection is impossible this round:
+// every usable upload is accepted on trust so training proceeds, which
+// reputation records as positive, the optimistic default of the SLM model.
+// The flat detector runs it over the whole round and each edge aggregator
+// of a sharded federation over its own cohort, so both paths are
+// bit-identical by construction. The rows fan out across CPU cores in
+// contiguous chunks, each chunk writing only its own indices; within a
+// chunk the arrived rows are scored four at a time (scoreFours), and the
+// 1–3 the last group cannot fill through scoreAgainstBenchmark.
 func ScoreCohort(rr *fl.RoundResult, first int, bench gradvec.Vector, owners []int, threshold float64, scores []float64, accept []bool) {
 	parallel.ForChunked(len(rr.Grads), func(lo, hi int) {
 		grads := rr.Grads[lo:hi]
@@ -144,32 +144,31 @@ func ScoreCohort(rr *fl.RoundResult, first int, bench gradvec.Vector, owners []i
 			case bench == nil:
 				scores[row], accept[row] = math.NaN(), rr.Usable(row)
 				continue
-			case len(g) == len(bench) && grouped > 0:
+			case grouped > 0:
 				grouped--
 				scores[row] = finishScore(scores[row], independentRegions(owners, first+row), accept[row], g)
 			default:
 				scores[row], _ = scoreAgainstBenchmark(bench, owners, first+row, g)
 			}
-			// A -Inf score (malformed or NaN-poisoned upload) never clears
-			// the threshold, so the uniform comparison rejects it.
+			// A -Inf score (NaN-poisoned upload) never clears the
+			// threshold, so the uniform comparison rejects it.
 			accept[row] = scores[row] >= threshold
 		}
 	})
 }
 
-// scoreFours runs scoreAgainstBenchmark's region loop over the rows of
-// grads that have the benchmark's length, row i being worker first+i, as
-// many of them as fill whole groups of four; it returns that count, the
-// rows being the first of that length. It goes region-major: Σb² of each
-// region is summed once, and the rows stream past the region four at a
-// time through DotSumSq4. Nothing is allocated: until finishScore turns
-// them into a score, sums[i] carries row i's running sum of cosines —
-// added in region order, as scoreAgainstBenchmark adds them — and
-// rescan[i] whether one of its Σg² was non-finite.
+// scoreFours runs scoreAgainstBenchmark's region loop over the first
+// arrived rows of grads, row i being worker first+i, that fill whole groups
+// of four, and returns their count. It goes region-major: Σb² of each
+// region is summed once, and the rows stream past the region four at a time
+// through DotSumSq4. Nothing is allocated: until finishScore turns them
+// into a score, sums[i] carries row i's running sum of cosines — added in
+// region order, as scoreAgainstBenchmark adds them — and rescan[i] whether
+// one of its Σg² was non-finite.
 func scoreFours(bench gradvec.Vector, owners []int, first int, grads []gradvec.Vector, sums []float64, rescan []bool) (grouped int) {
 	total, m := len(bench), len(owners)
 	for i, g := range grads {
-		if g != nil && len(g) == total {
+		if g != nil {
 			sums[i], rescan[i] = 0, false
 			grouped++
 		}
@@ -192,7 +191,7 @@ func scoreFours(bench gradvec.Vector, owners []int, first int, grads []gradvec.V
 		var rows [4]int
 		k, left := 0, grouped
 		for i := 0; left > 0; i++ {
-			if g := grads[i]; g == nil || len(g) != total {
+			if grads[i] == nil {
 				continue
 			}
 			rows[k] = i
@@ -215,21 +214,18 @@ func scoreFours(bench gradvec.Vector, owners []int, first int, grads []gradvec.V
 // scoreAgainstBenchmark computes one worker's normalized detection score
 // against the composite benchmark — the average per-region cosine verdict,
 // skipping every region the worker's own slice fills (owners[j] == self —
-// no self-validation) — plus whether the guarded per-element scan ran. A
-// malformed (wrong-length) or NaN-poisoned gradient scores -Inf: rejected
+// no self-validation) — plus whether the guarded per-element scan ran; g
+// has the benchmark's length. A NaN-poisoned gradient scores -Inf: rejected
 // outright. A worker nobody independent can assess (M = 1 and it is the
 // server) scores 0: no evidence. The gradient is read once: each region's
 // pass yields the cosine evidence and Σg², and Σg² doubles as the region's
-// finiteness evidence — it is NaN iff the region holds a NaN and +Inf iff it
-// holds ±Inf or overflowed (gradvec.Norm2). Only a non-finite sum, over ANY
+// finiteness evidence — NaN iff the region holds a NaN, +Inf iff it holds
+// ±Inf or overflowed (gradvec.Norm2). Only a non-finite sum, over ANY
 // region including the self-owned ones the score skips, sends the gradient
 // through HasNaN to tell a poisoned upload (-Inf) from a huge finite one
 // (whose overflowed regions score cosine 0, as CosSim always had it).
 func scoreAgainstBenchmark(bench gradvec.Vector, owners []int, self int, g gradvec.Vector) (score float64, rescanned bool) {
 	total := len(bench)
-	if len(g) != total {
-		return math.Inf(-1), false
-	}
 	m := len(owners)
 	sum := 0.0
 	for j := 0; j < m; j++ {
@@ -273,8 +269,8 @@ func independentRegions(owners []int, self int) int {
 
 // flatBenchmark assembles the composite benchmark without a slice table:
 // region j is the SliceBounds view of server j's gradient, recombined into
-// one contiguous vector. If a server's upload was dropped or has the wrong
-// length, the first surviving server's region substitutes (any trusted
+// one contiguous vector. If a server's upload was dropped or is not
+// Usable, the first surviving server's region substitutes (any trusted
 // device's slice is an unbiased benchmark); if no server survived, nil is
 // returned. owners[j] records which worker's slice fills region j (it must
 // have length m). A sharded root's RoundResult carries the server
@@ -291,18 +287,16 @@ func flatBenchmark(rr *fl.RoundResult, servers []int, m int, owners []int) gradv
 	if fallback == -1 {
 		return nil
 	}
-	total := len(rr.Grads[fallback])
-	parts := make([]gradvec.Vector, m)
-	for j := 0; j < m; j++ {
-		s := servers[j]
-		if s != fallback && (len(rr.Grads[s]) != total || !rr.Usable(s)) {
+	bench := make(gradvec.Vector, len(rr.Grads[fallback]))
+	for j, s := range servers {
+		if s != fallback && !rr.Usable(s) {
 			s = fallback
 		}
-		lo, hi := gradvec.SliceBounds(total, m, j)
-		parts[j] = rr.Grads[s][lo:hi]
+		lo, hi := gradvec.SliceBounds(len(bench), m, j)
+		copy(bench[lo:hi], rr.Grads[s][lo:hi])
 		owners[j] = s
 	}
-	return gradvec.Recombine(parts)
+	return bench
 }
 
 // DetectionMetrics summarizes screening quality against ground truth:

@@ -128,9 +128,6 @@ func TestScoreMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if got, rescanned := scoreAgainstBenchmark(gradvec.Vector{1, 2, 3}, []int{0}, 1, gradvec.Vector{1, 2}); !math.IsInf(got, -1) || rescanned {
-		t.Errorf("wrong-length gradient scored %v (rescanned %v), want -Inf without a scan", got, rescanned)
-	}
 }
 
 // TestDistanceMatchesReference is the same differential for the Eq. 13
@@ -159,10 +156,8 @@ func TestDistanceMatchesReference(t *testing.T) {
 	if !math.IsInf(got, 1) || !rescanned {
 		t.Errorf("distance to a non-finite global = %v (rescanned %v), want +Inf after a scan", got, rescanned)
 	}
-	for name, g := range map[string]gradvec.Vector{"missing": nil, "short": {1}, "long": {1, 2, 3}} {
-		if got, rescanned := sqDistToGlobal(gradvec.Vector{1, 2}, g); !math.IsNaN(got) || rescanned {
-			t.Errorf("%s upload: distance %v (rescanned %v), want NaN without a scan", name, got, rescanned)
-		}
+	if got, rescanned := sqDistToGlobal(gradvec.Vector{1, 2}, nil); !math.IsNaN(got) || rescanned {
+		t.Errorf("missing upload: distance %v (rescanned %v), want NaN without a scan", got, rescanned)
 	}
 }
 
@@ -203,7 +198,7 @@ func truncate(g gradvec.Vector) gradvec.Vector { return g[:len(g)-3] }
 func pad(g gradvec.Vector) gradvec.Vector      { return append(g, 1, 2, 3) }
 
 // TestWrongLengthGradientIsRejectedNotFatal drives a wrong-length upload
-// through the whole round: the runtime lets it bypass the arena, and every
+// through the whole round: the runtime files it as a row of NaNs, and every
 // stage downstream must treat it exactly like a NaN-poisoned upload —
 // rejected with a negative reputation event, distance NaN, contribution 0,
 // never aggregated, never given benchmark duty — instead of panicking in a

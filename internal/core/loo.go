@@ -34,9 +34,10 @@ type LOOContribution struct {
 	BatchSize int
 }
 
-// Scores returns LOO_i per worker. Workers with no usable gradient (see
-// scorable) get NaN and stay out of every aggregate. weights are the
-// aggregation weights (e.g. sample counts); nil means uniform.
+// Scores returns LOO_i per worker. Workers whose gradient is missing or
+// holds a NaN or ±Inf get NaN and stay out of every aggregate; every
+// gradient must be nil or of the model's length (fl.UploadRow). weights
+// are the aggregation weights (e.g. sample counts); nil means uniform.
 func (l *LOOContribution) Scores(params []float64, grads []gradvec.Vector, weights []float64) []float64 {
 	n := len(grads)
 	out := make([]float64, n)
@@ -52,7 +53,7 @@ func (l *LOOContribution) Scores(params []float64, grads []gradvec.Vector, weigh
 	aggregate := func(skip int) gradvec.Vector {
 		total := 0.0
 		for i, g := range grads {
-			if i == skip || !scorable(g, params) {
+			if i == skip || g == nil || g.HasNaN() {
 				continue
 			}
 			total += weights[i]
@@ -62,7 +63,7 @@ func (l *LOOContribution) Scores(params []float64, grads []gradvec.Vector, weigh
 		}
 		acc := gradvec.Zeros(len(params))
 		for i, g := range grads {
-			if i == skip || !scorable(g, params) {
+			if i == skip || g == nil || g.HasNaN() {
 				continue
 			}
 			acc.AddScaled(weights[i]/total, g)
@@ -83,7 +84,7 @@ func (l *LOOContribution) Scores(params []float64, grads []gradvec.Vector, weigh
 	}
 	full := lossAfter(aggregate(-1))
 	for i, g := range grads {
-		if !scorable(g, params) {
+		if g == nil || g.HasNaN() {
 			continue
 		}
 		out[i] = lossAfter(aggregate(i)) - full

@@ -37,7 +37,8 @@ type LossDeltaScorer struct {
 }
 
 // Scores returns the normalized loss-delta score per worker; NaN for
-// workers with no usable gradient (see scorable).
+// workers whose gradient is missing or holds a NaN or ±Inf. Every
+// gradient must be nil or of the model's length (fl.UploadRow).
 func (s *LossDeltaScorer) Scores(params []float64, grads []gradvec.Vector) []float64 {
 	out := make([]float64, len(grads))
 	for i := range out {
@@ -51,7 +52,7 @@ func (s *LossDeltaScorer) Scores(params []float64, grads []gradvec.Vector) []flo
 	}
 	probe := make([]float64, len(params))
 	for i, g := range grads {
-		if !scorable(g, params) {
+		if g == nil || g.HasNaN() {
 			continue
 		}
 		copy(probe, params)
@@ -69,12 +70,6 @@ func (s *LossDeltaScorer) Scores(params []float64, grads []gradvec.Vector) []flo
 	}
 	s.Model.SetParamsVector(params)
 	return out
-}
-
-// scorable reports whether g can be stepped against params: it arrived, has
-// the model's dimension and holds no NaN or ±Inf.
-func scorable(g gradvec.Vector, params []float64) bool {
-	return g != nil && len(g) == len(params) && !g.HasNaN()
 }
 
 // Threshold applies an accept threshold S_y to loss-delta scores, returning

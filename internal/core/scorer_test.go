@@ -77,9 +77,8 @@ func TestCoordinatorWithLossDeltaScorer(t *testing.T) {
 func TestDetectWithScorerFlags(t *testing.T) {
 	fake := fakeScorer{scores: []float64{0.5, -0.1, math.NaN(), 0.2, 1, 1}}
 	rr := &fl.RoundResult{
-		Grads:   []gradvec.Vector{{1}, {1}, {1}, nil, {1, 2}, {math.Inf(1)}},
+		Grads:   []gradvec.Vector{{1}, {1}, {1}, nil, {math.NaN()}, {math.Inf(1)}},
 		Samples: []int{1, 1, 1, 1, 1, 1},
-		Dim:     1,
 	}
 	res := detectWithScorer(fake, 0, []float64{0}, rr)
 	if !res.Accept[0] || res.Accept[1] || res.Accept[2] {

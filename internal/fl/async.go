@@ -84,8 +84,8 @@ func StalenessWeight(s float64, max int) float64 {
 // wins, and each one it displaces counts as superseded. Its staleness is
 // s = max(t − TrainedRound, 0): past maxStaleness the row is StatusStale
 // with no gradient and no sample weight, an in-bound nil gradient is
-// StatusDropped, and anything else folds with weight
-// StalenessWeight(s, maxStaleness). Workers without an upload stay
+// StatusDropped, and anything else folds, filed through UploadRow, with
+// weight StalenessWeight(s, maxStaleness). Workers without an upload stay
 // pending. A negative bound folds as 0. The result is freshly allocated
 // (async collection is not on the zero-alloc sync hot path).
 func FoldWindow(e *Engine, t, maxStaleness int, window []persist.AsyncUpload) *RoundResult {
@@ -100,7 +100,6 @@ func FoldWindow(e *Engine, t, maxStaleness int, window []persist.AsyncUpload) *R
 		Staleness: make([]int, n),
 		Weights:   make([]float64, n),
 		Committed: true,
-		Dim:       len(e.ParamsRef()),
 	}
 	slotOf := make(map[int]int, n)
 	best := make([]int, n) // window index of each slot's freshest upload, -1 = none
@@ -159,7 +158,7 @@ func FoldWindow(e *Engine, t, maxStaleness int, window []persist.AsyncUpload) *R
 			rr.Status[slot] = faults.StatusDropped
 			continue
 		}
-		rr.Grads[slot] = u.Grad
+		rr.Grads[slot] = UploadRow(u.Grad, len(e.ParamsRef()))
 		rr.Status[slot] = faults.StatusOK
 		rr.Weights[slot] = StalenessWeight(float64(s), maxStaleness)
 		rr.Arrived++

@@ -82,8 +82,8 @@ func TestFoldWindow(t *testing.T) {
 		{faults.StatusDropped, 0, 7, math.NaN()},
 		{faults.StatusOK, 0, 7, 7},
 	}
-	if len(rr.Grads) != len(want) || rr.Round != round || !rr.Committed || rr.Dim != dim {
-		t.Fatalf("round shell: %d rows, round %d, committed %v, dim %d", len(rr.Grads), rr.Round, rr.Committed, rr.Dim)
+	if len(rr.Grads) != len(want) || rr.Round != round || !rr.Committed {
+		t.Fatalf("round shell: %d rows, round %d, committed %v", len(rr.Grads), rr.Round, rr.Committed)
 	}
 	for i, w := range want {
 		if rr.Status[i] != w.status || rr.Staleness[i] != w.staleness || rr.Samples[i] != w.samples {

@@ -61,10 +61,11 @@ func (c Config) Validate() error {
 type RoundResult struct {
 	Round int
 	// Grads holds the collected local gradients, indexed by worker
-	// position; nil = no arrival. Non-nil entries are row views into an
-	// engine-owned gradient arena (gradvec.Matrix) that the NEXT
-	// CollectGradientsContext call on the same engine reuses — callers
-	// that keep a gradient past the round must Clone it.
+	// position; nil = no arrival, else a row of the model's length filed
+	// by UploadRow, which no consumer re-checks. Non-nil entries are row
+	// views into an engine-owned gradient arena (gradvec.Matrix) that the
+	// NEXT CollectGradientsContext call on the same engine reuses —
+	// callers that keep a gradient past the round must Clone it.
 	Grads   []gradvec.Vector
 	Samples []int
 	// Status classifies each worker's upload: OK, Retried, Dropped,
@@ -92,11 +93,6 @@ type RoundResult struct {
 	// means every arrival weighs 1, which is the synchronous path and is
 	// bit-identical to aggregation before the field existed.
 	Weights []float64
-	// Dim is the model dimension every upload must have. A worker can
-	// return a gradient of any length, and one of the wrong length is as
-	// unusable as a NaN-poisoned one (see Usable). 0 means unknown — a
-	// hand-assembled result — and disables the length screen.
-	Dim int
 }
 
 // NoSubmission is the Staleness marker for a worker that submitted
@@ -107,12 +103,23 @@ const NoSubmission = -1
 func (r *RoundResult) Dropped(i int) bool { return r.Grads[i] == nil }
 
 // Usable reports whether worker i's upload can be screened and folded: it
-// arrived, has the round's model dimension and holds no NaN or ±Inf. An
-// arrival that is not usable is rejected outright — a negative reputation
-// event — never aggregated and never given benchmark duty.
-func (r *RoundResult) Usable(i int) bool {
-	g := r.Grads[i]
-	return g != nil && (r.Dim == 0 || len(g) == r.Dim) && !g.HasNaN()
+// arrived and holds no NaN or ±Inf. An arrival that is not usable is
+// rejected outright — a negative reputation event — never aggregated and
+// never given benchmark duty.
+func (r *RoundResult) Usable(i int) bool { return r.Grads[i] != nil && !r.Grads[i].HasNaN() }
+
+// UploadRow is the length rule, applied where a gradient enters a round:
+// the row a round files for upload g of a model with d parameters is g
+// itself when g is nil or d long, else a fresh row of d NaNs, so a
+// malformed upload is rejected exactly as a NaN-poisoned one.
+func UploadRow(g gradvec.Vector, d int) gradvec.Vector {
+	if g != nil && len(g) != d {
+		g = make(gradvec.Vector, d)
+		for i := range g {
+			g[i] = math.NaN()
+		}
+	}
+	return g
 }
 
 // Engine orchestrates a federation: it owns the global parameter vector, a

@@ -168,9 +168,8 @@ func (a *Aggregator) handleCollect(ctx context.Context, d codec.ShardDirective) 
 		}
 		if !rr.Usable(s - a.first) {
 			// A NaN-poisoned server gradient cannot ride the wire; the root
-			// sees the row (or a wrong-length one) as dropped, which excludes
-			// it from benchmark duty exactly as the flat benchmark
-			// assembly's Usable test would.
+			// sees the row as dropped, which excludes it from benchmark duty
+			// exactly as the flat benchmark assembly's Usable test would.
 			continue
 		}
 		ev.ServerIDs = append(ev.ServerIDs, s)
@@ -183,10 +182,14 @@ func (a *Aggregator) handleCollect(ctx context.Context, d codec.ShardDirective) 
 
 // handleDetect screens the cohort against the broadcast benchmark with the
 // flat detector's own cohort kernel and pre-aggregates the accepted
-// gradients into the shard's partial.
+// gradients into the shard's partial. A benchmark of another length than
+// the model's is refused.
 func (a *Aggregator) handleDetect(ctx context.Context, d codec.ShardDirective) error {
 	if a.rr == nil || a.round != d.Round {
 		return fmt.Errorf("shard: shard %d got a detect directive for round %d without its collect", a.shard, d.Round)
+	}
+	if dim := len(a.engine.ParamsRef()); d.Benchmark != nil && len(d.Benchmark) != dim {
+		return fmt.Errorf("shard: shard %d got a round-%d benchmark of %d dims, model has %d", a.shard, d.Round, len(d.Benchmark), dim)
 	}
 	rr := a.rr
 	k := len(rr.Grads)
@@ -223,10 +226,14 @@ func (a *Aggregator) handleDetect(ctx context.Context, d codec.ShardDirective) e
 }
 
 // handleDist evaluates each member's squared distance to the broadcast
-// global gradient (Eq. 13) with the flat Contribution stage's own kernel.
+// global gradient (Eq. 13) with the flat Contribution stage's own kernel,
+// refusing a G̃ of another length than the model's.
 func (a *Aggregator) handleDist(ctx context.Context, d codec.ShardDirective) error {
 	if a.rr == nil || a.round != d.Round {
 		return fmt.Errorf("shard: shard %d got a dist directive for round %d without its collect", a.shard, d.Round)
+	}
+	if dim := len(a.engine.ParamsRef()); len(d.Global) != dim {
+		return fmt.Errorf("shard: shard %d got a round-%d global gradient of %d dims, model has %d", a.shard, d.Round, len(d.Global), dim)
 	}
 	ev := &codec.ShardDistEvidence{Dists: make([]float64, len(a.rr.Grads))}
 	core.CohortDistances(d.Global, a.rr.Grads, ev.Dists)

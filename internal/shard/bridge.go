@@ -15,13 +15,13 @@ import (
 // broadcasts the round's parameters and server cluster and unfolds the
 // shards' collect evidence into one n-worker RoundResult (statuses,
 // retries, sample weights, and the server cluster's gradients at their
-// global indices — every other gradient row stays nil). The three gradient
-// kernels each broadcast one directive and fold the shards' answers: Score
-// the verdicts each cohort computed against the benchmark the root
-// assembled, AggregateRound the pre-aggregated partials in the blocked
-// association (per-cohort partials, normalized at the root), Distances the
-// cohorts' Eq. 13 scalars. Everything around the kernels runs in the root
-// pipeline exactly as in a flat round.
+// global indices, filed through fl.UploadRow — every other gradient row
+// stays nil). The three gradient kernels each broadcast one directive and
+// fold the shards' answers: Score the verdicts each cohort computed against
+// the benchmark the root assembled, AggregateRound the pre-aggregated
+// partials in the blocked association (per-cohort partials, normalized at
+// the root), Distances the cohorts' Eq. 13 scalars. Everything around the
+// kernels runs in the root pipeline exactly as in a flat round.
 type Bridge struct {
 	hub    *ShardHub
 	engine *fl.Engine // the root engine: parameter state and model shape
@@ -80,7 +80,6 @@ func (b *Bridge) CollectRound(ctx context.Context, t int) (*fl.RoundResult, erro
 		Status:  make([]faults.UploadStatus, n),
 		Retries: make([]int, n),
 		Quorum:  b.quorum,
-		Dim:     len(b.engine.ParamsRef()),
 	}
 	for s, sub := range wave {
 		first, _, err := b.hub.Cohort(s)
@@ -99,7 +98,7 @@ func (b *Bridge) CollectRound(ctx context.Context, t int) (*fl.RoundResult, erro
 			if id < first || id >= first+len(ev.Statuses) {
 				return nil, fmt.Errorf("shard: shard %d forwarded worker %d's gradient, outside its cohort", s, id)
 			}
-			rr.Grads[id] = gradvec.Vector(ev.ServerGrads[i])
+			rr.Grads[id] = fl.UploadRow(ev.ServerGrads[i], len(b.engine.ParamsRef()))
 		}
 	}
 	rr.Committed = rr.Quorum <= 0 || rr.Arrived >= rr.Quorum

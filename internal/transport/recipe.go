@@ -53,41 +53,40 @@ func (r Recipe) Builder() (nn.Builder, error) {
 	return nn.NewMLP(r.Seed, 28*28, []int{recipeHidden}, 10), nil
 }
 
-// Worker rebuilds federation slot i: the full training set is regenerated
-// and partitioned exactly as every other node does it, then slot i's part
-// backs an honest worker with its own deterministic stream.
+// Worker rebuilds federation slot i (see Cohort).
 func (r Recipe) Worker(i int) (fl.Worker, error) {
-	if err := r.validate(); err != nil {
+	ws, err := r.Cohort(i, 1)
+	if err != nil {
 		return nil, err
 	}
-	if i < 0 || i >= r.Workers {
-		return nil, fmt.Errorf("transport: Recipe.Worker(%d) outside federation of %d", i, r.Workers)
-	}
-	src := rng.New(r.Seed)
-	train := dataset.SynthDigits(src.Split("train"), r.Workers*r.SamplesPerWorker)
-	parts := train.PartitionIID(src.Split("split"), r.Workers)
+	return ws[0], nil
+}
+
+// Cohort rebuilds the k federation slots first..first+k-1: the full
+// training set is regenerated and partitioned exactly as every other node
+// does it, once for the whole cohort, then each slot's part backs an
+// honest worker with its own deterministic stream.
+func (r Recipe) Cohort(first, k int) ([]fl.Worker, error) {
 	build, err := r.Builder()
 	if err != nil {
 		return nil, err
 	}
-	return fl.NewHonestWorker(i, parts[i], build, recipeLocal, src), nil
+	if first < 0 || k < 1 || first+k > r.Workers {
+		return nil, fmt.Errorf("transport: Recipe.Cohort(%d, %d) outside federation of %d", first, k, r.Workers)
+	}
+	src := rng.New(r.Seed)
+	train := dataset.SynthDigits(src.Split("train"), r.Workers*r.SamplesPerWorker)
+	parts := train.PartitionIID(src.Split("split"), r.Workers)
+	out := make([]fl.Worker, k)
+	for j := range out {
+		out[j] = fl.NewHonestWorker(first+j, parts[first+j], build, recipeLocal, src)
+	}
+	return out, nil
 }
 
 // AllWorkers rebuilds every federation slot (the in-process reference
 // configuration the loopback tests compare against).
-func (r Recipe) AllWorkers() ([]fl.Worker, error) {
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	out := make([]fl.Worker, r.Workers)
-	for i := range out {
-		var err error
-		if out[i], err = r.Worker(i); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
+func (r Recipe) AllWorkers() ([]fl.Worker, error) { return r.Cohort(0, r.Workers) }
 
 // TestSet generates the shared held-out evaluation set.
 func (r Recipe) TestSet(n int) (*dataset.Dataset, error) {

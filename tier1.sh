@@ -32,8 +32,12 @@ go test -race -timeout 20m $(go list ./... | grep -v internal/experiments)
 # four-row group and which in the 1–3 left over — with GOMAXPROCS, so the
 # differentials run at one, two and three cores
 # (TestScoreCohortMatchesReference, TestCohortDistancesMatchesReference,
-# TestAddWeightedMatchesSerialFold).
-go test -cpu 1,2,3 -run 'MatchesReference|MatchesSerialFold|Cohort' ./internal/gradvec ./internal/core
+# TestAddWeightedMatchesSerialFold). A wrong-length upload enters the
+# round as a row of NaNs and rides the same four-row groups, so the
+# wrong-length tests — the door's own and the end-to-end ones holding a
+# malformed upload's verdict to a NaN-poisoned one's, flat and sharded —
+# run at the same core counts.
+go test -cpu 1,2,3 -run 'MatchesReference|MatchesSerialFold|Cohort|WrongLength' ./internal/gradvec ./internal/core ./internal/fl ./internal/shard
 
 # Ledger read-plane race gate: Verify fans the blocks out over the cores
 # and must return the serial walk's verdict, so the chain package is raced
