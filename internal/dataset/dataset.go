@@ -12,9 +12,9 @@
 package dataset
 
 import (
-	"math"
-
 	"fmt"
+	"math"
+	"slices"
 
 	"fifl/internal/rng"
 	"fifl/internal/tensor"
@@ -64,13 +64,26 @@ func (d *Dataset) Subset(indices []int) *Dataset {
 // keeps every worker's batch distribution identical to its local dataset
 // regardless of local dataset size.
 func (d *Dataset) Batch(src *rng.Source, size int) (*tensor.Tensor, []int) {
+	return d.BatchInto(src, size, nil, nil)
+}
+
+// BatchInto is Batch drawing into a caller's buffers: x and labels are
+// refilled when they hold a batch of the given size of this dataset's
+// items, and reallocated otherwise (nil included). It returns the buffers
+// it filled, for the caller to keep for its next batch; the draws are
+// Batch's.
+func (d *Dataset) BatchInto(src *rng.Source, size int, x *tensor.Tensor, labels []int) (*tensor.Tensor, []int) {
 	if d.Len() == 0 {
 		panic("dataset: Batch on empty dataset")
 	}
 	is := d.itemSize()
-	shape := append([]int{size}, d.ItemShape()...)
-	x := tensor.New(shape...)
-	labels := make([]int, size)
+	if x == nil || x.Rank() == 0 || x.Dim(0) != size || !slices.Equal(x.Shape()[1:], d.ItemShape()) {
+		x = tensor.New(append([]int{size}, d.ItemShape()...)...)
+	}
+	if cap(labels) < size {
+		labels = make([]int, size)
+	}
+	labels = labels[:size]
 	xd, sd := x.Data(), d.X.Data()
 	for i := 0; i < size; i++ {
 		idx := src.Intn(d.Len())

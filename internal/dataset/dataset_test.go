@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -238,5 +239,29 @@ func TestConcat(t *testing.T) {
 	}
 	if c.Labels[5] != b.Labels[0] {
 		t.Fatal("Concat label order wrong")
+	}
+}
+
+// TestBatchIntoMatchesBatch: BatchInto draws Batch's examples from the
+// same stream and refills buffers of the right shape in place.
+func TestBatchIntoMatchesBatch(t *testing.T) {
+	d := SynthDigits(rng.New(15), 40)
+	a, b := rng.New(16), rng.New(16)
+	x, y := d.BatchInto(b, 8, nil, nil)
+	for round := 0; round < 3; round++ {
+		wx, wy := d.Batch(a, 8)
+		if round > 0 {
+			px, py := x, &y[0]
+			x, y = d.BatchInto(b, 8, x, y)
+			if x != px || &y[0] != py {
+				t.Fatalf("round %d: buffers of the right shape were reallocated", round)
+			}
+		}
+		if !slices.Equal(x.Shape(), wx.Shape()) || !slices.Equal(x.Data(), wx.Data()) || !slices.Equal(y, wy) {
+			t.Fatalf("round %d: BatchInto drew another batch than Batch", round)
+		}
+	}
+	if x2, _ := d.BatchInto(b, 4, x, y); x2 == x || x2.Dim(0) != 4 {
+		t.Fatal("a batch of another size reused the buffer")
 	}
 }

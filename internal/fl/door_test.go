@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fifl/internal/faults"
 	"fifl/internal/gradvec"
 	"fifl/internal/nn"
 	"fifl/internal/rng"
@@ -124,6 +125,29 @@ func TestUploadRow(t *testing.T) {
 		got := UploadRow(bad, 3)
 		if len(got) != 3 || !got.HasNaN() || !math.IsNaN(got[0]) || !math.IsNaN(got[2]) {
 			t.Fatalf("%d-element upload filed as %v, want 3 NaNs", len(bad), got)
+		}
+	}
+}
+
+// TestNilUploadIsDropped: a planned arrival whose LocalTrain returns nil
+// never reached the servers, so it is filed as dropped and the quorum does
+// not count it — with and without a worker deadline. doorEngine's fourth
+// worker uploads nil; with WithQuorum(4) the round must not commit.
+func TestNilUploadIsDropped(t *testing.T) {
+	for label, opts := range map[string][]Option{
+		"no deadline": {WithQuorum(4)},
+		"deadline":    {WithQuorum(4), WithWorkerTimeout(time.Minute)},
+	} {
+		e, _ := doorEngine(t, opts...)
+		rr, err := e.CollectGradientsContext(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Status[3] != faults.StatusDropped {
+			t.Fatalf("%s: nil upload filed as %v, want dropped", label, rr.Status[3])
+		}
+		if rr.Arrived != 3 || rr.Committed {
+			t.Fatalf("%s: Arrived %d, Committed %v; want 3 arrivals and no quorum of 4", label, rr.Arrived, rr.Committed)
 		}
 	}
 }

@@ -239,14 +239,17 @@ func (e *Engine) CollectGradientsContext(ctx context.Context, round int) (*Round
 	}
 
 	// store files worker i's arrived gradient into its arena row, through
-	// UploadRow: a wrong-length gradient lands as a row of NaNs. Rows are
-	// disjoint, so concurrent stores need no synchronization. Abandoned
-	// stragglers never reach store: their result dies on the buffered
-	// channel, so a goroutine finishing after the deadline cannot scribble
-	// on a row the next round reuses.
+	// UploadRow: a wrong-length gradient lands as a row of NaNs, and a nil
+	// one never reached the servers, so it is filed as dropped. Rows and
+	// statuses are disjoint, so concurrent stores need no synchronization.
+	// Abandoned stragglers never reach store: their result dies on the
+	// buffered channel, so a goroutine finishing after the deadline cannot
+	// scribble on a row the next round reuses.
 	store := func(i int, g gradvec.Vector) {
 		if g = UploadRow(g, d); g != nil {
 			rr.Grads[i] = arena.SetRow(i, g)
+		} else {
+			rr.Status[i] = faults.StatusDropped
 		}
 	}
 

@@ -13,6 +13,7 @@ import (
 	"fifl/internal/gradvec"
 	"fifl/internal/nn"
 	"fifl/internal/rng"
+	"fifl/internal/tensor"
 )
 
 // Worker is one federation participant. Implementations include the honest
@@ -63,6 +64,12 @@ type HonestWorker struct {
 	Model *nn.Sequential
 	Cfg   LocalConfig
 	src   *rng.Source
+
+	// The local step's kept buffers: the minibatch and its labels, and
+	// the loss gradient w.r.t. the logits.
+	x       *tensor.Tensor
+	labels  []int
+	dLogits *tensor.Tensor
 }
 
 // NewHonestWorker builds a worker with its own model replica and RNG
@@ -97,21 +104,22 @@ func (w *HonestWorker) DiscardRNG(n uint64) error {
 }
 
 // LocalTrain runs K local SGD steps from the global parameters and returns
-// the accumulated gradient.
+// the accumulated gradient, a fresh vector the caller owns. Each step adds
+// the model's gradients straight into it (Sequential.AddGradsTo) and moves
+// the replica by θ ← θ − LR·g (Sequential.Step), with no flat copy.
 func (w *HonestWorker) LocalTrain(round int, global []float64) gradvec.Vector {
 	w.Model.SetParamsVector(global)
 	acc := gradvec.Zeros(len(global))
 	for k := 0; k < w.Cfg.K; k++ {
-		x, y := w.Data.Batch(w.src, w.Cfg.BatchSize)
+		w.x, w.labels = w.Data.BatchInto(w.src, w.Cfg.BatchSize, w.x, w.labels)
 		w.Model.ZeroGrads()
-		logits := w.Model.Forward(x, true)
-		_, d := nn.SoftmaxCrossEntropy(logits, y)
-		w.Model.Backward(d)
-		g := w.Model.GradsVector()
-		acc.Add(g)
+		logits := w.Model.Forward(w.x, true)
+		_, w.dLogits = nn.SoftmaxCrossEntropyInto(w.dLogits, logits, w.labels)
+		w.Model.Backward(w.dLogits)
+		w.Model.AddGradsTo(acc)
 		// Advance the local trajectory so step k+1 differentiates at
 		// θ_{i,k}, matching the paper's definition of G_i.
-		w.Model.ApplyDelta(w.Cfg.LR, g)
+		w.Model.Step(w.Cfg.LR)
 	}
 	return acc
 }

@@ -4,7 +4,8 @@ import "fifl/internal/tensor"
 
 // ReLU is the rectified linear activation, applied element-wise.
 type ReLU struct {
-	mask []bool
+	mask  []bool
+	y, dx *tensor.Tensor // kept output and input gradient
 }
 
 // NewReLU creates a ReLU layer.
@@ -12,33 +13,36 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward zeroes negative activations and records the active mask.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := x.Clone()
-	if cap(r.mask) < y.Size() {
-		r.mask = make([]bool, y.Size())
+	r.y = tensor.Reuse(r.y, x.Shape()...)
+	if cap(r.mask) < x.Size() {
+		r.mask = make([]bool, x.Size())
 	}
-	r.mask = r.mask[:y.Size()]
-	yd := y.Data()
-	for i, v := range yd {
+	r.mask = r.mask[:x.Size()]
+	yd := r.y.Data()
+	for i, v := range x.Data() {
 		if v > 0 {
 			r.mask[i] = true
+			yd[i] = v
 		} else {
 			r.mask[i] = false
 			yd[i] = 0
 		}
 	}
-	return y
+	return r.y
 }
 
 // Backward masks the gradient by the recorded activation pattern.
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := dy.Clone()
-	dxd := dx.Data()
-	for i := range dxd {
-		if !r.mask[i] {
+	r.dx = tensor.Reuse(r.dx, dy.Shape()...)
+	dxd := r.dx.Data()
+	for i, v := range dy.Data() {
+		if r.mask[i] {
+			dxd[i] = v
+		} else {
 			dxd[i] = 0
 		}
 	}
-	return dx
+	return r.dx
 }
 
 // Params returns nil: ReLU has no parameters.

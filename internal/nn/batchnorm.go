@@ -25,6 +25,8 @@ type BatchNorm2D struct {
 	invStd  []float64
 	lastN   int
 	batched bool
+
+	y, dx *tensor.Tensor // kept output and input gradient
 }
 
 // NewBatchNorm2D creates a batch-norm layer with gamma=1, beta=0.
@@ -49,7 +51,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch := x.Dim(0)
 	hw := bn.H * bn.W
 	n := batch * hw
-	y := tensor.New(batch, bn.C, bn.H, bn.W)
+	bn.y = tensor.Reuse(bn.y, batch, bn.C, bn.H, bn.W)
 	if cap(bn.xhat) < x.Size() {
 		bn.xhat = make([]float64, x.Size())
 	}
@@ -61,7 +63,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bn.lastN = n
 	bn.batched = train
 
-	xd, yd := x.Data(), y.Data()
+	xd, yd := x.Data(), bn.y.Data()
 	gd, bd := bn.Gamma.Data(), bn.Beta.Data()
 	rm, rv := bn.RunMean.Data(), bn.RunVar.Data()
 
@@ -102,7 +104,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	return y
+	return bn.y
 }
 
 // Backward implements the standard batch-norm gradient. In eval mode the
@@ -111,8 +113,8 @@ func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	batch := dy.Dim(0)
 	hw := bn.H * bn.W
 	n := float64(bn.lastN)
-	dx := tensor.New(batch, bn.C, bn.H, bn.W)
-	dyd, dxd := dy.Data(), dx.Data()
+	bn.dx = tensor.Reuse(bn.dx, batch, bn.C, bn.H, bn.W)
+	dyd, dxd := dy.Data(), bn.dx.Data()
 	gd := bn.Gamma.Data()
 	dgd, dbd := bn.dG.Data(), bn.dB.Data()
 
@@ -145,7 +147,7 @@ func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return dx
+	return bn.dx
 }
 
 // Params returns {Gamma, Beta}.

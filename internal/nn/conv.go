@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"sync"
 
 	"fifl/internal/parallel"
 	"fifl/internal/rng"
@@ -11,8 +10,9 @@ import (
 
 // Conv2D is a 2-D convolution over (batch, inC, H, W) inputs, lowered onto
 // matrix multiplication with im2col. Batch items are processed in parallel
-// with per-goroutine scratch buffers; parameter gradients are accumulated
-// into per-chunk buffers and merged once per chunk to avoid contention.
+// chunks; parameter gradients are accumulated into one partial per chunk,
+// merged into dW and dB in chunk order after the loop so the sum has the
+// same bits on every run.
 type Conv2D struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -20,9 +20,11 @@ type Conv2D struct {
 	B      *tensor.Tensor // (outC)
 	dW, dB *tensor.Tensor
 
-	x    *tensor.Tensor // cached input
-	cols []float64      // cached im2col output for the whole batch
-	mu   sync.Mutex     // guards dW/dB merges during parallel backward
+	cols    []float64      // cached im2col output for the whole batch
+	y, dx   *tensor.Tensor // kept output and input gradient
+	dWParts []float64      // one dW partial per chunk of the batch
+	dBParts []float64      // one dB partial per chunk of the batch
+	dCols   []float64      // per-chunk column-gradient scratch
 }
 
 // NewConv2D creates a convolution layer with He-uniform initialization.
@@ -45,96 +47,163 @@ func NewConv2D(src *rng.Source, g tensor.ConvGeom, outC int) *Conv2D {
 	return c
 }
 
+// grow returns buf resliced to n elements, reallocating only when its
+// capacity is short. The contents are stale.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
 // Forward computes the convolution for a (batch, inC, H, W) input and
 // returns a (batch, outC, outH, outW) output.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.Geom
 	batch := x.Dim(0)
+	c.y = tensor.Reuse(c.y, batch, c.OutC, g.OutH(), g.OutW())
+	c.cols = grow(c.cols, batch*c.colsLen())
+	// The chunk bodies are methods and their closures capture two
+	// pointers, so each call allocates only a small closure.
+	parallel.ForChunked(batch, func(lo, hi int) { c.forwardItems(x, lo, hi) })
+	return c.y
+}
+
+// colsLen is the length of one batch item's im2col matrix.
+func (c *Conv2D) colsLen() int {
+	g := c.Geom
+	return g.OutH() * g.OutW() * g.InC * g.KH * g.KW
+}
+
+// forwardItems lowers batch items [lo,hi) of x with im2col into c.cols and
+// writes their outputs into c.y.
+func (c *Conv2D) forwardItems(x *tensor.Tensor, lo, hi int) {
+	g := c.Geom
 	inSize := g.InC * g.InH * g.InW
 	p := g.OutH() * g.OutW()
 	k := g.InC * g.KH * g.KW
-	y := tensor.New(batch, c.OutC, g.OutH(), g.OutW())
-	if cap(c.cols) < batch*p*k {
-		c.cols = make([]float64, batch*p*k)
-	}
-	c.cols = c.cols[:batch*p*k]
-	c.x = x
-	xd, yd, wd, bd := x.Data(), y.Data(), c.W.Data(), c.B.Data()
-	parallel.ForChunked(batch, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			cols := c.cols[b*p*k : (b+1)*p*k]
-			tensor.Im2Col(cols, xd[b*inSize:(b+1)*inSize], g)
-			out := yd[b*c.OutC*p : (b+1)*c.OutC*p]
-			// out[o*p+q] = bias[o] + Σ_k W[o,k]·cols[q,k]
-			for o := 0; o < c.OutC; o++ {
-				wo := wd[o*k : (o+1)*k]
-				oo := out[o*p : (o+1)*p]
-				bias := bd[o]
-				for q := 0; q < p; q++ {
-					cq := cols[q*k : (q+1)*k]
-					s := bias
-					for i, wv := range wo {
-						s += wv * cq[i]
-					}
-					oo[q] = s
+	xd, yd, wd, bd := x.Data(), c.y.Data(), c.W.Data(), c.B.Data()
+	for b := lo; b < hi; b++ {
+		cols := c.cols[b*p*k : (b+1)*p*k]
+		tensor.Im2Col(cols, xd[b*inSize:(b+1)*inSize], g)
+		out := yd[b*c.OutC*p : (b+1)*c.OutC*p]
+		// out[o*p+q] = bias[o] + Σ_k W[o,k]·cols[q,k]
+		for o := 0; o < c.OutC; o++ {
+			wo := wd[o*k : (o+1)*k]
+			oo := out[o*p : (o+1)*p]
+			bias := bd[o]
+			for q := 0; q < p; q++ {
+				cq := cols[q*k : (q+1)*k]
+				s := bias
+				for i, wv := range wo {
+					s += wv * cq[i]
 				}
+				oo[q] = s
 			}
 		}
-	})
-	return y
+	}
 }
 
 // Backward propagates a (batch, outC, outH, outW) gradient, accumulating
 // dW and dB and returning the (batch, inC, H, W) input gradient.
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	c.accumulateGrads(dy)
+	return c.inputGrad(dy)
+}
+
+// accumulateGrads is the parameter half of Backward: each chunk of the
+// batch sums its dW and dB into its own partial, and the partials are
+// added into dW and dB in chunk order.
+func (c *Conv2D) accumulateGrads(dy *tensor.Tensor) {
+	chunks := parallel.NumChunks(dy.Dim(0))
+	wn := c.W.Size()
+	c.dWParts = grow(c.dWParts, chunks*wn)
+	c.dBParts = grow(c.dBParts, chunks*c.OutC)
+	parallel.ForChunks(dy.Dim(0), func(ch, lo, hi int) { c.accumulateItems(dy, ch, lo, hi) })
+	dwd, dbd := c.dW.Data(), c.dB.Data()
+	for ch := 0; ch < chunks; ch++ {
+		for i, v := range c.dWParts[ch*wn : (ch+1)*wn] {
+			dwd[i] += v
+		}
+		for i, v := range c.dBParts[ch*c.OutC : (ch+1)*c.OutC] {
+			dbd[i] += v
+		}
+	}
+}
+
+// accumulateItems zeroes chunk ch's dW and dB partials and sums batch
+// items [lo,hi) of dy into them: dW[o] += dy[o,q]·cols[q], dB[o] += dy[o,q].
+func (c *Conv2D) accumulateItems(dy *tensor.Tensor, ch, lo, hi int) {
+	g := c.Geom
+	p := g.OutH() * g.OutW()
+	k := g.InC * g.KH * g.KW
+	localDW := c.dWParts[ch*c.W.Size() : (ch+1)*c.W.Size()]
+	localDB := c.dBParts[ch*c.OutC : (ch+1)*c.OutC]
+	clear(localDW)
+	clear(localDB)
+	dyd := dy.Data()
+	for b := lo; b < hi; b++ {
+		cols := c.cols[b*p*k : (b+1)*p*k]
+		dout := dyd[b*c.OutC*p : (b+1)*c.OutC*p]
+		for o := 0; o < c.OutC; o++ {
+			do := dout[o*p : (o+1)*p]
+			dwo := localDW[o*k : (o+1)*k]
+			for q := 0; q < p; q++ {
+				gv := do[q]
+				if gv == 0 {
+					continue
+				}
+				localDB[o] += gv
+				cq := cols[q*k : (q+1)*k]
+				for i, cv := range cq {
+					dwo[i] += gv * cv
+				}
+			}
+		}
+	}
+}
+
+// inputGrad is the input half of Backward: each batch item's column
+// gradient dCols = dYᵀ·W, scattered back onto the image by Col2Im.
+func (c *Conv2D) inputGrad(dy *tensor.Tensor) *tensor.Tensor {
 	g := c.Geom
 	batch := dy.Dim(0)
+	c.dx = tensor.Reuse(c.dx, batch, g.InC, g.InH, g.InW)
+	c.dCols = grow(c.dCols, parallel.NumChunks(batch)*c.colsLen())
+	parallel.ForChunks(batch, func(ch, lo, hi int) { c.inputGradItems(dy, ch, lo, hi) })
+	return c.dx
+}
+
+// inputGradItems writes the input gradient of batch items [lo,hi) into
+// c.dx, through chunk ch's column-gradient scratch.
+func (c *Conv2D) inputGradItems(dy *tensor.Tensor, ch, lo, hi int) {
+	g := c.Geom
 	inSize := g.InC * g.InH * g.InW
 	p := g.OutH() * g.OutW()
 	k := g.InC * g.KH * g.KW
-	dx := tensor.New(batch, g.InC, g.InH, g.InW)
-	dyd, dxd, wd := dy.Data(), dx.Data(), c.W.Data()
-	parallel.ForChunked(batch, func(lo, hi int) {
-		localDW := make([]float64, c.OutC*k)
-		localDB := make([]float64, c.OutC)
-		dCols := make([]float64, p*k)
-		for b := lo; b < hi; b++ {
-			cols := c.cols[b*p*k : (b+1)*p*k]
-			dout := dyd[b*c.OutC*p : (b+1)*c.OutC*p]
-			for i := range dCols {
-				dCols[i] = 0
-			}
-			for o := 0; o < c.OutC; o++ {
-				do := dout[o*p : (o+1)*p]
-				wo := wd[o*k : (o+1)*k]
-				dwo := localDW[o*k : (o+1)*k]
-				for q := 0; q < p; q++ {
-					gv := do[q]
-					if gv == 0 {
-						continue
-					}
-					localDB[o] += gv
-					cq := cols[q*k : (q+1)*k]
-					dcq := dCols[q*k : (q+1)*k]
-					for i := range wo {
-						dwo[i] += gv * cq[i]
-						dcq[i] += gv * wo[i]
-					}
+	dCols := c.dCols[ch*p*k : (ch+1)*p*k]
+	dyd, dxd, wd := dy.Data(), c.dx.Data(), c.W.Data()
+	for b := lo; b < hi; b++ {
+		dout := dyd[b*c.OutC*p : (b+1)*c.OutC*p]
+		clear(dCols)
+		for o := 0; o < c.OutC; o++ {
+			do := dout[o*p : (o+1)*p]
+			wo := wd[o*k : (o+1)*k]
+			for q := 0; q < p; q++ {
+				gv := do[q]
+				if gv == 0 {
+					continue
+				}
+				dcq := dCols[q*k : (q+1)*k]
+				for i, wv := range wo {
+					dcq[i] += gv * wv
 				}
 			}
-			tensor.Col2Im(dxd[b*inSize:(b+1)*inSize], dCols, g)
 		}
-		c.mu.Lock()
-		dwd, dbd := c.dW.Data(), c.dB.Data()
-		for i, v := range localDW {
-			dwd[i] += v
-		}
-		for i, v := range localDB {
-			dbd[i] += v
-		}
-		c.mu.Unlock()
-	})
-	return dx
+		img := dxd[b*inSize : (b+1)*inSize]
+		clear(img)
+		tensor.Col2Im(img, dCols, g)
+	}
 }
 
 // Params returns {W, B}.

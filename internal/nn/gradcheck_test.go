@@ -171,8 +171,9 @@ func TestGlobalAvgPoolGradient(t *testing.T) {
 	checkModelGradients(t, model, x, labels, 30, 1e-4)
 }
 
-// TestInputGradient verifies the gradient w.r.t. the INPUT as well, using
-// the residual network; this exercises every Backward return path.
+// TestInputGradient verifies the gradient w.r.t. the INPUT as well; this
+// exercises every Backward return path. Sequential.Backward stops at the
+// first layer with parameters, so the test walks the layers itself.
 func TestInputGradient(t *testing.T) {
 	src := rng.New(9)
 	model := NewSequential(
@@ -187,7 +188,10 @@ func TestInputGradient(t *testing.T) {
 	model.ZeroGrads()
 	logits := model.Forward(x, true)
 	_, d := SoftmaxCrossEntropy(logits, labels)
-	dx := model.Backward(d)
+	dx := d
+	for i := len(model.Layers) - 1; i >= 0; i-- {
+		dx = model.Layers[i].Backward(dx)
+	}
 
 	const eps = 1e-5
 	probe := rng.New(10)

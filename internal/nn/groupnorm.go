@@ -26,6 +26,8 @@ type GroupNorm struct {
 	// caches for backward
 	xhat   []float64
 	invStd []float64 // per (sample, group)
+
+	y, dx *tensor.Tensor // kept output and input gradient
 }
 
 // NewGroupNorm creates a group-norm layer with gamma=1, beta=0. groups must
@@ -62,7 +64,7 @@ func (gn *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	hw := gn.H * gn.W
 	chPerG := gn.C / gn.Groups
 	blk := chPerG * hw
-	y := tensor.New(batch, gn.C, gn.H, gn.W)
+	gn.y = tensor.Reuse(gn.y, batch, gn.C, gn.H, gn.W)
 	if cap(gn.xhat) < x.Size() {
 		gn.xhat = make([]float64, x.Size())
 	}
@@ -73,7 +75,7 @@ func (gn *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	gn.invStd = gn.invStd[:ng]
 
-	xd, yd := x.Data(), y.Data()
+	xd, yd := x.Data(), gn.y.Data()
 	gd, bd := gn.Gamma.Data(), gn.Beta.Data()
 	for b := 0; b < batch; b++ {
 		for g := 0; g < gn.Groups; g++ {
@@ -102,7 +104,7 @@ func (gn *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	return y
+	return gn.y
 }
 
 // Backward implements the group-norm gradient (the batch-norm formula
@@ -112,8 +114,8 @@ func (gn *GroupNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	hw := gn.H * gn.W
 	chPerG := gn.C / gn.Groups
 	blk := chPerG * hw
-	dx := tensor.New(batch, gn.C, gn.H, gn.W)
-	dyd, dxd := dy.Data(), dx.Data()
+	gn.dx = tensor.Reuse(gn.dx, batch, gn.C, gn.H, gn.W)
+	dyd, dxd := dy.Data(), gn.dx.Data()
 	gd := gn.Gamma.Data()
 	dgd, dbd := gn.dG.Data(), gn.dB.Data()
 	n := float64(blk)
@@ -149,7 +151,7 @@ func (gn *GroupNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return dx
+	return gn.dx
 }
 
 // Params returns {Gamma, Beta}.

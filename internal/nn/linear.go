@@ -13,6 +13,9 @@ type Linear struct {
 	W, B   *tensor.Tensor
 	dW, dB *tensor.Tensor
 	x      *tensor.Tensor // cached input for backward
+
+	y, dx   *tensor.Tensor // kept output and input gradient
+	dWBatch *tensor.Tensor // dYᵀ·x scratch, added into dW
 }
 
 // NewLinear creates a fully connected layer with He-uniform initialization.
@@ -31,22 +34,34 @@ func NewLinear(src *rng.Source, in, out int) *Linear {
 // Forward computes y = x·Wᵀ + b.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
-	y := tensor.MatMulT2(x, l.W) // (batch, out)
-	batch, out := y.Dim(0), y.Dim(1)
-	yd, bd := y.Data(), l.B.Data()
+	batch, out := x.Dim(0), l.W.Dim(0)
+	l.y = tensor.Reuse(l.y, batch, out)
+	tensor.MatMulT2Into(l.y, x, l.W)
+	yd, bd := l.y.Data(), l.B.Data()
 	for i := 0; i < batch; i++ {
 		row := yd[i*out : (i+1)*out]
 		for j := range row {
 			row[j] += bd[j]
 		}
 	}
-	return y
+	return l.y
 }
 
 // Backward accumulates dW = dYᵀ·x and dB = Σ rows(dY), and returns
 // dX = dY·W.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	l.dW.Add(tensor.MatMulT1(dy, l.x))
+	l.accumulateGrads(dy)
+	l.dx = tensor.Reuse(l.dx, dy.Dim(0), l.W.Dim(1))
+	tensor.MatMulInto(l.dx, dy, l.W)
+	return l.dx
+}
+
+// accumulateGrads is the parameter half of Backward: dW += dYᵀ·x and
+// dB += Σ rows(dY).
+func (l *Linear) accumulateGrads(dy *tensor.Tensor) {
+	l.dWBatch = tensor.Reuse(l.dWBatch, l.dW.Shape()...)
+	tensor.MatMulT1Into(l.dWBatch, dy, l.x)
+	l.dW.Add(l.dWBatch)
 	batch, out := dy.Dim(0), dy.Dim(1)
 	dyd, dbd := dy.Data(), l.dB.Data()
 	for i := 0; i < batch; i++ {
@@ -55,7 +70,6 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			dbd[j] += v
 		}
 	}
-	return tensor.MatMul(dy, l.W)
 }
 
 // Params returns {W, B}.

@@ -13,11 +13,18 @@ import (
 // attacks with large p_s can do this) yields NaN loss, which callers detect
 // with math.IsNaN exactly as the paper reports models "crashing to NaN".
 func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dLogits *tensor.Tensor) {
+	return SoftmaxCrossEntropyInto(nil, logits, labels)
+}
+
+// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing the gradient
+// into buf, recycled as tensor.Reuse does (nil allocates): a training loop
+// keeps the returned tensor and passes it back in on its next step.
+func SoftmaxCrossEntropyInto(buf, logits *tensor.Tensor, labels []int) (loss float64, dLogits *tensor.Tensor) {
 	batch, classes := logits.Dim(0), logits.Dim(1)
 	if len(labels) != batch {
 		panic("nn: SoftmaxCrossEntropy label count mismatch")
 	}
-	d := tensor.New(batch, classes)
+	d := tensor.Reuse(buf, batch, classes)
 	ld, dd := logits.Data(), d.Data()
 	total := 0.0
 	inv := 1.0 / float64(batch)

@@ -122,6 +122,43 @@ func TestApplyDeltaLengthPanics(t *testing.T) {
 	NewMLP(1, 4, nil, 2)().ApplyDelta(1, []float64{1})
 }
 
+// TestAddGradsToAndStepMatchFlatForms: AddGradsTo and Step give the bits
+// of acc.Add(GradsVector()) and ApplyDelta(lr, GradsVector()).
+func TestAddGradsToAndStepMatchFlatForms(t *testing.T) {
+	src := rng.New(6)
+	x := tensor.RandN(src, 1, 8, 1, 28, 28)
+	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	build := NewLeNet(6)
+	a, b := build(), build()
+	b.SetParamsVector(a.ParamsVector())
+	acc := make([]float64, a.NumParams())
+	for i := range acc {
+		acc[i] = float64(i%7) - 3
+	}
+	want := append([]float64(nil), acc...)
+	for _, m := range []*Sequential{a, b} {
+		_, d := SoftmaxCrossEntropy(m.Forward(x, true), labels)
+		m.Backward(d)
+	}
+	a.AddGradsTo(acc)
+	a.Step(0.05)
+	for i, v := range b.GradsVector() {
+		want[i] += v
+	}
+	b.ApplyDelta(0.05, b.GradsVector())
+	for i := range acc {
+		if math.Float64bits(acc[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("AddGradsTo entry %d is %v, want %v", i, acc[i], want[i])
+		}
+	}
+	pa, pb := a.ParamsVector(), b.ParamsVector()
+	for i := range pa {
+		if math.Float64bits(pa[i]) != math.Float64bits(pb[i]) {
+			t.Fatalf("Step entry %d is %v, want %v", i, pa[i], pb[i])
+		}
+	}
+}
+
 func TestSGDStepReducesLoss(t *testing.T) {
 	src := rng.New(5)
 	build := NewMLP(5, 8, []int{16}, 3)
@@ -227,7 +264,8 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	// In eval mode the output must be deterministic w.r.t. the input and
 	// must not update running stats.
 	rm := append([]float64(nil), bn.RunMean.Data()...)
-	y1 := bn.Forward(x, false)
+	// The layer reuses its output tensor, so keep a copy of the first.
+	y1 := bn.Forward(x, false).Clone()
 	y2 := bn.Forward(x, false)
 	for i := range y1.Data() {
 		if y1.Data()[i] != y2.Data()[i] {

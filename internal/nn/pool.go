@@ -11,7 +11,8 @@ type MaxPool2D struct {
 	Size    int
 	C, H, W int // input geometry
 
-	argmax []int // flat index into the input of each output's winner
+	argmax []int          // flat index into the input of each output's winner
+	y, dx  *tensor.Tensor // kept output and input gradient
 }
 
 // NewMaxPool2D creates a max-pool layer. H and W must be divisible by size.
@@ -25,49 +26,51 @@ func NewMaxPool2D(c, h, w, size int) *MaxPool2D {
 // Forward computes the max over each window and records winner positions.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch := x.Dim(0)
-	oh, ow := m.H/m.Size, m.W/m.Size
-	y := tensor.New(batch, m.C, oh, ow)
-	if cap(m.argmax) < y.Size() {
-		m.argmax = make([]int, y.Size())
+	m.y = tensor.Reuse(m.y, batch, m.C, m.H/m.Size, m.W/m.Size)
+	if cap(m.argmax) < m.y.Size() {
+		m.argmax = make([]int, m.y.Size())
 	}
-	m.argmax = m.argmax[:y.Size()]
-	xd, yd := x.Data(), y.Data()
-	parallel.ForChunked(batch*m.C, func(lo, hi int) {
-		for bc := lo; bc < hi; bc++ {
-			in := xd[bc*m.H*m.W : (bc+1)*m.H*m.W]
-			outBase := bc * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bestIdx := oy*m.Size*m.W + ox*m.Size
-					best := in[bestIdx]
-					for ky := 0; ky < m.Size; ky++ {
-						rowBase := (oy*m.Size + ky) * m.W
-						for kx := 0; kx < m.Size; kx++ {
-							idx := rowBase + ox*m.Size + kx
-							if in[idx] > best {
-								best = in[idx]
-								bestIdx = idx
-							}
+	m.argmax = m.argmax[:m.y.Size()]
+	parallel.ForChunked(batch*m.C, func(lo, hi int) { m.forwardMaps(x, lo, hi) })
+	return m.y
+}
+
+// forwardMaps pools the (sample, channel) maps [lo,hi) of x into m.y.
+func (m *MaxPool2D) forwardMaps(x *tensor.Tensor, lo, hi int) {
+	oh, ow := m.H/m.Size, m.W/m.Size
+	xd, yd := x.Data(), m.y.Data()
+	for bc := lo; bc < hi; bc++ {
+		in := xd[bc*m.H*m.W : (bc+1)*m.H*m.W]
+		outBase := bc * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				bestIdx := oy*m.Size*m.W + ox*m.Size
+				best := in[bestIdx]
+				for ky := 0; ky < m.Size; ky++ {
+					rowBase := (oy*m.Size + ky) * m.W
+					for kx := 0; kx < m.Size; kx++ {
+						idx := rowBase + ox*m.Size + kx
+						if in[idx] > best {
+							best = in[idx]
+							bestIdx = idx
 						}
 					}
-					yd[outBase+oy*ow+ox] = best
-					m.argmax[outBase+oy*ow+ox] = bc*m.H*m.W + bestIdx
 				}
+				yd[outBase+oy*ow+ox] = best
+				m.argmax[outBase+oy*ow+ox] = bc*m.H*m.W + bestIdx
 			}
 		}
-	})
-	return y
+	}
 }
 
 // Backward routes each output gradient to its winning input position.
 func (m *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	batch := dy.Dim(0)
-	dx := tensor.New(batch, m.C, m.H, m.W)
-	dxd, dyd := dx.Data(), dy.Data()
-	for i, v := range dyd {
+	m.dx = tensor.Reuse(m.dx, dy.Dim(0), m.C, m.H, m.W)
+	dxd := m.dx.Zero().Data()
+	for i, v := range dy.Data() {
 		dxd[m.argmax[i]] += v
 	}
-	return dx
+	return m.dx
 }
 
 // Params returns nil: pooling has no parameters.
@@ -80,6 +83,8 @@ func (m *MaxPool2D) Grads() []*tensor.Tensor { return nil }
 // (batch, C, H, W) into (batch, C). Used by the mini-ResNet head.
 type GlobalAvgPool struct {
 	C, H, W int
+
+	y, dx *tensor.Tensor // kept output and input gradient
 }
 
 // NewGlobalAvgPool creates a global average pooling layer.
@@ -91,8 +96,8 @@ func NewGlobalAvgPool(c, h, w int) *GlobalAvgPool {
 func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch := x.Dim(0)
 	hw := g.H * g.W
-	y := tensor.New(batch, g.C)
-	xd, yd := x.Data(), y.Data()
+	g.y = tensor.Reuse(g.y, batch, g.C)
+	xd, yd := x.Data(), g.y.Data()
 	inv := 1.0 / float64(hw)
 	for bc := 0; bc < batch*g.C; bc++ {
 		s := 0.0
@@ -101,15 +106,15 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		yd[bc] = s * inv
 	}
-	return y
+	return g.y
 }
 
 // Backward spreads each channel gradient uniformly over its spatial extent.
 func (g *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	batch := dy.Dim(0)
 	hw := g.H * g.W
-	dx := tensor.New(batch, g.C, g.H, g.W)
-	dxd, dyd := dx.Data(), dy.Data()
+	g.dx = tensor.Reuse(g.dx, batch, g.C, g.H, g.W)
+	dxd, dyd := g.dx.Data(), dy.Data()
 	inv := 1.0 / float64(hw)
 	for bc := 0; bc < batch*g.C; bc++ {
 		v := dyd[bc] * inv
@@ -118,7 +123,7 @@ func (g *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			out[i] = v
 		}
 	}
-	return dx
+	return g.dx
 }
 
 // Params returns nil: pooling has no parameters.

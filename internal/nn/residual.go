@@ -25,7 +25,7 @@ type ResidualBlock struct {
 	proj   *Conv2D // nil for identity shortcut
 	projBN *GroupNorm
 
-	shortcut *tensor.Tensor // cached shortcut activation
+	sum *tensor.Tensor // kept main + shortcut, relu2's input
 }
 
 // NewResidualBlock builds a block that maps (inC, h, w) to
@@ -62,12 +62,17 @@ func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		sc = x
 	}
-	b.shortcut = sc
-	sum := main.Clone().Add(sc)
-	return b.relu2.Forward(sum, train)
+	b.sum = tensor.Reuse(b.sum, main.Shape()...)
+	sd, md, scd := b.sum.Data(), main.Data(), sc.Data()
+	for i := range sd {
+		sd[i] = md[i] + scd[i]
+	}
+	return b.relu2.Forward(b.sum, train)
 }
 
-// Backward propagates through both branches and sums the input gradients.
+// Backward propagates through both branches and sums the input gradients
+// into conv1's input-gradient tensor, which it returns: the block owns
+// conv1, so the rule of Layer holds for the block's result.
 func (b *ResidualBlock) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dSum := b.relu2.Backward(dy)
 	// main branch

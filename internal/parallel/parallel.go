@@ -34,24 +34,52 @@ func For(n int, body func(i int)) {
 // half-open chunks, one chunk per goroutine. It is the building block for
 // kernels that want per-chunk setup (e.g. scratch buffers).
 func ForChunked(n int, body func(lo, hi int)) {
+	forRanges(n, chunkLen(n), body)
+}
+
+// ForChunks is ForChunked passing each chunk's index c in [0,
+// NumChunks(n)) as well, for kernels that keep one partial result per
+// chunk and merge the partials in chunk order afterwards — a merge that,
+// unlike one in goroutine finishing order, gives the same bits on every
+// run.
+func ForChunks(n int, body func(c, lo, hi int)) {
+	chunk := chunkLen(n)
+	forRanges(n, chunk, func(lo, hi int) { body(lo/chunk, lo, hi) })
+}
+
+// NumChunks reports how many chunks ForChunks splits [0,n) into at the
+// current GOMAXPROCS.
+func NumChunks(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	c := chunkLen(n)
+	return (n + c - 1) / c
+}
+
+// chunkLen is the chunk length ForChunked and ForChunks split [0,n) into:
+// n itself — one chunk, run inline — for small n or a single core.
+func chunkLen(n int) int {
+	p := min(maxProcs(), n)
+	if p <= 1 || n < 64 {
+		return n
+	}
+	return (n + p - 1) / p
+}
+
+// forRanges runs body over [0,n) in chunks of the given length, inline
+// when one chunk covers it, else one goroutine a chunk.
+func forRanges(n, chunk int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p := maxProcs()
-	if p > n {
-		p = n
-	}
-	if p <= 1 || n < 64 {
+	if chunk >= n {
 		body(0, n)
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (n + p - 1) / p
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()

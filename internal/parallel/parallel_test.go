@@ -79,3 +79,27 @@ func TestDo(t *testing.T) {
 func TestDoEmpty(t *testing.T) {
 	Do() // must not hang or panic
 }
+
+// TestForChunksMatchesForChunked: ForChunks hands chunk c the c-th range
+// of ForChunked's partition, for c in [0, NumChunks(n)).
+func TestForChunksMatchesForChunked(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 100, 1025} {
+		var mu sync.Mutex
+		want := map[[2]int]bool{}
+		ForChunked(n, func(lo, hi int) {
+			mu.Lock()
+			want[[2]int{lo, hi}] = true
+			mu.Unlock()
+		})
+		got := make([][2]int, NumChunks(n))
+		ForChunks(n, func(c, lo, hi int) { got[c] = [2]int{lo, hi} })
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d chunks, ForChunked ran %d", n, len(got), len(want))
+		}
+		for c, r := range got {
+			if !want[r] || (c > 0 && r[0] != got[c-1][1]) {
+				t.Fatalf("n=%d: chunk %d is %v, not the next range of %v", n, c, r, want)
+			}
+		}
+	}
+}

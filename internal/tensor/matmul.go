@@ -19,98 +19,126 @@ func MatMul(a, b *Tensor) *Tensor {
 // MatMulInto computes dst = A·B, reusing dst's storage. It panics on shape
 // mismatch. dst must not alias a or b.
 func MatMulInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	k2, n := b.Dim(0), b.Dim(1)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	if dst.Dim(0) != m || dst.Dim(1) != n {
-		panic(fmt.Sprintf("tensor: MatMul output shape %v, want [%d %d]", dst.shape, m, n))
-	}
+	checkMatMul("MatMul", dst, a, b, false, false)
+	// The chunk bodies capture only the three tensors, so the closure each
+	// call allocates stays small.
+	parallel.ForChunked(a.Dim(0), func(lo, hi int) { mulRows(dst, a, b, lo, hi) })
+}
+
+// mulRows computes rows [lo,hi) of dst = A·B.
+func mulRows(dst, a, b *Tensor, lo, hi int) {
+	k, n := a.Dim(1), b.Dim(1)
 	ad, bd, cd := a.data, b.data, dst.data
-	parallel.ForChunked(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := cd[i*n : (i+1)*n]
-			for j := range ci {
-				ci[j] = 0
+	for i := lo; i < hi; i++ {
+		ci := cd[i*n : (i+1)*n]
+		for j := range ci {
+			ci[j] = 0
+		}
+		ai := ad[i*k : (i+1)*k]
+		for p, av := range ai {
+			if av == 0 {
+				continue
 			}
-			ai := ad[i*k : (i+1)*k]
-			for p, av := range ai {
-				if av == 0 {
-					continue
-				}
-				bp := bd[p*n : (p+1)*n]
-				for j, bv := range bp {
-					ci[j] += av * bv
-				}
+			bp := bd[p*n : (p+1)*n]
+			for j, bv := range bp {
+				ci[j] += av * bv
 			}
 		}
-	})
+	}
 }
 
 // MatMulT1 computes C = Aᵀ·B for A (k×m) and B (k×n), producing m×n.
-// Used by the Linear layer backward pass (dW = Xᵀ·dY).
+// Used by the Linear layer backward pass (dW = dYᵀ·X).
 func MatMulT1(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulT1 requires rank-2 tensors")
-	}
-	k, m := a.Dim(0), a.Dim(1)
-	k2, n := b.Dim(0), b.Dim(1)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT1 inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	c := New(m, n)
-	ad, bd, cd := a.data, b.data, c.data
-	// Parallelize over output rows; each output row i gathers column i of A.
-	parallel.ForChunked(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := cd[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := ad[p*m+i]
-				if av == 0 {
-					continue
-				}
-				bp := bd[p*n : (p+1)*n]
-				for j, bv := range bp {
-					ci[j] += av * bv
-				}
-			}
-		}
-	})
+	c := New(a.Dim(1), b.Dim(1))
+	MatMulT1Into(c, a, b)
 	return c
 }
 
-// MatMulT2 computes C = A·Bᵀ for A (m×k) and B (n×k), producing m×n.
-// Used by the Linear layer backward pass (dX = dY·Wᵀ).
-func MatMulT2(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulT2 requires rank-2 tensors")
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	n, k2 := b.Dim(0), b.Dim(1)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT2 inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	c := New(m, n)
-	ad, bd, cd := a.data, b.data, c.data
-	parallel.ForChunked(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := ad[i*k : (i+1)*k]
-			ci := cd[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := bd[j*k : (j+1)*k]
-				s := 0.0
-				for p, av := range ai {
-					s += av * bj[p]
-				}
-				ci[j] = s
+// MatMulT1Into computes dst = Aᵀ·B, reusing dst's storage. It panics on
+// shape mismatch. dst must not alias a or b.
+func MatMulT1Into(dst, a, b *Tensor) {
+	checkMatMul("MatMulT1", dst, a, b, true, false)
+	parallel.ForChunked(a.Dim(1), func(lo, hi int) { mulT1Rows(dst, a, b, lo, hi) })
+}
+
+// mulT1Rows computes rows [lo,hi) of dst = Aᵀ·B; output row i gathers
+// column i of A.
+func mulT1Rows(dst, a, b *Tensor, lo, hi int) {
+	k, m, n := a.Dim(0), a.Dim(1), b.Dim(1)
+	ad, bd, cd := a.data, b.data, dst.data
+	for i := lo; i < hi; i++ {
+		ci := cd[i*n : (i+1)*n]
+		for j := range ci {
+			ci[j] = 0
+		}
+		for p := 0; p < k; p++ {
+			av := ad[p*m+i]
+			if av == 0 {
+				continue
+			}
+			bp := bd[p*n : (p+1)*n]
+			for j, bv := range bp {
+				ci[j] += av * bv
 			}
 		}
-	})
+	}
+}
+
+// MatMulT2 computes C = A·Bᵀ for A (m×k) and B (n×k), producing m×n.
+// Used by the Linear layer forward pass (Y = X·Wᵀ).
+func MatMulT2(a, b *Tensor) *Tensor {
+	c := New(a.Dim(0), b.Dim(0))
+	MatMulT2Into(c, a, b)
 	return c
+}
+
+// MatMulT2Into computes dst = A·Bᵀ, reusing dst's storage. It panics on
+// shape mismatch. dst must not alias a or b.
+func MatMulT2Into(dst, a, b *Tensor) {
+	checkMatMul("MatMulT2", dst, a, b, false, true)
+	parallel.ForChunked(a.Dim(0), func(lo, hi int) { mulT2Rows(dst, a, b, lo, hi) })
+}
+
+// mulT2Rows computes rows [lo,hi) of dst = A·Bᵀ.
+func mulT2Rows(dst, a, b *Tensor, lo, hi int) {
+	k, n := a.Dim(1), b.Dim(0)
+	ad, bd, cd := a.data, b.data, dst.data
+	for i := lo; i < hi; i++ {
+		ai := ad[i*k : (i+1)*k]
+		ci := cd[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			bj := bd[j*k : (j+1)*k]
+			s := 0.0
+			for p, av := range ai {
+				s += av * bj[p]
+			}
+			ci[j] = s
+		}
+	}
+}
+
+// checkMatMul panics unless a and b (read transposed where the operation
+// says so) are rank-2 with matching inner dimensions and dst has the
+// product's shape.
+func checkMatMul(op string, dst, a, b *Tensor, transA, transB bool) {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
+		panic("tensor: " + op + " requires rank-2 tensors")
+	}
+	m, k := a.Dim(0), a.Dim(1)
+	if transA {
+		m, k = k, m
+	}
+	k2, n := b.Dim(0), b.Dim(1)
+	if transB {
+		k2, n = n, k2
+	}
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v x %v", op, a.shape, b.shape))
+	}
+	if dst.Dim(0) != m || dst.Dim(1) != n {
+		panic(fmt.Sprintf("tensor: %s output shape %v, want [%d %d]", op, dst.shape, m, n))
+	}
 }
 
 // Transpose2D returns the transpose of a rank-2 tensor as a new tensor.

@@ -4,13 +4,18 @@
 // im2col transform used to lower convolutions onto matmul.
 //
 // Tensors are row-major and carry an explicit shape. The package favours
-// in-place operations so the training loop can run allocation-free in steady
-// state; every mutating method returns its receiver to allow chaining.
+// in-place operations, and every kernel the training loop calls has a form
+// that writes into a caller's buffer (MatMulInto, MatMulT1Into,
+// MatMulT2Into, Im2Col, Col2Im) with Reuse to keep those buffers across
+// calls, so in steady state a training step allocates no tensor
+// storage — only the small closure each parallel kernel call makes. Every
+// mutating method returns its receiver to allow chaining.
 package tensor
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fifl/internal/rng"
 )
@@ -25,14 +30,18 @@ type Tensor struct {
 // New allocates a zero-filled tensor with the given shape. It panics if any
 // dimension is negative.
 func New(shape ...int) *Tensor {
+	// Work on the copy the tensor keeps, so shape itself does not escape
+	// (through the panic message) and a caller's variadic arguments stay
+	// on its stack.
+	s := append([]int(nil), shape...)
 	n := 1
-	for _, d := range shape {
+	for _, d := range s {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, s))
 		}
 		n *= d
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
+	return &Tensor{shape: s, data: make([]float64, n)}
 }
 
 // FromSlice wraps data in a tensor with the given shape. The tensor aliases
@@ -87,17 +96,42 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view with a new shape sharing the same storage. It
-// panics if the volumes differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
+// Reuse returns a tensor of the given shape for a kernel to overwrite,
+// recycling t: t itself when it already has that shape, else a new header
+// over t's storage when that is large enough, else a fresh zeroed
+// allocation (also when t is nil). A recycled tensor keeps the stale
+// values of its last use, so a kernel that accumulates into it must Zero
+// it first. A layer keeps its outputs this way and allocates only when the
+// batch shape changes.
+func Reuse(t *Tensor, shape ...int) *Tensor {
+	if t == nil {
+		return New(shape...)
+	}
+	if slices.Equal(t.shape, shape) {
+		return t
+	}
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
+	if n > cap(t.data) {
+		return New(shape...)
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
+	return &Tensor{shape: append([]int(nil), shape...), data: t.data[:n]}
+}
+
+// Reshape returns a view with a new shape sharing the same storage. It
+// panics if the volumes differ.
+func (t *Tensor) Reshape(shape ...int) *Tensor {
+	s := append([]int(nil), shape...) // see New
+	n := 1
+	for _, d := range s {
+		n *= d
+	}
+	if n != len(t.data) {
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), s, n))
+	}
+	return &Tensor{shape: s, data: t.data}
 }
 
 // offset computes the flat index of a multi-dimensional index.

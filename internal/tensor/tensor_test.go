@@ -227,3 +227,49 @@ func TestMatMulAdjointProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMatMulIntoVariantsOverwrite: the Into forms write the bits of the
+// allocating forms into a dst holding stale values.
+func TestMatMulIntoVariantsOverwrite(t *testing.T) {
+	src := rng.New(4)
+	a, b := RandN(src, 1, 7, 5), RandN(src, 1, 7, 6)
+	c, d := RandN(src, 1, 6, 5), RandN(src, 1, 5, 4)
+	for _, tc := range []struct {
+		name string
+		want *Tensor
+		into func(dst *Tensor)
+	}{
+		{"MatMul", MatMul(a, d), func(dst *Tensor) { MatMulInto(dst, a, d) }},
+		{"MatMulT1", MatMulT1(a, b), func(dst *Tensor) { MatMulT1Into(dst, a, b) }},
+		{"MatMulT2", MatMulT2(a, c), func(dst *Tensor) { MatMulT2Into(dst, a, c) }},
+	} {
+		dst := Full(math.NaN(), tc.want.Shape()...)
+		tc.into(dst)
+		for i, v := range dst.Data() {
+			if math.Float64bits(v) != math.Float64bits(tc.want.Data()[i]) {
+				t.Fatalf("%sInto: entry %d is %v, want %v", tc.name, i, v, tc.want.Data()[i])
+			}
+		}
+	}
+}
+
+func TestReuse(t *testing.T) {
+	if r := Reuse(nil, 2, 3); r.Dim(0) != 2 || r.Dim(1) != 3 || r.Size() != 6 {
+		t.Fatalf("Reuse(nil) shape %v", r.Shape())
+	}
+	a := New(4, 3)
+	if Reuse(a, 4, 3) != a {
+		t.Fatal("same shape did not return the tensor itself")
+	}
+	small := Reuse(a, 2, 3)
+	if small.Dim(0) != 2 || &small.Data()[0] != &a.Data()[0] {
+		t.Fatal("a smaller shape did not reuse the storage")
+	}
+	back := Reuse(small, 4, 3)
+	if back.Size() != 12 || &back.Data()[0] != &a.Data()[0] {
+		t.Fatal("growing back within capacity did not reuse the storage")
+	}
+	if big := Reuse(a, 5, 3); big.Size() != 15 || &big.Data()[0] == &a.Data()[0] {
+		t.Fatal("a larger shape did not allocate")
+	}
+}

@@ -36,8 +36,13 @@ go test -race -timeout 20m $(go list ./... | grep -v internal/experiments)
 # round as a row of NaNs and rides the same four-row groups, so the
 # wrong-length tests — the door's own and the end-to-end ones holding a
 # malformed upload's verdict to a NaN-poisoned one's, flat and sharded —
-# run at the same core counts.
-go test -cpu 1,2,3 -run 'MatchesReference|MatchesSerialFold|Cohort|WrongLength' ./internal/gradvec ./internal/core ./internal/fl ./internal/shard
+# run at the same core counts. The training plane rides the same leg: a
+# worker's five rounds of uploads on the wire MLP, LeNet and TinyResNet
+# must hash to the committed constants (TestLocalTrainGolden), and ten
+# repeats of a batch-64 LeNet backward pass — where Conv2D fans its batch
+# out and merges one partial per chunk — must give equal bits
+# (TestConvBackwardBitsRepeat).
+go test -cpu 1,2,3 -run 'MatchesReference|MatchesSerialFold|Cohort|WrongLength|LocalTrainGolden|ConvBackwardBitsRepeat' ./internal/gradvec ./internal/core ./internal/fl ./internal/shard ./internal/nn
 
 # Ledger read-plane race gate: Verify fans the blocks out over the cores
 # and must return the serial walk's verdict, so the chain package is raced
@@ -105,6 +110,20 @@ trap 'rm -rf "$BIN"' EXIT
 go build -o "$BIN/fifl-sim" ./cmd/fifl-sim
 go build -o "$BIN/fifl-node" ./cmd/fifl-node
 "$BIN/fifl-sim" -workers 3 -rounds 1 -samples 40 -metrics | grep -q '^fifl_engine_rounds_total 1$'
+
+# Training-plane oracle: three quick-scale figures that train real models
+# end to end — fig7a (LeNet), fig12 (MLP) and fig8 (TinyResNet, fig8a and
+# fig8b) — must regenerate the committed CSVs byte for byte, so a change
+# to the layers, the local step or the data pipeline that moves one bit
+# of a trajectory fails here.
+go build -o "$BIN/fifl-experiments" ./cmd/fifl-experiments
+mkdir "$BIN/csv"
+for id in fig7a fig12 fig8; do
+    "$BIN/fifl-experiments" -id "$id" -scale quick -csv "$BIN/csv" > /dev/null
+done
+for f in fig7a fig12 fig8a fig8b; do
+    cmp "$BIN/csv/$f.csv" "results/$f.csv"
+done
 
 # Base-URL smoke: a shard link and a membership join given a coordinator
 # URL that is not an absolute http(s) URL must exit non-zero with the one
