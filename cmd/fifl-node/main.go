@@ -532,7 +532,7 @@ func runRoot(ctx context.Context, recipe transport.Recipe, o serveOpts) error {
 		samples[i] = w.NumSamples()
 	}
 	root, err := fl.NewEngine(fl.Config{Servers: o.Servers, GlobalLR: 0.05},
-		build, shard.VirtualWorkers(samples), rng.New(recipe.Seed).Split("shard-root"))
+		build, shard.VirtualWorkers(samples), rng.New(recipe.Seed).Split("shard-root"), fl.WithQuorum(o.Quorum))
 	if err != nil {
 		return err
 	}

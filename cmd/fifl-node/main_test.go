@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"fifl/internal/transport"
 )
 
 // parseArgs parses args into a fresh FlagSet carrying fifl-node's own
@@ -73,4 +77,20 @@ func TestEveryFlagHasARole(t *testing.T) {
 		}
 		t.Errorf("-%s is read by no role", f.Name)
 	})
+}
+
+// TestAsyncQuorumRefused: every async window commits, so a coordinator
+// asked for both -async and -quorum fails at startup instead of ignoring
+// the quorum. The context is already cancelled, so a coordinator that
+// got as far as serving returns at once instead of waiting for workers.
+func TestAsyncQuorumRefused(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	recipe := transport.Recipe{Seed: 1, Workers: 4, SamplesPerWorker: 20}
+	err := runCoordinator(ctx, recipe, serveOpts{
+		Listen: "127.0.0.1:0", Rounds: 1, Servers: 1, Quorum: 4, WorkerTimeout: time.Second, CheckpointEvery: 1, Async: true,
+	})
+	if err == nil || !strings.Contains(err.Error(), "quorum") {
+		t.Fatalf("-async -quorum 4: error %v, want one naming the quorum", err)
+	}
 }

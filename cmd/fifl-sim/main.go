@@ -205,6 +205,9 @@ func main() {
 	if *quorum > *workers {
 		exitf(2, "-quorum %d exceeds -workers %d", *quorum, *workers)
 	}
+	if *async && *quorum > 0 {
+		exitf(2, "-quorum is a synchronous option: every -async window commits")
+	}
 	if *retries < 0 || *backoff < 0 {
 		exitf(2, "-retries and -retry-backoff must be non-negative")
 	}

@@ -117,6 +117,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-eval", "-1"},
 		{"-rounds", "0"},
 		{"-rounds", "-2", "-audit"},
+		{"-async", "-quorum", "3"},
 	} {
 		_, stderr, code := runSim(t, append([]string{"-workers", "3", "-rounds", "1"}, args...)...)
 		if code != 2 || !strings.HasPrefix(stderr, "fifl-sim: ") || strings.Contains(stderr, "panic") {

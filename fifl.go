@@ -548,7 +548,8 @@ func NewShardHub(n, shards int, reg *MetricsRegistry) (*ShardHub, error) {
 }
 
 // NewShardBridge bridges a hub to the root engine (whose slots are
-// ShardVirtualWorkers); quorum > 0 degrades rounds with fewer arrivals.
+// ShardVirtualWorkers); quorum > 0 degrades rounds with fewer arrivals,
+// and must equal the engine's own WithQuorum.
 func NewShardBridge(hub *ShardHub, engine *Engine, quorum int) (*ShardBridge, error) {
 	return shard.NewBridge(hub, engine, quorum)
 }

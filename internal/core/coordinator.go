@@ -118,9 +118,8 @@ type Coordinator struct {
 	collector  Collector
 	// grads runs the gradient kernels of Detect, Aggregate and
 	// Contribution: the engine's own, or a sharded collector's edge
-	// aggregators (gradsAtEdge), resolved once at construction.
-	grads       gradientSource
-	gradsAtEdge bool
+	// aggregators, resolved once at construction.
+	grads gradientSource
 
 	// logRecs/logSigners are the Record stage's reusable batch buffers:
 	// one AppendBatch per round instead of 5n lock round-trips.
@@ -224,7 +223,7 @@ func newCoordinatorWithRegistry(cfg CoordinatorConfig, engine *fl.Engine, initia
 	if c.collector == nil {
 		c.collector = flat
 	} else if src, ok := c.collector.(ShardRoundSource); ok {
-		c.grads, c.gradsAtEdge = src, true
+		c.grads = src
 	}
 	c.pipeline = newRoundPipeline(reg, c.trace)
 	for i := 0; i < n; i++ {
@@ -330,17 +329,13 @@ func (c *Coordinator) RunRoundContext(ctx context.Context, t int) (*RoundReport,
 func (c *Coordinator) NextRound() int { return c.nextRound }
 
 // degradedDetection is the assessment of a round that missed its quorum:
-// nobody can be judged, so every worker is uncertain — the same treatment
-// the paper gives individual transmission failures, applied federation-wide.
+// nobody is scored, and settle makes every worker uncertain — the same
+// treatment the paper gives individual transmission failures, applied
+// federation-wide.
 func degradedDetection(n int) *DetectionResult {
-	det := &DetectionResult{
-		Scores:    make([]float64, n),
-		Accept:    make([]bool, n),
-		Uncertain: make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
+	det := newDetection(n)
+	for i := range det.Scores {
 		det.Scores[i] = math.NaN()
-		det.Uncertain[i] = true
 	}
 	return det
 }
@@ -385,10 +380,9 @@ func (c *Coordinator) logRound(t int, rr *fl.RoundResult, det *DetectionResult, 
 }
 
 // detectWithScorer adapts a custom Scorer's output into a DetectionResult:
-// scores at or above the threshold are accepted; dropped uploads are
-// uncertain; NaN scores are rejected. An arrival that is not Usable is
-// rejected whatever the Scorer made of it, as the cosine screen rejects
-// it, so aggregation never folds it.
+// scores at or above the threshold are accepted; NaN scores are rejected.
+// An upload that is not Usable is rejected whatever the Scorer made of it,
+// as the cosine screen rejects it, so aggregation never folds it.
 func detectWithScorer(s Scorer, threshold float64, params []float64, rr *fl.RoundResult) *DetectionResult {
 	scores := s.Scores(params, rr.Grads)
 	res := &DetectionResult{
@@ -396,14 +390,8 @@ func detectWithScorer(s Scorer, threshold float64, params []float64, rr *fl.Roun
 		Accept:    Threshold(scores, threshold),
 		Uncertain: make([]bool, len(scores)),
 	}
-	for i := range res.Uncertain {
-		switch {
-		case rr.Dropped(i):
-			res.Uncertain[i] = true
-			res.Accept[i] = false
-		case !rr.Usable(i):
-			res.Accept[i] = false
-		}
+	for i := range res.Accept {
+		res.Accept[i] = res.Accept[i] && rr.Usable(i)
 	}
 	return res
 }
@@ -435,28 +423,39 @@ func (r *RoundReport) TraceRecords() []trace.WorkerRound {
 }
 
 // AuditReputation re-derives worker w's reputation for iteration t from
-// the ledger's detection history (the task publisher's recomputation of
-// §4.5) and compares it with the reputation record. If the ledger's
-// reputation record disagrees with the recomputation, the signing server is
-// banned from future election and its name returned.
+// the ledger (the task publisher's recomputation of §4.5) and compares it
+// with the reputation record. Each round is replayed through uploadEvent,
+// the rule the live round applied: the status is the worker's upload
+// record, the verdict its detection record, and the round committed if
+// its upload records count at least the engine's quorum of arrivals. A
+// round with no records for w (not yet joined, or departed) gives no
+// event. If the ledger's reputation record disagrees with the
+// recomputation, the signing server is banned from future election and
+// its name returned.
 func (c *Coordinator) AuditReputation(t, w int) (culprit string, err error) {
 	if err := c.Ledger.Verify(); err != nil {
 		return "", err
 	}
-	// Recompute R_w(t) by replaying detection events 0..t through a fresh
-	// tracker.
 	tr := NewReputationTracker(c.Cfg.Reputation, 1)
+	quorum := c.Engine.Quorum()
 	for it := 0; it <= t; it++ {
-		recs := c.Ledger.Query(chain.KindDetection, it, w)
-		ev := EventUncertain
-		if len(recs) > 0 {
-			if recs[len(recs)-1].Value >= 0.5 {
-				ev = EventPositive
-			} else {
-				ev = EventNegative
+		var st faults.UploadStatus
+		arrived, seated := 0, false
+		for _, r := range c.Ledger.Query(chain.KindUpload, it, -1) {
+			s := faults.UploadStatus(r.Value)
+			if s.Arrived() {
+				arrived++
+			}
+			if r.WorkerID == w {
+				st, seated = s, true
 			}
 		}
-		if err := tr.Update([]Event{ev}); err != nil {
+		verdict := c.Ledger.Query(chain.KindDetection, it, w)
+		if !seated || len(verdict) == 0 {
+			continue
+		}
+		ev := uploadEvent(st, quorum <= 0 || arrived >= quorum, verdict[len(verdict)-1].Value == 1)
+		if err := tr.UpdateIDs([]int{0}, []Event{ev}); err != nil {
 			return "", err
 		}
 	}

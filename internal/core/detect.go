@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"fifl/internal/faults"
 	"fifl/internal/fl"
 	"fifl/internal/gradvec"
 	"fifl/internal/parallel"
@@ -41,16 +42,23 @@ type Detector struct {
 // DetectionResult reports one round of screening.
 type DetectionResult struct {
 	// Scores holds the normalized detection score S_i per worker; NaN for
-	// workers whose upload was lost (uncertain events).
+	// workers nobody scored (uncertain events), -Inf for a poisoned or
+	// stale upload.
 	Scores []float64
 	// Accept holds r_i of Eq. 7: true for accepted (honest-looking)
 	// gradients. Dropped uploads are not accepted.
 	Accept []bool
-	// Uncertain flags workers whose upload never arrived.
+	// Uncertain flags workers whose upload never arrived; in a round's
+	// report, also every worker of a round that missed its quorum.
 	Uncertain []bool
 	// Benchmark is the composite benchmark gradient assembled from the
 	// server cluster's own slices; nil if no server upload survived.
 	Benchmark gradvec.Vector
+}
+
+// newDetection is the result shell of a round of n workers.
+func newDetection(n int) *DetectionResult {
+	return &DetectionResult{Scores: make([]float64, n), Accept: make([]bool, n), Uncertain: make([]bool, n)}
 }
 
 // Events converts the detection outcome into reputation events.
@@ -69,6 +77,41 @@ func (d *DetectionResult) Events() []Event {
 	return out
 }
 
+// uploadEvent is the one rule from an upload's fate to its Eq. 8–10
+// reputation event: st is the upload's status, committed whether its round
+// met the quorum, accepted detection's verdict. The live round applies it
+// through settle and AuditReputation replays it from the ledger's records,
+// so the signed reputations and their recomputation cannot disagree.
+func uploadEvent(st faults.UploadStatus, committed, accepted bool) Event {
+	switch {
+	case !committed:
+		// Too few uploads arrived to judge anyone.
+		return EventUncertain
+	case st == faults.StatusStale:
+		// The upload arrived, too late for the staleness bound.
+		return EventNegative
+	case !st.Arrived():
+		return EventUncertain
+	case accepted:
+		return EventPositive
+	default:
+		return EventNegative
+	}
+}
+
+// settle applies uploadEvent to every worker of round rr, so Accept and
+// Uncertain say what Events reports. A stale upload has no row to score
+// and is rejected outright: it scores -Inf, as a poisoned upload does.
+func (d *DetectionResult) settle(rr *fl.RoundResult) {
+	for i, st := range rr.Status {
+		ev := uploadEvent(st, rr.Committed, d.Accept[i])
+		d.Accept[i], d.Uncertain[i] = ev == EventPositive, ev == EventUncertain
+		if ev == EventNegative && !st.Arrived() {
+			d.Scores[i] = math.Inf(-1)
+		}
+	}
+}
+
 // DetectRound screens one round. servers lists the cohort slots currently
 // acting as the server cluster, in region order (server j's gradient fills
 // benchmark region j); m is the region count and must equal len(servers),
@@ -78,30 +121,21 @@ func (d *DetectionResult) Events() []Event {
 // CPU cores, writing each worker's score to its own index so the
 // reduction is deterministic.
 func (d *Detector) DetectRound(rr *fl.RoundResult, servers []int, m int) (*DetectionResult, error) {
-	return d.detect(context.Background(), rr, servers, m, engineSource{}, false)
+	return d.detect(context.Background(), rr, servers, m, engineSource{})
 }
 
 // detect is the screening every round shares, flat or sharded: the cluster
 // check, the result shell, and the composite benchmark assembled from the
-// server cluster's rows, around src's Score kernel. A flat round tells an
-// absent upload by its nil row (rr.Dropped); a sharded root holds only the
-// server rows, so absentByStatus reads absence from the upload statuses.
-func (d *Detector) detect(ctx context.Context, rr *fl.RoundResult, servers []int, m int, src gradientSource, absentByStatus bool) (*DetectionResult, error) {
+// server cluster's rows, around src's Score kernel. An upload that did not
+// arrive is uncertain; its status says so in every collector, including a
+// sharded root, which holds only the server rows.
+func (d *Detector) detect(ctx context.Context, rr *fl.RoundResult, servers []int, m int, src gradientSource) (*DetectionResult, error) {
 	if len(servers) != m {
 		return nil, fmt.Errorf("core: DetectRound got %d servers for %d slices", len(servers), m)
 	}
-	n := len(rr.Grads)
-	res := &DetectionResult{
-		Scores:    make([]float64, n),
-		Accept:    make([]bool, n),
-		Uncertain: make([]bool, n),
-	}
-	for i := range res.Uncertain {
-		if absentByStatus {
-			res.Uncertain[i] = !rr.Status[i].Arrived()
-		} else {
-			res.Uncertain[i] = rr.Dropped(i)
-		}
+	res := newDetection(len(rr.Grads))
+	for i, st := range rr.Status {
+		res.Uncertain[i] = !st.Arrived()
 	}
 	owners := make([]int, m)
 	if res.Benchmark = flatBenchmark(rr, servers, m, owners); res.Benchmark == nil {

@@ -5,20 +5,26 @@ import (
 	"slices"
 	"testing"
 
+	"fifl/internal/faults"
 	"fifl/internal/fl"
 	"fifl/internal/gradvec"
 	"fifl/internal/rng"
 )
 
-// syntheticRound builds a RoundResult with the given gradients (nil =
-// dropped).
+// syntheticRound builds a committed RoundResult with the given gradients
+// (nil = dropped, which its status says too).
 func syntheticRound(grads []gradvec.Vector) *fl.RoundResult {
 	rr := &fl.RoundResult{
-		Grads:   grads,
-		Samples: make([]int, len(grads)),
+		Grads:     grads,
+		Samples:   make([]int, len(grads)),
+		Status:    make([]faults.UploadStatus, len(grads)),
+		Committed: true,
 	}
-	for i := range rr.Samples {
+	for i, g := range grads {
 		rr.Samples[i] = 100
+		if g == nil {
+			rr.Status[i] = faults.StatusDropped
+		}
 	}
 	return rr
 }

@@ -13,7 +13,7 @@ import (
 // runRoundLegacy is the pre-pipeline monolithic round implementation,
 // frozen as the differential-testing oracle for the staged Pipeline that
 // backs RunRoundContext. It shares every leaf function with the pipeline
-// (ReputationTracker.Update, AggregateRound, ComputeContributions,
+// (ReputationTracker.UpdateIDs, AggregateRound, ComputeContributions,
 // RewardShares, logRound) but keeps the original orchestration: slice
 // materialization through sliceGradients, the slice-table Detect, serial
 // per-worker loops, and in-place state mutation as each step completes.
@@ -21,7 +21,10 @@ import (
 // reports, reputations, rewards and ledger bytes across seeds and fault
 // schedules; TestPipelineAllocsFewerThanLegacy uses this path as the
 // allocation baseline. Do not modify this function when evolving the
-// pipeline — it is the fixed point the refactor is measured against. It
+// pipeline — it is the fixed point the refactor is measured against.
+// Where a shared leaf gave a step up to the pipeline (the uncertain marks
+// of a degraded or custom-scorer round, now set by settle), the step is
+// spelled out here as it ran before. It
 // always pays rewards with FIFL's Eq. 15 scheme, ignoring any WithMechanism
 // override.
 func runRoundLegacy(c *Coordinator, ctx context.Context, t int) (*RoundReport, error) {
@@ -40,8 +43,14 @@ func runRoundLegacy(c *Coordinator, ctx context.Context, t int) (*RoundReport, e
 	switch {
 	case !rr.Committed:
 		det = degradedDetection(len(rr.Grads))
+		for i := range det.Uncertain {
+			det.Uncertain[i] = true
+		}
 	case c.Cfg.Scorer != nil:
 		det = detectWithScorer(c.Cfg.Scorer, c.Cfg.Detection.Threshold, engine.Params(), rr)
+		for i, g := range rr.Grads {
+			det.Uncertain[i] = g == nil
+		}
 	default:
 		slices := sliceGradients(rr, engine.NumServers())
 		det, err = c.Cfg.Detection.Detect(rr, slices, c.servers, engine.NumServers())
@@ -54,7 +63,7 @@ func runRoundLegacy(c *Coordinator, ctx context.Context, t int) (*RoundReport, e
 	// crashed uploads — surface as uncertain events through the detection
 	// result, feeding the Su term of Eq. 8.
 	prevReps := c.Rep.Reputations()
-	if err := c.Rep.Update(det.Events()); err != nil {
+	if err := c.Rep.UpdateIDs(identityCohort(c.Rep.N()), det.Events()); err != nil {
 		return nil, err
 	}
 	reps := c.Rep.Reputations()
@@ -147,7 +156,7 @@ func (d *Detector) Detect(rr *fl.RoundResult, slices [][]gradvec.Vector, servers
 	}
 	for i := range res.Scores {
 		res.Scores[i] = math.NaN()
-		res.Uncertain[i] = rr.Dropped(i)
+		res.Uncertain[i] = rr.Grads[i] == nil
 	}
 	benchOwner := make([]int, m) // which worker's slice fills region j
 	res.Benchmark = compositeBenchmark(rr, slices, servers, m, benchOwner)

@@ -69,7 +69,7 @@ func (s SampleIncentive) Shares(rc *RoundContext) ([]float64, error) {
 	}
 	total := 0.0
 	for i := range w {
-		if rc.RR.Dropped(i) {
+		if !rc.RR.Status[i].Arrived() {
 			w[i] = 0
 		}
 		total += w[i]

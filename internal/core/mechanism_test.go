@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"fifl/internal/faults"
 	"fifl/internal/fl"
 	"fifl/internal/gradvec"
 )
@@ -37,11 +38,14 @@ func sampleRC(samples []int, dropped []bool, committed bool) *RoundContext {
 	rr := &fl.RoundResult{
 		Grads:     make([]gradvec.Vector, n),
 		Samples:   samples,
+		Status:    make([]faults.UploadStatus, n),
 		Committed: committed,
 	}
 	for i := range rr.Grads {
 		if dropped == nil || !dropped[i] {
 			rr.Grads[i] = gradvec.Vector{1}
+		} else {
+			rr.Status[i] = faults.StatusDropped
 		}
 	}
 	return &RoundContext{RR: rr}

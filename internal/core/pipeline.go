@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
-	"fifl/internal/faults"
 	"fifl/internal/fl"
 	"fifl/internal/gradvec"
 	"fifl/internal/metrics"
@@ -170,8 +168,8 @@ func stageCollect(c *Coordinator, rc *RoundContext) error {
 // stageDetect screens the round (§4.1): the slice-wise cosine screen
 // against the server cluster's own gradients by default, a custom
 // Scorer's thresholded scores when configured. A round below quorum skips
-// detection — too few uploads arrived to judge anyone — and marks every
-// worker uncertain.
+// detection — too few uploads arrived to judge anyone. Every path ends in
+// settle, the one rule from upload status and verdict to reputation event.
 func stageDetect(c *Coordinator, rc *RoundContext) error {
 	switch {
 	case !rc.RR.Committed:
@@ -186,26 +184,13 @@ func stageDetect(c *Coordinator, rc *RoundContext) error {
 		if err != nil {
 			return err
 		}
-		det, err := c.Cfg.Detection.detect(rc.Ctx, rc.RR, slots, c.Engine.NumServers(), c.grads, c.gradsAtEdge)
+		det, err := c.Cfg.Detection.detect(rc.Ctx, rc.RR, slots, c.Engine.NumServers(), c.grads)
 		if err != nil {
 			return err
 		}
 		rc.Detection = det
 	}
-	// Async rounds: an over-bound submission (StatusStale) did arrive —
-	// the worker spent the compute, just too late — so it is not the
-	// "uncertain" absence the detector inferred from its nil gradient. The
-	// bounded-staleness rule rejects it outright, turning it into a
-	// negative Eq. 8–10 reputation event that prices lateness.
-	if rc.RR.Staleness != nil {
-		for i, st := range rc.RR.Status {
-			if st == faults.StatusStale {
-				rc.Detection.Scores[i] = math.Inf(-1)
-				rc.Detection.Accept[i] = false
-				rc.Detection.Uncertain[i] = false
-			}
-		}
-	}
+	rc.Detection.settle(rc.RR)
 	return nil
 }
 

@@ -94,43 +94,12 @@ func (t *ReputationTracker) Clone() *ReputationTracker {
 	}
 }
 
-// Update folds one round of events into the reputations:
+// UpdateIDs folds one round of events into the reputations of the
+// assessed workers, event[k] applying to worker ids[k] in slice order:
 // R_i(t+1) = (1−γ)·R_i(t) + γ·r_i(t+1). Uncertain events leave the decayed
 // reputation unchanged (no evidence either way) but are counted for the
-// SLM uncertainty mass Su. A mismatched or malformed event slice is
-// rejected as an error before any state changes.
-func (t *ReputationTracker) Update(events []Event) error {
-	if len(events) != len(t.r) {
-		return fmt.Errorf("core: reputation update with %d events for %d workers", len(events), len(t.r))
-	}
-	for _, e := range events {
-		if e != EventPositive && e != EventNegative && e != EventUncertain {
-			return fmt.Errorf("core: unknown reputation event %d", e)
-		}
-	}
-	g := t.cfg.Gamma
-	for i, e := range events {
-		switch e {
-		case EventPositive:
-			t.r[i] = (1-g)*t.r[i] + g
-			t.pt[i]++
-		case EventNegative:
-			t.r[i] = (1 - g) * t.r[i]
-			t.pn[i]++
-		case EventUncertain:
-			t.pu[i]++
-		}
-	}
-	return nil
-}
-
-// UpdateIDs folds one round of events into a subset of the tracked
-// workers: event[k] applies to worker ids[k], in slice order. It is the
-// elastic-membership shape of Update — the round cohort may be a sparse
-// subset of every identity the federation has ever known — and with the
-// identity cohort ids == [0..n-1] it performs exactly Update's arithmetic
-// in exactly Update's order, which is what keeps a zero-churn run
-// bit-identical to the fixed-cohort path. Workers outside ids are
+// SLM uncertainty mass Su. The round cohort may be a sparse subset of
+// every identity the federation has ever known; workers outside ids are
 // untouched (no event, no decay: they were not assessed this round).
 // Malformed input is rejected before any state changes.
 func (t *ReputationTracker) UpdateIDs(ids []int, events []Event) error {

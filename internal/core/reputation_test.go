@@ -8,10 +8,15 @@ import (
 	"fifl/internal/rng"
 )
 
+// update folds one round of events into every worker tr tracks.
+func update(tr *ReputationTracker, events []Event) error {
+	return tr.UpdateIDs(identityCohort(tr.N()), events)
+}
+
 func TestReputationPositiveStreakApproachesOne(t *testing.T) {
 	tr := NewReputationTracker(ReputationConfig{Gamma: 0.1}, 1)
 	for i := 0; i < 300; i++ {
-		tr.Update([]Event{EventPositive})
+		update(tr, []Event{EventPositive})
 	}
 	if r := tr.Reputation(0); r < 0.99 {
 		t.Fatalf("reputation after 300 positives = %v, want ≈1", r)
@@ -21,7 +26,7 @@ func TestReputationPositiveStreakApproachesOne(t *testing.T) {
 func TestReputationNegativeStreakApproachesZero(t *testing.T) {
 	tr := NewReputationTracker(ReputationConfig{Gamma: 0.1, Initial: 1}, 1)
 	for i := 0; i < 300; i++ {
-		tr.Update([]Event{EventNegative})
+		update(tr, []Event{EventNegative})
 	}
 	if r := tr.Reputation(0); r > 0.01 {
 		t.Fatalf("reputation after 300 negatives = %v, want ≈0", r)
@@ -30,7 +35,7 @@ func TestReputationNegativeStreakApproachesZero(t *testing.T) {
 
 func TestReputationUncertainNoChange(t *testing.T) {
 	tr := NewReputationTracker(ReputationConfig{Gamma: 0.1, Initial: 0.5}, 1)
-	tr.Update([]Event{EventUncertain})
+	update(tr, []Event{EventUncertain})
 	if tr.Reputation(0) != 0.5 {
 		t.Fatal("uncertain events must not move the decayed reputation")
 	}
@@ -38,12 +43,12 @@ func TestReputationUncertainNoChange(t *testing.T) {
 
 func TestReputationUpdateFormula(t *testing.T) {
 	tr := NewReputationTracker(ReputationConfig{Gamma: 0.3, Initial: 0.4}, 1)
-	tr.Update([]Event{EventPositive})
+	update(tr, []Event{EventPositive})
 	want := 0.7*0.4 + 0.3
 	if math.Abs(tr.Reputation(0)-want) > 1e-12 {
 		t.Fatalf("Eq. 10 update wrong: %v, want %v", tr.Reputation(0), want)
 	}
-	tr.Update([]Event{EventNegative})
+	update(tr, []Event{EventNegative})
 	want = 0.7 * want
 	if math.Abs(tr.Reputation(0)-want) > 1e-12 {
 		t.Fatalf("Eq. 10 negative update wrong: %v, want %v", tr.Reputation(0), want)
@@ -62,11 +67,11 @@ func TestTheorem1ReputationTracksTrustworthiness(t *testing.T) {
 		// Burn in, then average the reputation over a long window.
 		const burn, window = 400, 4000
 		for i := 0; i < burn; i++ {
-			tr.Update([]Event{eventFor(src, p)})
+			update(tr, []Event{eventFor(src, p)})
 		}
 		mean := 0.0
 		for i := 0; i < window; i++ {
-			tr.Update([]Event{eventFor(src, p)})
+			update(tr, []Event{eventFor(src, p)})
 			mean += tr.Reputation(0)
 		}
 		mean /= window
@@ -90,10 +95,10 @@ func TestReputationStaysSensitive(t *testing.T) {
 	// observation under Figure 11.
 	tr := NewReputationTracker(ReputationConfig{Gamma: 0.1}, 1)
 	for i := 0; i < 200; i++ {
-		tr.Update([]Event{EventPositive})
+		update(tr, []Event{EventPositive})
 	}
 	before := tr.Reputation(0)
-	tr.Update([]Event{EventNegative})
+	update(tr, []Event{EventNegative})
 	if drop := before - tr.Reputation(0); drop < 0.05 {
 		t.Fatalf("reputation lost sensitivity: drop %v", drop)
 	}
@@ -103,13 +108,13 @@ func TestSLMTriple(t *testing.T) {
 	tr := NewReputationTracker(DefaultReputationConfig(), 1)
 	// 6 positive, 2 negative, 2 uncertain.
 	for i := 0; i < 6; i++ {
-		tr.Update([]Event{EventPositive})
+		update(tr, []Event{EventPositive})
 	}
 	for i := 0; i < 2; i++ {
-		tr.Update([]Event{EventNegative})
+		update(tr, []Event{EventNegative})
 	}
 	for i := 0; i < 2; i++ {
-		tr.Update([]Event{EventUncertain})
+		update(tr, []Event{EventUncertain})
 	}
 	st, sn, su, rep := tr.SLM(0)
 	if math.Abs(su-0.2) > 1e-12 {
@@ -138,7 +143,7 @@ func TestSLMNoEventsFullUncertainty(t *testing.T) {
 func TestResetPeriodKeepsDecayedReputation(t *testing.T) {
 	tr := NewReputationTracker(ReputationConfig{Gamma: 0.1}, 1)
 	for i := 0; i < 50; i++ {
-		tr.Update([]Event{EventPositive})
+		update(tr, []Event{EventPositive})
 	}
 	r := tr.Reputation(0)
 	tr.ResetPeriod()
@@ -153,10 +158,10 @@ func TestResetPeriodKeepsDecayedReputation(t *testing.T) {
 
 func TestUpdateLengthMismatchErrors(t *testing.T) {
 	tr := NewReputationTracker(DefaultReputationConfig(), 2)
-	if err := tr.Update([]Event{EventPositive}); err == nil {
+	if err := update(tr, []Event{EventPositive}); err == nil {
 		t.Fatal("mismatched event count must error")
 	}
-	if err := tr.Update([]Event{Event(99), EventPositive}); err == nil {
+	if err := update(tr, []Event{Event(99), EventPositive}); err == nil {
 		t.Fatal("unknown event must error")
 	}
 	// A rejected update must not have touched any state.
@@ -208,7 +213,7 @@ func TestPeriodCountsRoundTrip(t *testing.T) {
 		{EventUncertain, EventNegative},
 	}
 	for _, ev := range events {
-		if err := tr.Update(ev); err != nil {
+		if err := update(tr, ev); err != nil {
 			t.Fatal(err)
 		}
 	}

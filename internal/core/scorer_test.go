@@ -6,6 +6,7 @@ import (
 
 	"fifl/internal/attack"
 	"fifl/internal/dataset"
+	"fifl/internal/faults"
 	"fifl/internal/fl"
 	"fifl/internal/gradvec"
 	"fifl/internal/nn"
@@ -73,14 +74,18 @@ func TestCoordinatorWithLossDeltaScorer(t *testing.T) {
 }
 
 // TestDetectWithScorerFlags checks the adapter's handling of drops, NaN
-// scores and unusable arrivals, which are rejected whatever they scored.
+// scores and unusable arrivals, which are rejected whatever they scored,
+// once settle has applied the status rule.
 func TestDetectWithScorerFlags(t *testing.T) {
 	fake := fakeScorer{scores: []float64{0.5, -0.1, math.NaN(), 0.2, 1, 1}}
 	rr := &fl.RoundResult{
-		Grads:   []gradvec.Vector{{1}, {1}, {1}, nil, {math.NaN()}, {math.Inf(1)}},
-		Samples: []int{1, 1, 1, 1, 1, 1},
+		Grads:     []gradvec.Vector{{1}, {1}, {1}, nil, {math.NaN()}, {math.Inf(1)}},
+		Samples:   []int{1, 1, 1, 1, 1, 1},
+		Status:    []faults.UploadStatus{0, 0, 0, faults.StatusDropped, 0, 0},
+		Committed: true,
 	}
 	res := detectWithScorer(fake, 0, []float64{0}, rr)
+	res.settle(rr)
 	if !res.Accept[0] || res.Accept[1] || res.Accept[2] {
 		t.Fatalf("accept flags wrong: %v", res.Accept)
 	}

@@ -165,7 +165,7 @@ func RunAblGamma(sc Scale) *Result {
 		tr := core.NewReputationTracker(core.ReputationConfig{Gamma: gamma, Initial: 1}, 1)
 		var xs, ys []float64
 		for t := 0; t < rounds; t++ {
-			tr.Update([]core.Event{events[t]})
+			tr.UpdateIDs([]int{0}, []core.Event{events[t]})
 			xs = append(xs, float64(t))
 			ys = append(ys, tr.Reputation(0))
 		}

@@ -188,12 +188,15 @@ type AsyncCollector struct {
 }
 
 // NewAsyncCollector builds a bounded-staleness collector over an engine.
-// The engine's synchronous runtime options (quorum, deadlines, fault
-// injection) do not apply to async windows: the lag schedule is the async
-// failure model.
+// The engine's synchronous runtime options (deadlines, fault injection) do
+// not apply to async windows: the lag schedule is the async failure model.
+// An engine with a quorum is refused, since every window commits.
 func NewAsyncCollector(e *Engine, cfg AsyncConfig) (*AsyncCollector, error) {
 	if e == nil {
 		return nil, fmt.Errorf("fl: NewAsyncCollector requires an engine")
+	}
+	if q := e.Quorum(); q > 0 {
+		return nil, fmt.Errorf("fl: async windows always commit, so the engine's quorum %d would never apply", q)
 	}
 	if err := cfg.Validate(len(e.Workers)); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package fl
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"fifl/internal/faults"
@@ -171,5 +172,15 @@ func TestAsyncCollectorStaleRowHasNoSamples(t *testing.T) {
 	}
 	if rr.Status[0] != faults.StatusPending || rr.Samples[0] != e.Workers[0].NumSamples() {
 		t.Fatalf("pending row: status=%v samples=%d", rr.Status[0], rr.Samples[0])
+	}
+}
+
+// TestNewAsyncCollectorRefusesQuorum: every async window commits, so an
+// engine with a quorum would have it silently ignored; the collector is
+// refused instead.
+func TestNewAsyncCollectorRefusesQuorum(t *testing.T) {
+	e := runtimeSetup(t, 2, 0, WithQuorum(2))
+	if _, err := NewAsyncCollector(e, AsyncConfig{MaxStaleness: 1, AdvanceEvery: 1}); err == nil || !strings.Contains(err.Error(), "quorum") {
+		t.Fatalf("NewAsyncCollector over a quorum-2 engine: error %v, want one naming the quorum", err)
 	}
 }

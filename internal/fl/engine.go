@@ -69,7 +69,9 @@ type RoundResult struct {
 	Grads   []gradvec.Vector
 	Samples []int
 	// Status classifies each worker's upload: OK, Retried, Dropped,
-	// TimedOut or Crashed. Grads[i] is non-nil iff Status[i].Arrived().
+	// TimedOut or Crashed, and in async windows Stale or Pending. A row
+	// is non-nil only if Status[i].Arrived(), and in every collector but a
+	// sharded root, which keeps only the server rows, non-nil iff it is.
 	Status []faults.UploadStatus
 	// Retries counts the retransmission attempts made for each worker
 	// (0 for uploads that arrived — or were lost — first try).
@@ -98,9 +100,6 @@ type RoundResult struct {
 // NoSubmission is the Staleness marker for a worker that submitted
 // nothing in an async advance window.
 const NoSubmission = -1
-
-// Dropped reports whether worker i's upload failed to arrive this round.
-func (r *RoundResult) Dropped(i int) bool { return r.Grads[i] == nil }
 
 // Usable reports whether worker i's upload can be screened and folded: it
 // arrived and holds no NaN or ±Inf. An arrival that is not usable is

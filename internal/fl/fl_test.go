@@ -78,7 +78,7 @@ func TestDropRate(t *testing.T) {
 		rr := collect(t, e, round)
 		for i := range rr.Grads {
 			total++
-			if rr.Dropped(i) {
+			if !rr.Status[i].Arrived() {
 				dropped++
 			}
 		}

@@ -20,7 +20,7 @@ type Conv2D struct {
 	B      *tensor.Tensor // (outC)
 	dW, dB *tensor.Tensor
 
-	cols    []float64      // cached im2col output for the whole batch
+	cols    []float64      // im2col output: the whole batch in training, one item per chunk in evaluation
 	y, dx   *tensor.Tensor // kept output and input gradient
 	dWParts []float64      // one dW partial per chunk of the batch
 	dBParts []float64      // one dB partial per chunk of the batch
@@ -57,15 +57,24 @@ func grow(buf []float64, n int) []float64 {
 }
 
 // Forward computes the convolution for a (batch, inC, H, W) input and
-// returns a (batch, outC, outH, outW) output.
+// returns a (batch, outC, outH, outW) output. A training pass keeps every
+// item's im2col columns for Backward; an evaluation pass lowers each item
+// into its chunk's one-item slot and keeps nothing, so Backward requires a
+// training Forward. Each output is a sum over its own item's columns, so
+// both passes give the same bits.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.Geom
 	batch := x.Dim(0)
 	c.y = tensor.Reuse(c.y, batch, c.OutC, g.OutH(), g.OutW())
-	c.cols = grow(c.cols, batch*c.colsLen())
-	// The chunk bodies are methods and their closures capture two
-	// pointers, so each call allocates only a small closure.
-	parallel.ForChunked(batch, func(lo, hi int) { c.forwardItems(x, lo, hi) })
+	// The chunk bodies are methods and their closures capture a few
+	// words, so each call allocates only a small closure.
+	if train {
+		c.cols = grow(c.cols, batch*c.colsLen())
+		parallel.ForChunked(batch, func(lo, hi int) { c.forwardItems(x, lo, hi, -1) })
+	} else {
+		c.cols = grow(c.cols, parallel.NumChunks(batch)*c.colsLen())
+		parallel.ForChunks(batch, func(ch, lo, hi int) { c.forwardItems(x, lo, hi, ch) })
+	}
 	return c.y
 }
 
@@ -76,15 +85,20 @@ func (c *Conv2D) colsLen() int {
 }
 
 // forwardItems lowers batch items [lo,hi) of x with im2col into c.cols and
-// writes their outputs into c.y.
-func (c *Conv2D) forwardItems(x *tensor.Tensor, lo, hi int) {
+// writes their outputs into c.y: item b into slot b, or every item into
+// slot `slot` when it is not negative.
+func (c *Conv2D) forwardItems(x *tensor.Tensor, lo, hi, slot int) {
 	g := c.Geom
 	inSize := g.InC * g.InH * g.InW
 	p := g.OutH() * g.OutW()
 	k := g.InC * g.KH * g.KW
 	xd, yd, wd, bd := x.Data(), c.y.Data(), c.W.Data(), c.B.Data()
 	for b := lo; b < hi; b++ {
-		cols := c.cols[b*p*k : (b+1)*p*k]
+		s := b
+		if slot >= 0 {
+			s = slot
+		}
+		cols := c.cols[s*p*k : (s+1)*p*k]
 		tensor.Im2Col(cols, xd[b*inSize:(b+1)*inSize], g)
 		out := yd[b*c.OutC*p : (b+1)*c.OutC*p]
 		// out[o*p+q] = bias[o] + Σ_k W[o,k]·cols[q,k]
@@ -105,7 +119,8 @@ func (c *Conv2D) forwardItems(x *tensor.Tensor, lo, hi int) {
 }
 
 // Backward propagates a (batch, outC, outH, outW) gradient, accumulating
-// dW and dB and returning the (batch, inC, H, W) input gradient.
+// dW and dB and returning the (batch, inC, H, W) input gradient. The last
+// Forward must have been a training one.
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	c.accumulateGrads(dy)
 	return c.inputGrad(dy)

@@ -24,8 +24,7 @@ import (
 // kernels runs in the root pipeline exactly as in a flat round.
 type Bridge struct {
 	hub    *ShardHub
-	engine *fl.Engine // the root engine: parameter state and model shape
-	quorum int
+	engine *fl.Engine // the root engine: parameter state, model shape and quorum
 
 	serversFn func() []int // the round's server cluster, bound post-construction
 
@@ -37,7 +36,8 @@ type Bridge struct {
 // NewBridge builds the root-side bridge over a ready hub. engine is the
 // root's virtual-worker engine (its parameters are the federation model);
 // quorum, if positive, is the minimum number of arrived uploads for a
-// round to commit, matching fl.WithQuorum semantics on a flat engine.
+// round to commit, matching fl.WithQuorum semantics on a flat engine. It
+// must equal engine.Quorum(), the quorum the reputation audit replays.
 func NewBridge(hub *ShardHub, engine *fl.Engine, quorum int) (*Bridge, error) {
 	if hub == nil {
 		return nil, fmt.Errorf("shard: NewBridge requires a hub")
@@ -48,7 +48,10 @@ func NewBridge(hub *ShardHub, engine *fl.Engine, quorum int) (*Bridge, error) {
 	if got := len(engine.Workers); got != hub.Workers() {
 		return nil, fmt.Errorf("shard: root engine has %d workers, hub expects %d", got, hub.Workers())
 	}
-	return &Bridge{hub: hub, engine: engine, quorum: quorum, round: -1}, nil
+	if quorum != engine.Quorum() {
+		return nil, fmt.Errorf("shard: bridge quorum %d, root engine's quorum %d", quorum, engine.Quorum())
+	}
+	return &Bridge{hub: hub, engine: engine, round: -1}, nil
 }
 
 // BindServers installs the server-cluster source — the coordinator's
@@ -79,7 +82,7 @@ func (b *Bridge) CollectRound(ctx context.Context, t int) (*fl.RoundResult, erro
 		Samples: b.hub.RegisteredSamples(),
 		Status:  make([]faults.UploadStatus, n),
 		Retries: make([]int, n),
-		Quorum:  b.quorum,
+		Quorum:  b.engine.Quorum(),
 	}
 	for s, sub := range wave {
 		first, _, err := b.hub.Cohort(s)

@@ -210,7 +210,7 @@ func TestBridgeDegradedRoundSkipsDetectAndDist(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := nn.NewMLP(11, 4, nil, 2)
-	root, err := fl.NewEngine(fl.Config{Servers: 1, GlobalLR: 0.1}, build, VirtualWorkers([]int{5, 5}), rng.New(1))
+	root, err := fl.NewEngine(fl.Config{Servers: 1, GlobalLR: 0.1}, build, VirtualWorkers([]int{5, 5}), rng.New(1), fl.WithQuorum(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func runShardedVia(t *testing.T, rounds int, cohorts []int, f diffFaults, setup 
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := fl.NewEngine(fl.Config{Servers: diffServers, GlobalLR: 0.05}, build, VirtualWorkers(samples), src.Split("root"))
+	root, err := fl.NewEngine(fl.Config{Servers: diffServers, GlobalLR: 0.05}, build, VirtualWorkers(samples), src.Split("root"), fl.WithQuorum(f.quorum))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,14 +79,18 @@ type AsyncCollector struct {
 // NewAsyncCollector switches the hub into async mode and builds the
 // collector over it. The engine must be the coordinator's engine, built
 // over stubs from hub.Workers() or hub.WorkersFor(cohort); its
-// synchronous runtime options (quorum, deadlines, fault injection) do
-// not apply to async windows.
+// synchronous runtime options (deadlines, fault injection) do not apply
+// to async windows, and an engine with a quorum is refused, since every
+// window commits.
 func NewAsyncCollector(hub *Hub, engine *fl.Engine, cfg AsyncConfig) (*AsyncCollector, error) {
 	if hub == nil {
 		return nil, fmt.Errorf("transport: NewAsyncCollector requires a hub")
 	}
 	if engine == nil {
 		return nil, fmt.Errorf("transport: NewAsyncCollector requires an engine")
+	}
+	if q := engine.Quorum(); q > 0 {
+		return nil, fmt.Errorf("transport: async windows always commit, so the engine's quorum %d would never apply", q)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

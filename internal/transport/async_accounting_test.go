@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,6 +158,14 @@ func TestNewAsyncCollectorRejectsUnsatisfiableAdvance(t *testing.T) {
 		MaxStaleness: 1, AdvanceEvery: 3, AdvanceInterval: time.Second,
 	}); err != nil {
 		t.Fatalf("NewAsyncCollector with AdvanceInterval: %v", err)
+	}
+	// Every window commits, so an engine with a quorum is refused.
+	quorate, err := fl.NewEngine(fl.Config{Servers: 1, GlobalLR: 0.05}, build, hub.Workers(), rng.New(3), fl.WithQuorum(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewAsyncCollector(hub, quorate, AsyncConfig{MaxStaleness: 1, AdvanceEvery: 1}); err == nil || !strings.Contains(err.Error(), "quorum") {
+		t.Fatalf("NewAsyncCollector over a quorum-2 engine: error %v, want one naming the quorum", err)
 	}
 }
 

@@ -150,6 +150,24 @@ go run ./examples/ledger_audit > "$BIN/ledger-audit.log"
 grep -q 'culprit traced by signature: device-001' "$BIN/ledger-audit.log"
 grep -q 'banned from server election: true' "$BIN/ledger-audit.log"
 
+# Reputation audit smoke (§4.5): the audit replays every round through the
+# rule the live round applied (upload status, whether the round met its
+# quorum, and the verdict, mapped to one Eq. 8–10 event), so an honest
+# run reports a match whatever its uploads' fate: lost uploads, rounds
+# that missed the quorum, an async worker past the staleness bound, and a
+# sharded run with losses.
+for AUDIT_ARGS in "-drop 0.5 -seed 2" "-drop 0.5 -seed 3" \
+    "-drop 0.2 -quorum 6 -seed 1" "-drop 0.2 -quorum 6 -seed 2" \
+    "-async -async-lag 0:4" "-shards 2 -drop 0.5 -seed 2"; do
+    # shellcheck disable=SC2086
+    "$BIN/fifl-sim" -task mlp -workers 6 -rounds 8 -audit $AUDIT_ARGS > "$BIN/audit.log"
+    grep -q 'ledger record matches recomputation' "$BIN/audit.log"
+    if grep -q TAMPERED "$BIN/audit.log"; then
+        echo "fifl-sim -audit $AUDIT_ARGS: honest ledger audited as tampered" >&2
+        exit 1
+    fi
+done
+
 # Ledger analytics gate: the seeded fixture run, checkpointed and scored
 # offline, must reproduce the committed golden CSV byte for byte with a
 # clean reward audit (same run as internal/score's TestGoldenLedgerEndToEnd).
