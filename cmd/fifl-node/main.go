@@ -118,9 +118,36 @@ func checkRoleFlags(fs *flag.FlagSet, role string) error {
 	return err
 }
 
+// checkFlagValues rejects the first flag value no role can run with,
+// before anything is built or listens. It runs after checkRoleFlags, so a
+// flag the role does not read still holds its default, which passes.
+func checkFlagValues() error {
+	switch {
+	case *workers < 1:
+		return fmt.Errorf("-workers must be at least 1, got %d", *workers)
+	case *samples < 1:
+		return fmt.Errorf("-samples must be at least 1, got %d", *samples)
+	case *servers < 1:
+		return fmt.Errorf("-servers must be at least 1, got %d", *servers)
+	case *rounds < 1:
+		return fmt.Errorf("-rounds must be at least 1, got %d", *rounds)
+	case *evalEach < 0:
+		return fmt.Errorf("-eval must be non-negative, got %d", *evalEach)
+	case *quorum < 0 || *quorum > *workers:
+		return fmt.Errorf("-quorum must be in [0,%d] (at most -workers), got %d", *workers, *quorum)
+	case *ckptN < 1:
+		return fmt.Errorf("-checkpoint-every must be at least 1, got %d", *ckptN)
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
-	if err := checkRoleFlags(flag.CommandLine, *role); err != nil {
+	err := checkRoleFlags(flag.CommandLine, *role)
+	if err == nil {
+		err = checkFlagValues()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fifl-node:", err)
 		os.Exit(2)
 	}
@@ -147,7 +174,6 @@ func main() {
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptN, HaltAfter: *haltAt,
 		Async: *async, MaxStaleness: *maxStale, AdvanceEvery: *advEvery, AdvanceInterval: *advIntvl,
 	}
-	var err error
 	switch *role {
 	case "coordinator":
 		err = runCoordinator(ctx, recipe, so)

@@ -64,6 +64,41 @@ func TestCheckRoleFlags(t *testing.T) {
 	}
 }
 
+// TestCheckFlagValues: a numeric flag no run can use is refused at
+// startup, naming the flag, instead of running no round or failing deep
+// inside setup.
+func TestCheckFlagValues(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		reject string // the flag named in the error; "" = accepted
+	}{
+		{[]string{"-role", "coordinator"}, ""},
+		{[]string{"-role", "coordinator", "-workers", "1", "-samples", "1", "-servers", "1", "-rounds", "1", "-eval", "0", "-quorum", "1", "-checkpoint-every", "1"}, ""},
+		{[]string{"-role", "root", "-workers", "4", "-quorum", "4"}, ""},
+		{[]string{"-role", "coordinator", "-rounds", "0"}, "rounds"},
+		{[]string{"-role", "root", "-rounds", "-3"}, "rounds"},
+		{[]string{"-role", "coordinator", "-eval", "-1"}, "eval"},
+		{[]string{"-role", "worker", "-workers", "0"}, "workers"},
+		{[]string{"-role", "shard", "-samples", "0"}, "samples"},
+		{[]string{"-role", "coordinator", "-servers", "0"}, "servers"},
+		{[]string{"-role", "coordinator", "-quorum", "9", "-workers", "2"}, "quorum"},
+		{[]string{"-role", "root", "-quorum", "-1"}, "quorum"},
+		{[]string{"-role", "coordinator", "-checkpoint", "d", "-checkpoint-every", "0"}, "checkpoint-every"},
+	} {
+		fs := parseArgs(t, tc.args)
+		if err := checkRoleFlags(fs, fs.Lookup("role").Value.String()); err != nil {
+			t.Fatalf("%v: role check: %v", tc.args, err)
+		}
+		err := checkFlagValues()
+		switch {
+		case tc.reject == "" && err != nil:
+			t.Errorf("%v rejected: %v", tc.args, err)
+		case tc.reject != "" && (err == nil || !strings.Contains(err.Error(), "-"+tc.reject+" ")):
+			t.Errorf("%v: error %v, want one naming -%s", tc.args, err, tc.reject)
+		}
+	}
+}
+
 // TestEveryFlagHasARole: a flag no role reads could never be set.
 func TestEveryFlagHasARole(t *testing.T) {
 	flag.VisitAll(func(f *flag.Flag) {

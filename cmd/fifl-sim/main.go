@@ -199,14 +199,30 @@ func main() {
 	if *evalEach < 0 {
 		exitf(2, "-eval must be non-negative, got %d", *evalEach)
 	}
-	if *drop < 0 || *drop > 1 {
+	// Written so that NaN fails too.
+	if !(*drop >= 0 && *drop <= 1) {
 		exitf(2, "-drop must be in [0,1], got %g", *drop)
+	}
+	if !(*pd >= 0 && *pd <= 1) {
+		exitf(2, "-pd must be in [0,1], got %g", *pd)
 	}
 	if *quorum > *workers {
 		exitf(2, "-quorum %d exceeds -workers %d", *quorum, *workers)
 	}
 	if *async && *quorum > 0 {
 		exitf(2, "-quorum is a synchronous option: every -async window commits")
+	}
+	if !*async {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "async-lag", "max-staleness", "advance-every":
+				exitf(2, "-%s applies only with -async", f.Name)
+			}
+		})
+	}
+	lags, err := parseLagSpec(*asyncLag, *workers)
+	if err != nil {
+		exitf(2, "%v", err)
 	}
 	if *retries < 0 || *backoff < 0 {
 		exitf(2, "-retries and -retry-backoff must be non-negative")
@@ -387,10 +403,6 @@ func main() {
 					*advEvery = 1
 				}
 			}
-			lags, err := parseLagSpec(*asyncLag, *workers)
-			if err != nil {
-				exitf(2, "%v", err)
-			}
 			col, err := fl.NewAsyncCollector(fed.Engine, fl.AsyncConfig{
 				MaxStaleness: *maxStale,
 				AdvanceEvery: *advEvery,
@@ -502,8 +514,7 @@ func main() {
 	if *traceFile != "" {
 		out, err := os.Create(*traceFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exitf(1, "%v", err)
 		}
 		if strings.HasSuffix(*traceFile, ".csv") {
 			err = recorder.WriteCSV(out)
@@ -514,8 +525,7 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exitf(1, "writing trace %s: %v", *traceFile, err)
 		}
 		fmt.Printf("\ntrace written to %s (%d worker records)\n", *traceFile, recorder.Len())
 	}
@@ -540,14 +550,12 @@ func main() {
 
 	if *audit {
 		if err := coord.Ledger.Verify(); err != nil {
-			fmt.Fprintf(os.Stderr, "ledger verification FAILED: %v\n", err)
-			os.Exit(1)
+			exitf(1, "ledger verification FAILED: %v", err)
 		}
 		fmt.Printf("\nledger verified: %d blocks intact\n", coord.Ledger.Len())
 		culprit, err := coord.AuditReputation(*rounds-1, 0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "audit error: %v\n", err)
-			os.Exit(1)
+			exitf(1, "audit error: %v", err)
 		}
 		if culprit == "" {
 			fmt.Println("reputation audit for worker 0: ledger record matches recomputation")
@@ -564,8 +572,7 @@ func main() {
 		// histograms are wall-clock and observability-only.
 		fmt.Println("\n# --- metrics ---")
 		if err := metrics.Default.WritePrometheus(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exitf(1, "writing metrics: %v", err)
 		}
 	}
 }

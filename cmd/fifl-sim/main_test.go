@@ -109,19 +109,29 @@ func TestParseLagSpec(t *testing.T) {
 }
 
 // TestBadFlagsExitTwo: a flag value the run cannot use is reported as a
-// usage error (exit 2, one "fifl-sim:" line), not a panic.
+// usage error (exit 2, one "fifl-sim:" line naming the flag), not a panic
+// or a run that ignores it.
 func TestBadFlagsExitTwo(t *testing.T) {
-	for _, args := range [][]string{
-		{"-samples", "0"},
-		{"-servers", "0"},
-		{"-eval", "-1"},
-		{"-rounds", "0"},
-		{"-rounds", "-2", "-audit"},
-		{"-async", "-quorum", "3"},
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-samples", "0"}, "-samples"},
+		{[]string{"-servers", "0"}, "-servers"},
+		{[]string{"-eval", "-1"}, "-eval"},
+		{[]string{"-rounds", "0"}, "-rounds"},
+		{[]string{"-rounds", "-2", "-audit"}, "-rounds"},
+		{[]string{"-async", "-quorum", "3"}, "-quorum"},
+		{[]string{"-poison", "1", "-pd", "2"}, "-pd"},
+		{[]string{"-pd", "-0.5"}, "-pd"},
+		{[]string{"-drop", "NaN"}, "-drop"},
+		{[]string{"-async-lag", "0:3"}, "-async-lag"},
+		{[]string{"-max-staleness", "1"}, "-max-staleness"},
+		{[]string{"-advance-every", "2"}, "-advance-every"},
 	} {
-		_, stderr, code := runSim(t, append([]string{"-workers", "3", "-rounds", "1"}, args...)...)
-		if code != 2 || !strings.HasPrefix(stderr, "fifl-sim: ") || strings.Contains(stderr, "panic") {
-			t.Errorf("%v: exit %d, stderr %q; want exit 2 with a fifl-sim: message", args, code, stderr)
+		_, stderr, code := runSim(t, append([]string{"-workers", "3", "-rounds", "1"}, tc.args...)...)
+		if code != 2 || !strings.HasPrefix(stderr, "fifl-sim: ") || !strings.Contains(stderr, tc.flag) || strings.Contains(stderr, "panic") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 with a fifl-sim: message naming %s", tc.args, code, stderr, tc.flag)
 		}
 	}
 }

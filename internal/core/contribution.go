@@ -220,14 +220,3 @@ func guardDist(d float64, g gradvec.Vector) (float64, bool) {
 	}
 	return d, true
 }
-
-// PositiveTotal returns Σ_{j: C_j>0} C_j, the normalizer of Eq. 15.
-func (c *Contributions) PositiveTotal() float64 {
-	s := 0.0
-	for _, v := range c.C {
-		if v > 0 {
-			s += v
-		}
-	}
-	return s
-}

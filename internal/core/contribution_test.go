@@ -134,10 +134,3 @@ func TestContributionSliceDecomposition(t *testing.T) {
 		t.Fatalf("slice decomposition broken: %v vs %v", full, sum)
 	}
 }
-
-func TestPositiveTotal(t *testing.T) {
-	c := &Contributions{C: []float64{0.5, -1, 0.25, 0}}
-	if got := c.PositiveTotal(); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("PositiveTotal = %v", got)
-	}
-}

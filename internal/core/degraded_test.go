@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"fifl/internal/attack"
 	"fifl/internal/chain"
 	"fifl/internal/dataset"
 	"fifl/internal/faults"
@@ -156,13 +155,12 @@ func TestCrashThenRecoverReputationTrajectory(t *testing.T) {
 	parts := data.PartitionIID(src.Split("parts"), n)
 	lc := fl.LocalConfig{K: 1, BatchSize: 32, LR: 0.05}
 	workers := make([]fl.Worker, n)
-	for i := 0; i < n-1; i++ {
+	for i := range workers {
 		workers[i] = fl.NewHonestWorker(i, parts[i], build, lc, src)
 	}
 	// The last device is honest but crashes over rounds [4, 10).
-	honest := fl.NewHonestWorker(n-1, parts[n-1], build, lc, src)
-	workers[n-1] = attack.NewCrashWorker(honest, 4, 10)
-	engine, err := fl.NewEngine(fl.Config{Servers: 2, GlobalLR: 0.05}, build, workers, src)
+	crash := fl.WithFaultInjector(faults.Crash{Worker: n - 1, From: 4, Until: 10})
+	engine, err := fl.NewEngine(fl.Config{Servers: 2, GlobalLR: 0.05}, build, workers, src, crash)
 	if err != nil {
 		t.Fatal(err)
 	}

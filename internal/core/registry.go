@@ -103,14 +103,6 @@ func (r *Registry) SlotOf(id int) int {
 	return r.slots[id]
 }
 
-// IDOf returns the worker ID occupying a cohort slot.
-func (r *Registry) IDOf(slot int) (int, error) {
-	if slot < 0 || slot >= len(r.active) {
-		return 0, fmt.Errorf("core: cohort has no slot %d (size %d)", slot, len(r.active))
-	}
-	return r.active[slot], nil
-}
-
 // Admit assigns the next worker ID in state Joining. The identity enters
 // the cohort only when Activate moves it to Active, so a queued handshake
 // is visible in the registry before the round boundary that seats it.

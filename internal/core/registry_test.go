@@ -14,10 +14,6 @@ func TestRegistryFixedCohortIsIdentity(t *testing.T) {
 		if got := r.SlotOf(i); got != i {
 			t.Fatalf("SlotOf(%d) = %d, want identity", i, got)
 		}
-		id, err := r.IDOf(i)
-		if err != nil || id != i {
-			t.Fatalf("IDOf(%d) = %d, %v, want identity", i, id, err)
-		}
 		st, err := r.State(i)
 		if err != nil || st != StateActive {
 			t.Fatalf("State(%d) = %v, %v, want active", i, st, err)

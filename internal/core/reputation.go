@@ -218,11 +218,3 @@ func (t *ReputationTracker) SLM(i int) (st, sn, su, rep float64) {
 	rep = t.cfg.AlphaT*st - t.cfg.AlphaN*sn - t.cfg.AlphaU*su
 	return st, sn, su, rep
 }
-
-// ResetPeriod clears the SLM period counters, starting a new assessment
-// period, without touching the decayed reputations.
-func (t *ReputationTracker) ResetPeriod() {
-	for i := range t.pt {
-		t.pt[i], t.pn[i], t.pu[i] = 0, 0, 0
-	}
-}

@@ -140,22 +140,6 @@ func TestSLMNoEventsFullUncertainty(t *testing.T) {
 	}
 }
 
-func TestResetPeriodKeepsDecayedReputation(t *testing.T) {
-	tr := NewReputationTracker(ReputationConfig{Gamma: 0.1}, 1)
-	for i := 0; i < 50; i++ {
-		update(tr, []Event{EventPositive})
-	}
-	r := tr.Reputation(0)
-	tr.ResetPeriod()
-	if tr.Reputation(0) != r {
-		t.Fatal("ResetPeriod must not touch the decayed reputation")
-	}
-	_, _, su, _ := tr.SLM(0)
-	if su != 1 {
-		t.Fatal("ResetPeriod must clear SLM counters")
-	}
-}
-
 func TestUpdateLengthMismatchErrors(t *testing.T) {
 	tr := NewReputationTracker(DefaultReputationConfig(), 2)
 	if err := update(tr, []Event{EventPositive}); err == nil {

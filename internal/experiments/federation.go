@@ -199,7 +199,6 @@ func ElasticWorker(sc Scale, task DatasetKind, kinds []WorkerKind, id int, src *
 func warmup(engine *fl.Engine, train *dataset.Dataset, sc Scale, src *rng.Source) {
 	model := engine.GlobalModel()
 	model.SetParamsVector(engine.Params())
-	opt := nn.NewSGD(sc.LocalLR * 2)
 	batch := sc.BatchSize
 	if batch < 64 {
 		batch = 64
@@ -213,7 +212,7 @@ func warmup(engine *fl.Engine, train *dataset.Dataset, sc Scale, src *rng.Source
 		logits := model.Forward(x, true)
 		_, d := nn.SoftmaxCrossEntropy(logits, y)
 		model.Backward(d)
-		opt.Step(model.Params(), model.Grads())
+		model.Step(sc.LocalLR * 2)
 	}
 	if err := engine.SetParams(model.ParamsVector()); err != nil {
 		panic("experiments: " + err.Error())

@@ -3,11 +3,9 @@
 // the paper's "uncertain events" (§4.2, Eq. 8–10) — and FIFL's reputation
 // module exists precisely to price them. This package gives every part of
 // the system one shared model of those failures: the runtime (internal/fl)
-// consults a pluggable Injector to decide which uploads fail and how, the
-// Byzantine worker wrappers (internal/attack) self-inflict faults through
-// the Faulty interface, and the communication simulation (internal/netsim)
-// charges retransmission traffic from the same per-worker UploadStatus
-// record.
+// consults a pluggable Injector to decide which uploads fail and how, and
+// records each worker's fate as an UploadStatus that detection, reputation,
+// the ledger and the traces all read.
 //
 // Everything here is deterministic: injectors draw from a caller-owned
 // rng.Source and are consulted sequentially before any parallel fan-out,
@@ -125,11 +123,12 @@ type Injector interface {
 	Fault(round, worker, attempt int, src *rng.Source) Fault
 }
 
-// Faulty is implemented by workers that self-inflict faults — e.g. the
-// crash and straggler wrappers in internal/attack. The runtime combines
-// the worker's answer with the engine injector's via Worst. Only round
-// granularity: self-inflicted faults apply to the whole round, not to
-// individual retransmissions.
+// Faulty is implemented by a worker that carries its own faults with it,
+// so a fault follows the worker into whichever engine hosts it (the flat
+// and sharded runtimes' differential tests crash a worker this way). The
+// runtime combines the worker's answer with the engine injector's via
+// Worst. Only round granularity: a worker's own faults apply to the whole
+// round, not to individual retransmissions.
 type Faulty interface {
 	FaultAt(round int) Fault
 }
@@ -178,40 +177,6 @@ type Straggle struct {
 func (s Straggle) Fault(round, worker, attempt int, src *rng.Source) Fault {
 	if worker == s.Worker && round >= s.From && (s.Until <= s.From || round < s.Until) {
 		return FaultStraggle
-	}
-	return FaultNone
-}
-
-// FlakyLink models bursty transmission loss (a two-state Gilbert-style
-// link): each attempt enters a loss burst with probability P, and once a
-// burst starts the next Burst-1 attempts on the same worker's link are
-// lost too. Burst <= 1 degenerates to Bernoulli. The burst state is keyed
-// per worker, so one worker's bad spell does not leak onto another's
-// link.
-//
-// FlakyLink is stateful; it relies on the runtime's sequential
-// consultation order and must not be shared across engines.
-type FlakyLink struct {
-	P     float64 // probability a fresh attempt starts a loss burst
-	Burst int     // total attempts lost per burst
-
-	lossLeft map[int]int // worker -> remaining lost attempts in burst
-}
-
-// Fault draws one link decision, honouring an ongoing burst.
-func (f *FlakyLink) Fault(round, worker, attempt int, src *rng.Source) Fault {
-	if f.lossLeft == nil {
-		f.lossLeft = make(map[int]int)
-	}
-	if left := f.lossLeft[worker]; left > 0 {
-		f.lossLeft[worker] = left - 1
-		return FaultDrop
-	}
-	if f.P > 0 && src.Bernoulli(f.P) {
-		if f.Burst > 1 {
-			f.lossLeft[worker] = f.Burst - 1
-		}
-		return FaultDrop
 	}
 	return FaultNone
 }

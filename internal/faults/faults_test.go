@@ -105,41 +105,6 @@ func TestStraggleWindow(t *testing.T) {
 	}
 }
 
-func TestFlakyLinkBursts(t *testing.T) {
-	// P=1 starts a burst on the very first attempt; the burst then covers
-	// the next Burst-1 attempts deterministically, after which (with the
-	// loss state consumed) the next draw starts a fresh burst again. Use
-	// P=1 to make the whole schedule deterministic and check the burst
-	// bookkeeping.
-	src := rng.New(3)
-	link := &FlakyLink{P: 1, Burst: 3}
-	for k := 0; k < 6; k++ {
-		if link.Fault(0, 0, k, src) != FaultDrop {
-			t.Fatalf("attempt %d should be lost under P=1", k)
-		}
-	}
-	// Per-worker state: worker 1's link is independent of worker 0's.
-	link2 := &FlakyLink{P: 0, Burst: 3}
-	if link2.Fault(0, 1, 0, src) != FaultNone {
-		t.Fatal("P=0 link must not lose")
-	}
-}
-
-func TestFlakyLinkBurstIsolation(t *testing.T) {
-	// A burst on worker 0 must not consume worker 1's attempts: drive
-	// worker 0 into a burst, then check worker 1 under P=0 wouldn't
-	// inherit the loss state. Use a handcrafted injector state.
-	link := &FlakyLink{P: 1, Burst: 4}
-	src := rng.New(9)
-	link.Fault(0, 0, 0, src) // starts burst for worker 0
-	if link.lossLeft[1] != 0 {
-		t.Fatal("burst leaked across workers")
-	}
-	if link.lossLeft[0] != 3 {
-		t.Fatalf("burst bookkeeping = %d, want 3", link.lossLeft[0])
-	}
-}
-
 func TestComposeWorstWinsAndStreamsAligned(t *testing.T) {
 	src := rng.New(5)
 	comp := Compose{Bernoulli{P: 0}, Crash{Worker: 0, From: 0}}

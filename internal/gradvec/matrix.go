@@ -9,9 +9,7 @@ import (
 // with per-row Vector views. The federated round hot path stores every
 // worker's gradient as one row, so a round costs a single backing
 // allocation (amortized to zero when the Matrix is reused or pooled)
-// instead of one allocation per worker, and the polycentric server slices
-// of §3.2 become zero-copy views into the backing buffer via SliceView —
-// no [][]Vector materialization, no data movement.
+// instead of one allocation per worker.
 //
 // A Matrix does not track which rows are populated; the round runtime
 // carries that in RoundResult.Grads (nil = no arrival). Rows of workers
@@ -54,7 +52,7 @@ func GetMatrix(rows, dim int) *Matrix {
 }
 
 // Release returns the arena's backing buffer to the package pool. The
-// caller must not touch the Matrix — or any Row/SliceView taken from it —
+// caller must not touch the Matrix — or any Row taken from it —
 // after Release.
 func (m *Matrix) Release() {
 	if m == nil || m.data == nil {
@@ -90,13 +88,4 @@ func (m *Matrix) SetRow(i int, v Vector) Vector {
 	row := m.Row(i)
 	copy(row, v)
 	return row
-}
-
-// SliceView returns the zero-copy view of row i's server slice j when the
-// row is split into parts contiguous near-equal slices — Split(G_i)[j] of
-// the polycentric architecture without building the slice set.
-func (m *Matrix) SliceView(i, parts, j int) Vector {
-	lo, hi := SliceBounds(m.dim, parts, j)
-	row := m.Row(i)
-	return row[lo:hi]
 }

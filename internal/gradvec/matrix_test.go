@@ -41,38 +41,6 @@ func TestMatrixSetRowCopies(t *testing.T) {
 	}
 }
 
-func TestMatrixSliceViewMatchesSplit(t *testing.T) {
-	const n, d, parts = 4, 11, 3
-	m := NewMatrix(n, d)
-	for i := 0; i < n; i++ {
-		row := m.Row(i)
-		for k := range row {
-			row[k] = float64(i*100 + k)
-		}
-	}
-	for i := 0; i < n; i++ {
-		split := Split(m.Row(i), parts)
-		for j := 0; j < parts; j++ {
-			view := m.SliceView(i, parts, j)
-			if len(view) != len(split[j]) {
-				t.Fatalf("worker %d slice %d: view length %d, Split length %d", i, j, len(view), len(split[j]))
-			}
-			for k := range view {
-				if view[k] != split[j][k] {
-					t.Fatalf("worker %d slice %d element %d: view %v, Split %v", i, j, k, view[k], split[j][k])
-				}
-			}
-			// Zero-copy: writing the view must write the row.
-			view[0] += 0.5
-			lo, _ := SliceBounds(d, parts, j)
-			if m.Row(i)[lo] != split[j][0] {
-				t.Fatal("SliceView is not a view into the backing buffer")
-			}
-			view[0] -= 0.5
-		}
-	}
-}
-
 func TestMatrixPoolReuse(t *testing.T) {
 	m := GetMatrix(8, 16)
 	m.Row(3)[5] = 1

@@ -214,8 +214,3 @@ func Shares(m Mechanism, samples []int) []float64 {
 	}
 	return out
 }
-
-// Baselines returns the four baseline mechanisms in the paper's order.
-func Baselines() []Mechanism {
-	return []Mechanism{Individual{}, Equal{}, Union{}, Shapley{}}
-}

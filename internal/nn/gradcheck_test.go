@@ -98,20 +98,6 @@ func TestMaxPoolGradient(t *testing.T) {
 	checkModelGradients(t, model, x, labels, 40, 1e-4)
 }
 
-func TestBatchNormGradient(t *testing.T) {
-	src := rng.New(5)
-	model := NewSequential(
-		NewConv2D(src, tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2),
-		NewBatchNorm2D(2, 6, 6),
-		NewReLU(),
-		NewFlatten(),
-		NewLinear(src.Split("fc"), 2*6*6, 3),
-	)
-	x := tensor.RandN(src, 1, 4, 1, 6, 6)
-	labels := []int{0, 1, 2, 1}
-	checkModelGradients(t, model, x, labels, 40, 2e-4)
-}
-
 func TestGroupNormGradient(t *testing.T) {
 	src := rng.New(55)
 	model := NewSequential(

@@ -7,11 +7,11 @@ import (
 )
 
 // GroupNorm normalizes each sample's activations within channel groups and
-// applies a learned per-channel affine transform. Unlike BatchNorm it
+// applies a learned per-channel affine transform. Unlike batch norm it
 // carries no cross-batch running state, which makes it the standard
 // normalization for federated learning: all of a model's behaviour lives in
 // its parameter vector, so exchanging parameters (as the FL runtime does)
-// exchanges the whole model. BatchNorm's running statistics would be left
+// exchanges the whole model. Batch norm's running statistics would be left
 // behind by the parameter exchange and silently skew server-side
 // evaluation — the residual networks in this package therefore use
 // GroupNorm.

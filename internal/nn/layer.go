@@ -40,8 +40,9 @@ import (
 // and therefore not safe for concurrent use; the FL runtime gives every
 // worker its own model replica.
 type Layer interface {
-	// Forward computes the layer output. train toggles training-time
-	// behaviour (e.g. BatchNorm batch statistics).
+	// Forward computes the layer output. train says whether a Backward
+	// follows; Conv2D is the only reader, and with train false it skips
+	// keeping the whole-batch im2col buffer that only Backward needs.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward computes the input gradient from the output gradient and
 	// accumulates parameter gradients.
@@ -188,29 +189,13 @@ func (s *Sequential) AddGradsTo(acc []float64) {
 }
 
 // Step moves the parameters down their accumulated gradients, θ ← θ −
-// lr·g: the arithmetic of ApplyDelta(lr, GradsVector()) without the copy.
+// lr·g: the plain SGD step of the paper's Eq. 3, for a worker's local
+// training and for the experiments' central warm-up alike.
 func (s *Sequential) Step(lr float64) {
 	for j, g := range s.grads {
 		pd := s.params[j].Data()
 		for i, v := range g.Data() {
 			pd[i] -= lr * v
 		}
-	}
-}
-
-// ApplyDelta subtracts scale*delta from the parameters, i.e. performs the
-// update θ ← θ − scale·delta for a flat delta vector (Eq. 3 of the paper
-// with delta = the aggregated global gradient).
-func (s *Sequential) ApplyDelta(scale float64, delta []float64) {
-	off := 0
-	for _, p := range s.Params() {
-		d := p.Data()
-		for i := range d {
-			d[i] -= scale * delta[off+i]
-		}
-		off += len(d)
-	}
-	if off != len(delta) {
-		panic("nn: ApplyDelta length mismatch")
 	}
 }

@@ -11,7 +11,7 @@ import (
 //
 // When the block changes channel count or stride, the shortcut is a 1×1
 // strided convolution followed by normalization; otherwise it is the
-// identity. Normalization is GroupNorm rather than BatchNorm so the whole
+// identity. Normalization is GroupNorm rather than batch norm so the whole
 // model state travels in the parameter vector (see GroupNorm's doc — this
 // matters for federated parameter exchange).
 type ResidualBlock struct {

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"fifl/internal/tensor"
 )
 
 // The checkpoint format is a minimal, architecture-agnostic binary layout:
-// a magic header, the number of state tensors, then each tensor's rank,
+// a magic header, the number of parameter tensors, then each tensor's rank,
 // shape and float64 payload in little-endian order. The architecture
 // itself is NOT serialized — a checkpoint is loaded into a model built by
 // the same Builder, and every shape is verified on load. This matches how
@@ -21,31 +19,16 @@ import (
 // checkpointMagic identifies the format and its version.
 const checkpointMagic = "FIFLCKPT1"
 
-// stateTensors returns every tensor that defines the model's behaviour:
-// trainable parameters plus non-trainable state (BatchNorm running
-// statistics), in deterministic layer order.
-func (s *Sequential) stateTensors() []*tensor.Tensor {
-	var ts []*tensor.Tensor
-	for _, l := range s.Layers {
-		ts = append(ts, l.Params()...)
-		// BatchNorm is the only layer with non-parameter state. The
-		// residual blocks use GroupNorm (stateless beyond parameters), so
-		// no recursion is needed.
-		if bn, ok := l.(*BatchNorm2D); ok {
-			ts = append(ts, bn.RunMean, bn.RunVar)
-		}
-	}
-	return ts
-}
-
-// Save writes the model's full state (parameters and batch-norm running
-// statistics) to w in the FIFL checkpoint format.
+// Save writes the model's parameters to w in the FIFL checkpoint format.
+// Every layer keeps all of its state in Params (the residual nets use
+// GroupNorm, which has no running statistics), so the parameters are the
+// model's whole state.
 func (s *Sequential) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(checkpointMagic); err != nil {
 		return fmt.Errorf("nn: writing checkpoint header: %w", err)
 	}
-	ts := s.stateTensors()
+	ts := s.Params()
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(ts))); err != nil {
 		return fmt.Errorf("nn: writing tensor count: %w", err)
 	}
@@ -82,7 +65,7 @@ func (s *Sequential) Load(r io.Reader) error {
 	if string(head) != checkpointMagic {
 		return fmt.Errorf("nn: bad checkpoint header %q", head)
 	}
-	ts := s.stateTensors()
+	ts := s.Params()
 	var count uint32
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
 		return fmt.Errorf("nn: reading tensor count: %w", err)

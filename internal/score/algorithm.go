@@ -86,9 +86,6 @@ func NewAlgorithm(inputs []Input) (*Algorithm, error) {
 	return a, nil
 }
 
-// Inputs returns the validated inputs in config order.
-func (a *Algorithm) Inputs() []Input { return append([]Input(nil), a.inputs...) }
-
 // normalize maps a raw value through the input's bounds and distribution
 // into [0,1].
 func (in *Input) normalize(v float64) float64 {

@@ -98,8 +98,8 @@ func TestParseConfigDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(alg.Inputs()) != 8 {
-		t.Fatalf("default config has %d inputs", len(alg.Inputs()))
+	if len(alg.inputs) != 8 {
+		t.Fatalf("default config has %d inputs", len(alg.inputs))
 	}
 	set := fixedSet()
 	s0 := alg.Score(&set.Workers[0], set)
@@ -151,7 +151,7 @@ input uploads.crashed weight=1 lower=0 upper=5 smaller=better
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := alg.Inputs()
+	ins := alg.inputs
 	if len(ins) != 2 || ins[0].Dist != DistZipf || !ins[1].SmallerIsBetter {
 		t.Fatalf("parsed inputs: %+v", ins)
 	}

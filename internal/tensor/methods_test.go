@@ -34,16 +34,10 @@ func TestApply(t *testing.T) {
 	}
 }
 
-func TestSumMaxAbs(t *testing.T) {
+func TestSum(t *testing.T) {
 	a := FromSlice([]float64{1, -5, 3}, 3)
 	if a.Sum() != -1 {
 		t.Fatalf("Sum = %v", a.Sum())
-	}
-	if a.MaxAbs() != 5 {
-		t.Fatalf("MaxAbs = %v", a.MaxAbs())
-	}
-	if New().MaxAbs() != 0 {
-		t.Fatal("empty MaxAbs should be 0")
 	}
 }
 

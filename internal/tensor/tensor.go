@@ -265,17 +265,6 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// MaxAbs returns the largest absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // HasNaN reports whether any element is NaN or infinite. The paper notes
 // that strong sign-flipping attacks (p_s >= 10) drive the loss to NaN; the
 // training loop uses this to detect a crashed model.

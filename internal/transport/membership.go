@@ -85,14 +85,6 @@ func (s *Server) ProcessMembership() (applied int) {
 	return applied
 }
 
-// PendingMembership reports how many join/leave requests are queued for
-// the next boundary.
-func (s *Server) PendingMembership() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.joins) + len(s.leaves)
-}
-
 // DepartWorker removes an active worker between rounds on the
 // coordinator's own initiative (an operator drain), mirroring a wire
 // leave.

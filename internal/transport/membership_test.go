@@ -21,7 +21,10 @@ func waitPending(t *testing.T, srv *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if srv.PendingMembership() >= n {
+		srv.mu.Lock()
+		pending := len(srv.joins) + len(srv.leaves)
+		srv.mu.Unlock()
+		if pending >= n {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
