@@ -21,6 +21,10 @@
 //	fifl-node -role root -workers 4 -shards 2 -rounds 5 -listen :7070
 //	fifl-node -role shard -id 0 -workers 4 -shards 2 -shard-of http://127.0.0.1:7070
 //	fifl-node -role shard -id 1 -workers 4 -shards 2 -shard-of http://127.0.0.1:7070
+//
+// The federation flags it shares with fifl-sim (-seed, -workers,
+// -rounds, -quorum, -async, -shards, -compression and the rest) are
+// declared and checked in internal/cli; the rest are fifl-node's own.
 package main
 
 import (
@@ -37,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"fifl/internal/cli"
 	"fifl/internal/core"
 	"fifl/internal/experiments"
 	"fifl/internal/fl"
@@ -44,44 +49,30 @@ import (
 	"fifl/internal/rng"
 	"fifl/internal/shard"
 	"fifl/internal/transport"
-	"fifl/internal/transport/codec"
 )
 
 var (
-	role    = flag.String("role", "", "node role: coordinator, worker, root or shard")
-	seed    = flag.Uint64("seed", 1, "shared federation seed (must match on every node)")
-	workers = flag.Int("workers", 2, "federation size N (must match on every node)")
-	samples = flag.Int("samples", 120, "local samples per worker (must match on every node)")
+	role = flag.String("role", "", "node role: coordinator, worker, root or shard")
+	cfg  = cli.Register(flag.CommandLine, cli.Defaults{Workers: 2, Samples: 120, Rounds: 5, Servers: 1, Sy: 0.02, Eval: 1})
 
 	// Coordinator flags.
 	listen   = flag.String("listen", ":7070", "coordinator listen address")
-	rounds   = flag.Int("rounds", 5, "communication iterations")
-	servers  = flag.Int("servers", 1, "server cluster size M")
-	quorum   = flag.Int("quorum", 0, "minimum arrivals for a round to commit (0 = no quorum)")
 	wtmo     = flag.Duration("worker-timeout", 15*time.Second, "per-worker round deadline; a silent worker is recorded as timed out")
-	sy       = flag.Float64("sy", 0.02, "detection threshold S_y")
-	evalEach = flag.Int("eval", 1, "evaluate the global model every this many rounds (0 = never)")
 	linger   = flag.Duration("linger", 10*time.Second, "how long the coordinator keeps serving reports and the ledger after the last round")
 	ckptDir  = flag.String("checkpoint", "", "durable checkpoint directory; the coordinator snapshots after each committed round and resumes from an existing checkpoint on start")
-	ckptN    = flag.Int("checkpoint-every", 1, "checkpoint every this many rounds (with -checkpoint)")
 	haltAt   = flag.Int("halt-after", 0, "stop after this many rounds with the checkpoint written and block until killed (0 = off; for crash-recovery testing)")
-	async    = flag.Bool("async", false, "asynchronous rounds: workers submit whenever ready and each advance folds what arrived with bounded-staleness weights")
-	maxStale = flag.Int("max-staleness", 2, "async staleness bound: uploads trained against a model more than this many advances old are rejected and penalized")
-	advEvery = flag.Int("advance-every", 0, "async count cadence: submissions folded per advance (0 = workers/2, min 1)")
 	advIntvl = flag.Duration("advance-interval", 5*time.Second, "async time cadence: an advance waits at most this long for its submission count (0 = count trigger only)")
 
 	// Worker flags.
 	coordURL = flag.String("coordinator", "http://127.0.0.1:7070", "coordinator base URL")
 	id       = flag.Int("id", 0, "this worker's federation slot")
 	join     = flag.Bool("join", false, "join a running federation as a new participant via /v1/join instead of taking a pre-seated slot; -id is ignored and the coordinator assigns the identity (pass the same -workers total-slot universe as every other node)")
-	comp     = flag.String("compression", "none", "wire compression for gradient uploads and model downloads: none, f32, topk, int8 or int16")
 	auditN   = flag.Int("audit-every", 0, "carry every this many rounds on dense lossless frames regardless of -compression, keeping audit rounds bit-identical (0 = never)")
 	audit    = flag.Bool("audit", false, "download and verify the coordinator's audit ledger at the end")
 	retries  = flag.Int("retry", 0, "HTTP retry attempts before a request is abandoned (0 = default 3); raise this so a worker rides through a coordinator restart")
 	rbackoff = flag.Duration("retry-backoff", 0, "base delay between HTTP retries, doubling each attempt (0 = default 100ms)")
 
 	// Hierarchical (sharded) mode flags.
-	shards  = flag.Int("shards", 0, "root/shard roles: number of edge-aggregator cohorts (must match on every node)")
 	shardOf = flag.String("shard-of", "http://127.0.0.1:7070", "shard role: the root's base URL")
 
 	// Shared debug flags.
@@ -118,25 +109,23 @@ func checkRoleFlags(fs *flag.FlagSet, role string) error {
 	return err
 }
 
-// checkFlagValues rejects the first flag value no role can run with,
-// before anything is built or listens. It runs after checkRoleFlags, so a
-// flag the role does not read still holds its default, which passes.
-func checkFlagValues() error {
+// checkFlagValues rejects the first flag value the role cannot run with,
+// before anything is built or listens: the shared rules of cli.Config,
+// then fifl-node's own. It runs after checkRoleFlags, so a flag the role
+// does not read still holds its default, which passes.
+func checkFlagValues(fs *flag.FlagSet) error {
+	if err := cfg.Check(fs, "advance-interval"); err != nil {
+		return err
+	}
 	switch {
-	case *workers < 1:
-		return fmt.Errorf("-workers must be at least 1, got %d", *workers)
-	case *samples < 1:
-		return fmt.Errorf("-samples must be at least 1, got %d", *samples)
-	case *servers < 1:
-		return fmt.Errorf("-servers must be at least 1, got %d", *servers)
-	case *rounds < 1:
-		return fmt.Errorf("-rounds must be at least 1, got %d", *rounds)
-	case *evalEach < 0:
-		return fmt.Errorf("-eval must be non-negative, got %d", *evalEach)
-	case *quorum < 0 || *quorum > *workers:
-		return fmt.Errorf("-quorum must be in [0,%d] (at most -workers), got %d", *workers, *quorum)
-	case *ckptN < 1:
-		return fmt.Errorf("-checkpoint-every must be at least 1, got %d", *ckptN)
+	case *haltAt < 0:
+		return fmt.Errorf("-halt-after must be non-negative, got %d", *haltAt)
+	case (*role == "root" || *role == "shard") && cfg.Shards < 1:
+		return fmt.Errorf("-shards must be at least 1 for -role %s, got %d", *role, cfg.Shards)
+	case *role == "shard" && (*id < 0 || *id >= cfg.Shards):
+		return fmt.Errorf("-id must be in [0,%d) for %d shards, got %d", cfg.Shards, cfg.Shards, *id)
+	case *role == "worker" && !*join && (*id < 0 || *id >= cfg.Workers):
+		return fmt.Errorf("-id must be in [0,%d) (below -workers), got %d", cfg.Workers, *id)
 	}
 	return nil
 }
@@ -145,7 +134,7 @@ func main() {
 	flag.Parse()
 	err := checkRoleFlags(flag.CommandLine, *role)
 	if err == nil {
-		err = checkFlagValues()
+		err = checkFlagValues(flag.CommandLine)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fifl-node:", err)
@@ -164,30 +153,25 @@ func main() {
 		fmt.Printf("pprof: serving on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	recipe := transport.Recipe{Seed: *seed, Workers: *workers, SamplesPerWorker: *samples}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	so := serveOpts{
-		Listen: *listen, Rounds: *rounds, Servers: *servers, Shards: *shards, Quorum: *quorum,
-		WorkerTimeout: *wtmo, Sy: *sy, EvalEach: *evalEach, Linger: *linger,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptN, HaltAfter: *haltAt,
-		Async: *async, MaxStaleness: *maxStale, AdvanceEvery: *advEvery, AdvanceInterval: *advIntvl,
+		Listen: *listen, WorkerTimeout: *wtmo, Linger: *linger,
+		CheckpointDir: *ckptDir, HaltAfter: *haltAt, AdvanceInterval: *advIntvl,
 	}
 	switch *role {
 	case "coordinator":
-		err = runCoordinator(ctx, recipe, so)
+		err = runCoordinator(ctx, *cfg, so)
 	case "worker":
-		err = runWorker(ctx, recipe, workerOpts{
-			CoordURL: *coordURL, ID: *id, Join: *join, Compression: *comp, AuditEvery: *auditN, Audit: *audit,
+		err = runWorker(ctx, *cfg, workerOpts{
+			CoordURL: *coordURL, ID: *id, Join: *join, AuditEvery: *auditN, Audit: *audit,
 			Retries: *retries, RetryBackoff: *rbackoff,
 		})
 	case "root":
-		err = runRoot(ctx, recipe, so)
+		err = runRoot(ctx, *cfg, so)
 	case "shard":
-		err = runShard(ctx, recipe, shardOpts{
-			RootURL: *shardOf, ID: *id, Shards: *shards,
-		})
+		err = runShard(ctx, *cfg, *shardOf, *id)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fifl-node:", err)
@@ -195,44 +179,37 @@ func main() {
 	}
 }
 
-// serveOpts bundles the flags of the two serving roles, coordinator and
-// root. A root reads only some of them (roleFlags); the others keep their
-// defaults, which leave checkpoints, halting and async mode off.
+// serveOpts bundles fifl-node's own flags of the two serving roles,
+// coordinator and root. A root reads only some of them (roleFlags); the
+// others keep their defaults, which leave checkpoints and halting off.
 type serveOpts struct {
 	Listen          string
-	Rounds          int
-	Servers         int
-	Shards          int
-	Quorum          int
 	WorkerTimeout   time.Duration
-	Sy              float64
-	EvalEach        int
 	Linger          time.Duration
 	CheckpointDir   string
-	CheckpointEvery int
 	HaltAfter       int
-	Async           bool
-	MaxStaleness    int
-	AdvanceEvery    int
 	AdvanceInterval time.Duration
 }
 
-// workerOpts bundles the worker role's flags.
+// workerOpts bundles the worker role's own flags.
 type workerOpts struct {
 	CoordURL     string
 	ID           int
 	Join         bool
-	Compression  string
 	AuditEvery   int
 	Audit        bool
 	Retries      int
 	RetryBackoff time.Duration
 }
 
-func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) error {
-	if o.CheckpointEvery < 1 {
-		return fmt.Errorf("-checkpoint-every must be at least 1, got %d", o.CheckpointEvery)
-	}
+// recipeFor is the federation recipe every node rebuilds from the shared
+// flags.
+func recipeFor(c cli.Config) transport.Recipe {
+	return transport.Recipe{Seed: c.Seed, Workers: c.Workers, SamplesPerWorker: c.Samples}
+}
+
+func runCoordinator(ctx context.Context, c cli.Config, o serveOpts) error {
+	recipe := recipeFor(c)
 	build, err := recipe.Builder()
 	if err != nil {
 		return err
@@ -250,14 +227,8 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) e
 			return err
 		}
 		ckptPath = filepath.Join(o.CheckpointDir, "checkpoint.fifl")
-		s, err := persist.ReadFile(ckptPath)
-		switch {
-		case err == nil:
-			snap = s
-		case errors.Is(err, os.ErrNotExist):
-			// Cold start; the first checkpoint appears after the first round.
-		default:
-			return fmt.Errorf("reading checkpoint %s: %w", ckptPath, err)
+		if snap, err = cli.ReadCheckpoint(ckptPath); err != nil {
+			return err
 		}
 	}
 	nKnown := recipe.Workers
@@ -277,10 +248,10 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) e
 		}
 	}
 	opts := []fl.Option{fl.WithWorkerTimeout(o.WorkerTimeout)}
-	if o.Quorum > 0 {
-		opts = append(opts, fl.WithQuorum(o.Quorum))
+	if c.Quorum > 0 {
+		opts = append(opts, fl.WithQuorum(c.Quorum))
 	}
-	engine, err := fl.NewEngine(fl.Config{Servers: o.Servers, GlobalLR: 0.05},
+	engine, err := fl.NewEngine(fl.Config{Servers: c.Servers, GlobalLR: 0.05},
 		build, engineWorkers, rng.New(recipe.Seed).Split("netfed"), opts...)
 	if err != nil {
 		return err
@@ -290,16 +261,10 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) e
 	// the queue on the count/time cadence. The collector must be built
 	// before the hub replays any checkpoint (EnableAsync precedes traffic).
 	var coordOpts []core.CoordinatorOption
-	if o.Async {
-		if o.AdvanceEvery == 0 {
-			o.AdvanceEvery = recipe.Workers / 2
-			if o.AdvanceEvery < 1 {
-				o.AdvanceEvery = 1
-			}
-		}
+	if c.Async {
 		col, err := transport.NewAsyncCollector(hub, engine, transport.AsyncConfig{
-			MaxStaleness:    o.MaxStaleness,
-			AdvanceEvery:    o.AdvanceEvery,
+			MaxStaleness:    c.MaxStaleness,
+			AdvanceEvery:    c.AdvanceEvery,
 			AdvanceInterval: o.AdvanceInterval,
 		})
 		if err != nil {
@@ -307,7 +272,7 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) e
 		}
 		coordOpts = append(coordOpts, core.WithCollector(col))
 		fmt.Printf("coordinator: async mode, max-staleness %d, advance every %d submissions or %v\n",
-			o.MaxStaleness, o.AdvanceEvery, o.AdvanceInterval)
+			c.MaxStaleness, c.AdvanceEvery, o.AdvanceInterval)
 	}
 
 	// With a snapshot in hand this process is a restart: rebuild the
@@ -318,7 +283,7 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) e
 		startRound int
 	)
 	if snap != nil {
-		coord, err = core.RestoreCoordinatorSnapshot(snap, coordinatorConfig(o.Sy), engine, coordOpts...)
+		coord, err = core.RestoreCoordinatorSnapshot(snap, coordinatorConfig(c.Sy), engine, coordOpts...)
 		if err != nil {
 			return fmt.Errorf("restoring %s: %w", ckptPath, err)
 		}
@@ -329,7 +294,7 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) e
 		fmt.Printf("coordinator: resumed from %s at round %d\n", ckptPath, startRound)
 	}
 	if coord == nil {
-		if coord, err = newCoordinator(o, engine, coordOpts...); err != nil {
+		if coord, err = newCoordinator(c, engine, coordOpts...); err != nil {
 			return err
 		}
 	}
@@ -337,7 +302,7 @@ func runCoordinator(ctx context.Context, recipe transport.Recipe, o serveOpts) e
 	if err != nil {
 		return err
 	}
-	return serve(ctx, recipe, o, serving{
+	return serve(ctx, c, o, serving{
 		name:     "coordinator",
 		waiting:  fmt.Sprintf("%d workers to register", recipe.Workers),
 		ready:    "federation ready",
@@ -363,12 +328,12 @@ func coordinatorConfig(sy float64) core.CoordinatorConfig {
 
 // newCoordinator starts a coordinator over engine with the initial server
 // cluster [0, Servers).
-func newCoordinator(o serveOpts, engine *fl.Engine, opts ...core.CoordinatorOption) (*core.Coordinator, error) {
-	initial := make([]int, o.Servers)
+func newCoordinator(c cli.Config, engine *fl.Engine, opts ...core.CoordinatorOption) (*core.Coordinator, error) {
+	initial := make([]int, c.Servers)
 	for i := range initial {
 		initial[i] = i
 	}
-	return core.NewCoordinator(coordinatorConfig(o.Sy), engine, initial, opts...)
+	return core.NewCoordinator(coordinatorConfig(c.Sy), engine, initial, opts...)
 }
 
 // serving is one serving role's coordinator behind its server, with what
@@ -385,10 +350,10 @@ type serving struct {
 }
 
 // serve is the serving roles' one path: listen, wait for every peer, run
-// the rounds through the server with a status line and an evaluation
-// each, then mark the federation done and keep serving its reports and
-// ledger for the linger period.
-func serve(ctx context.Context, recipe transport.Recipe, o serveOpts, r serving) error {
+// the rounds through the server with a status line each and an
+// evaluation where -eval asks for one, then mark the federation done and
+// keep serving its reports and ledger for the linger period.
+func serve(ctx context.Context, c cli.Config, o serveOpts, r serving) error {
 	defer r.srv.Close()
 	httpSrv := &http.Server{Addr: o.Listen, Handler: r.srv.Handler()}
 	errc := make(chan error, 1)
@@ -410,11 +375,11 @@ func serve(ctx context.Context, recipe transport.Recipe, o serveOpts, r serving)
 	}
 	fmt.Printf("%s: %s\n", r.name, r.ready)
 
-	test, err := recipe.TestSet(500)
+	test, err := recipeFor(c).TestSet(500)
 	if err != nil {
 		return err
 	}
-	for t := r.start; t < o.Rounds; t++ {
+	for t := r.start; t < c.Rounds; t++ {
 		// Queued join/leave handshakes land at round boundaries, mirroring
 		// the in-process contract that the cohort is stable within a round.
 		// A root mounts no membership endpoints, so it never has any.
@@ -434,12 +399,12 @@ func serve(ctx context.Context, recipe transport.Recipe, o serveOpts, r serving)
 		}
 		fmt.Printf("round %2d: %d/%d uploads arrived, committed=%v, reputations=%.3f\n",
 			t, arrived, len(rep.Statuses), rep.Committed, rep.Reputations)
-		if o.EvalEach > 0 && (t+1)%o.EvalEach == 0 {
+		if c.Evaluates(t) {
 			acc, loss := r.coord.Engine.Evaluate(test, 64)
 			fmt.Printf("round %2d: global accuracy %.3f, loss %.4f\n", t, acc, loss)
 		}
 		halting := o.HaltAfter > 0 && t+1 >= o.HaltAfter
-		if r.ckptPath != "" && ((t+1)%o.CheckpointEvery == 0 || halting) {
+		if r.ckptPath != "" && ((t+1)%c.CheckpointEvery == 0 || halting) {
 			snap, err := r.coord.Snapshot()
 			if err != nil {
 				return fmt.Errorf("round %d: snapshot: %w", t, err)
@@ -469,7 +434,8 @@ func serve(ctx context.Context, recipe transport.Recipe, o serveOpts, r serving)
 	return nil
 }
 
-func runWorker(ctx context.Context, recipe transport.Recipe, o workerOpts) error {
+func runWorker(ctx context.Context, c cli.Config, o workerOpts) error {
+	recipe := recipeFor(c)
 	if o.Join {
 		// The join handshake blocks until the coordinator applies queued
 		// membership at a round boundary, then assigns the next stable ID.
@@ -489,15 +455,11 @@ func runWorker(ctx context.Context, recipe transport.Recipe, o workerOpts) error
 	if err != nil {
 		return err
 	}
-	mode, err := codec.ParseCompression(o.Compression)
-	if err != nil {
-		return err
-	}
 	id, coordURL, audit := o.ID, o.CoordURL, o.Audit
 	client, err := transport.DialWorker(ctx, transport.ClientConfig{
 		BaseURL:       coordURL,
 		Worker:        w,
-		Compression:   mode,
+		Compression:   c.Compression,
 		AuditEvery:    o.AuditEvery,
 		RetryAttempts: o.Retries,
 		RetryBackoff:  o.RetryBackoff,
@@ -505,7 +467,7 @@ func runWorker(ctx context.Context, recipe transport.Recipe, o workerOpts) error
 	if err != nil {
 		return err
 	}
-	fmt.Printf("worker %d: registered with %s (%d local samples, compression %s)\n", id, coordURL, w.NumSamples(), mode)
+	fmt.Printf("worker %d: registered with %s (%d local samples, compression %s)\n", id, coordURL, w.NumSamples(), c.Compression)
 	trained, err := client.Run(ctx)
 	if err != nil {
 		return err
@@ -529,20 +491,11 @@ func runWorker(ctx context.Context, recipe transport.Recipe, o workerOpts) error
 	return nil
 }
 
-// shardOpts bundles the shard role's flags.
-type shardOpts struct {
-	RootURL string
-	ID      int
-	Shards  int
-}
-
 // runRoot serves the shard protocol: edge aggregators register worker
 // cohorts, and the root's coordinator runs the full FIFL pipeline over
 // their pre-aggregated evidence, unfolded into per-worker events.
-func runRoot(ctx context.Context, recipe transport.Recipe, o serveOpts) error {
-	if o.Shards < 1 || o.Shards > recipe.Workers {
-		return fmt.Errorf("-shards must be in [1,%d], got %d", recipe.Workers, o.Shards)
-	}
+func runRoot(ctx context.Context, c cli.Config, o serveOpts) error {
+	recipe := recipeFor(c)
 	build, err := recipe.Builder()
 	if err != nil {
 		return err
@@ -557,20 +510,20 @@ func runRoot(ctx context.Context, recipe transport.Recipe, o serveOpts) error {
 	for i, w := range all {
 		samples[i] = w.NumSamples()
 	}
-	root, err := fl.NewEngine(fl.Config{Servers: o.Servers, GlobalLR: 0.05},
-		build, shard.VirtualWorkers(samples), rng.New(recipe.Seed).Split("shard-root"), fl.WithQuorum(o.Quorum))
+	root, err := fl.NewEngine(fl.Config{Servers: c.Servers, GlobalLR: 0.05},
+		build, shard.VirtualWorkers(samples), rng.New(recipe.Seed).Split("shard-root"), fl.WithQuorum(c.Quorum))
 	if err != nil {
 		return err
 	}
-	hub, err := shard.NewShardHub(recipe.Workers, o.Shards, root.Metrics())
+	hub, err := shard.NewShardHub(recipe.Workers, c.Shards, root.Metrics())
 	if err != nil {
 		return err
 	}
-	bridge, err := shard.NewBridge(hub, root, o.Quorum)
+	bridge, err := shard.NewBridge(hub, root, c.Quorum)
 	if err != nil {
 		return err
 	}
-	coord, err := newCoordinator(o, root, core.WithCollector(bridge))
+	coord, err := newCoordinator(c, root, core.WithCollector(bridge))
 	if err != nil {
 		return err
 	}
@@ -579,9 +532,9 @@ func runRoot(ctx context.Context, recipe transport.Recipe, o serveOpts) error {
 	if err != nil {
 		return err
 	}
-	return serve(ctx, recipe, o, serving{
+	return serve(ctx, c, o, serving{
 		name:    "root",
-		waiting: fmt.Sprintf("%d shards covering %d workers", o.Shards, recipe.Workers),
+		waiting: fmt.Sprintf("%d shards covering %d workers", c.Shards, recipe.Workers),
 		ready:   "all cohorts registered",
 		srv:     srv,
 		coord:   coord,
@@ -591,21 +544,16 @@ func runRoot(ctx context.Context, recipe transport.Recipe, o serveOpts) error {
 // runShard hosts one worker cohort behind an edge aggregator: it rebuilds
 // its slots from the shared recipe, registers the cohort with the root
 // and obeys the directive stream until the federation finishes.
-func runShard(ctx context.Context, recipe transport.Recipe, o shardOpts) error {
-	if o.Shards < 1 || o.Shards > recipe.Workers {
-		return fmt.Errorf("-shards must be in [1,%d], got %d", recipe.Workers, o.Shards)
-	}
-	if o.ID < 0 || o.ID >= o.Shards {
-		return fmt.Errorf("-id must be in [0,%d) for %d shards, got %d", o.Shards, o.Shards, o.ID)
-	}
+func runShard(ctx context.Context, c cli.Config, rootURL string, id int) error {
+	recipe := recipeFor(c)
 	// Every node derives the same near-equal contiguous cohort layout from
 	// (workers, shards), so the root's tiling check accepts the hellos.
-	sizes := experiments.ShardCohorts(recipe.Workers, o.Shards)
+	sizes := experiments.ShardCohorts(recipe.Workers, c.Shards)
 	first := 0
-	for s := 0; s < o.ID; s++ {
+	for s := 0; s < id; s++ {
 		first += sizes[s]
 	}
-	workers, err := recipe.Cohort(first, sizes[o.ID])
+	workers, err := recipe.Cohort(first, sizes[id])
 	if err != nil {
 		return err
 	}
@@ -614,22 +562,22 @@ func runShard(ctx context.Context, recipe transport.Recipe, o shardOpts) error {
 		return err
 	}
 	engine, err := fl.NewEngine(fl.Config{Servers: 1, GlobalLR: 0.05},
-		build, workers, rng.New(recipe.Seed).SplitN("shard", o.ID))
+		build, workers, rng.New(recipe.Seed).SplitN("shard", id))
 	if err != nil {
 		return err
 	}
-	agg, err := shard.NewAggregator(o.ID, first, engine,
-		shard.HTTPLink{Base: o.RootURL, PollWait: 5 * time.Second})
+	agg, err := shard.NewAggregator(id, first, engine,
+		shard.HTTPLink{Base: rootURL, PollWait: 5 * time.Second})
 	if err != nil {
 		return err
 	}
 	if err := agg.Hello(ctx); err != nil {
-		return fmt.Errorf("registering with %s: %w", o.RootURL, err)
+		return fmt.Errorf("registering with %s: %w", rootURL, err)
 	}
-	fmt.Printf("shard %d: registered cohort [%d,%d) with %s\n", o.ID, first, first+sizes[o.ID], o.RootURL)
+	fmt.Printf("shard %d: registered cohort [%d,%d) with %s\n", id, first, first+sizes[id], rootURL)
 	if err := agg.Run(ctx); err != nil {
 		return err
 	}
-	fmt.Printf("shard %d: federation done\n", o.ID)
+	fmt.Printf("shard %d: federation done\n", id)
 	return nil
 }

@@ -1,15 +1,55 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"fifl/internal/transport"
+	"fifl/internal/cli"
 )
+
+// runMainEnv makes the test binary run fifl-node's main instead of the
+// tests, so runNode can drive the command end to end, exit code included.
+const runMainEnv = "FIFL_NODE_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runNode runs fifl-node with args in a child process and returns its
+// stdout, stderr and exit code. A child still running after a few seconds
+// is killed, so a flag that is not refused fails the test instead of
+// leaving a coordinator waiting for workers.
+func runNode(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
 
 // parseArgs parses args into a fresh FlagSet carrying fifl-node's own
 // flags, each reset to its default first.
@@ -64,32 +104,36 @@ func TestCheckRoleFlags(t *testing.T) {
 	}
 }
 
-// TestCheckFlagValues: a numeric flag no run can use is refused at
-// startup, naming the flag, instead of running no round or failing deep
-// inside setup.
+// TestCheckFlagValues: a value of one of fifl-node's own flags that the
+// role cannot run with is refused at startup, naming the flag, instead of
+// being ignored or failing once the node is built. The shared federation
+// flags' rules are internal/cli's (TestCheck there).
 func TestCheckFlagValues(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
 		reject string // the flag named in the error; "" = accepted
 	}{
 		{[]string{"-role", "coordinator"}, ""},
-		{[]string{"-role", "coordinator", "-workers", "1", "-samples", "1", "-servers", "1", "-rounds", "1", "-eval", "0", "-quorum", "1", "-checkpoint-every", "1"}, ""},
-		{[]string{"-role", "root", "-workers", "4", "-quorum", "4"}, ""},
-		{[]string{"-role", "coordinator", "-rounds", "0"}, "rounds"},
-		{[]string{"-role", "root", "-rounds", "-3"}, "rounds"},
-		{[]string{"-role", "coordinator", "-eval", "-1"}, "eval"},
-		{[]string{"-role", "worker", "-workers", "0"}, "workers"},
-		{[]string{"-role", "shard", "-samples", "0"}, "samples"},
-		{[]string{"-role", "coordinator", "-servers", "0"}, "servers"},
-		{[]string{"-role", "coordinator", "-quorum", "9", "-workers", "2"}, "quorum"},
-		{[]string{"-role", "root", "-quorum", "-1"}, "quorum"},
-		{[]string{"-role", "coordinator", "-checkpoint", "d", "-checkpoint-every", "0"}, "checkpoint-every"},
+		{[]string{"-role", "coordinator", "-checkpoint", "d", "-halt-after", "0"}, ""},
+		{[]string{"-role", "coordinator", "-async", "-advance-interval", "2s"}, ""},
+		{[]string{"-role", "root", "-workers", "4", "-shards", "2", "-quorum", "4"}, ""},
+		{[]string{"-role", "shard", "-workers", "4", "-shards", "2", "-id", "1"}, ""},
+		{[]string{"-role", "worker", "-workers", "3", "-id", "2"}, ""},
+		{[]string{"-role", "worker", "-workers", "3", "-join", "-id", "7"}, ""},
+		{[]string{"-role", "coordinator", "-checkpoint", "d", "-halt-after", "-1"}, "halt-after"},
+		{[]string{"-role", "coordinator", "-advance-interval", "2s"}, "advance-interval"},
+		{[]string{"-role", "root", "-workers", "4"}, "shards"},
+		{[]string{"-role", "shard", "-workers", "4", "-shards", "0"}, "shards"},
+		{[]string{"-role", "shard", "-workers", "4", "-shards", "2", "-id", "2"}, "id"},
+		{[]string{"-role", "shard", "-workers", "4", "-shards", "2", "-id", "-1"}, "id"},
+		{[]string{"-role", "worker", "-workers", "2", "-id", "2"}, "id"},
+		{[]string{"-role", "worker", "-id", "-1"}, "id"},
 	} {
 		fs := parseArgs(t, tc.args)
 		if err := checkRoleFlags(fs, fs.Lookup("role").Value.String()); err != nil {
 			t.Fatalf("%v: role check: %v", tc.args, err)
 		}
-		err := checkFlagValues()
+		err := checkFlagValues(fs)
 		switch {
 		case tc.reject == "" && err != nil:
 			t.Errorf("%v rejected: %v", tc.args, err)
@@ -99,9 +143,33 @@ func TestCheckFlagValues(t *testing.T) {
 	}
 }
 
-// TestEveryFlagHasARole: a flag no role reads could never be set.
+// TestSharedFlagsExitTwo: fifl-node applies internal/cli's rules to the
+// shared federation flags, exiting 2 with a message naming the flag
+// before it builds anything or listens.
+func TestSharedFlagsExitTwo(t *testing.T) {
+	coordinator := []string{"-role", "coordinator", "-listen", "127.0.0.1:0", "-rounds", "1", "-samples", "20"}
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{append(coordinator, "-max-staleness", "3"), "-max-staleness"},
+		{append(coordinator, "-async", "-max-staleness", "-1"), "-max-staleness"},
+		{append(coordinator, "-async", "-quorum", "2"), "-quorum"},
+		{append(coordinator, "-sy", "NaN"), "-sy"},
+		{[]string{"-role", "worker", "-compression", "bogus", "-coordinator", "http://127.0.0.1:1"}, "-compression"},
+	} {
+		stdout, stderr, code := runNode(t, tc.args...)
+		if code != 2 || !strings.HasPrefix(stderr, "fifl-node: "+tc.flag) || stdout != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2, no output and a fifl-node: message naming %s", tc.args, code, stdout, stderr, tc.flag)
+		}
+	}
+}
+
+// TestEveryFlagHasARole: a flag no role reads could never be set. The
+// flags internal/cli registers are checked on their own set too, so one
+// added there must be given a role here.
 func TestEveryFlagHasARole(t *testing.T) {
-	flag.VisitAll(func(f *flag.Flag) {
+	hasRole := func(f *flag.Flag) {
 		if strings.HasPrefix(f.Name, "test.") || slices.Contains(sharedFlags, f.Name) {
 			return
 		}
@@ -111,7 +179,11 @@ func TestEveryFlagHasARole(t *testing.T) {
 			}
 		}
 		t.Errorf("-%s is read by no role", f.Name)
-	})
+	}
+	flag.VisitAll(hasRole)
+	shared := flag.NewFlagSet("cli", flag.ContinueOnError)
+	cli.Register(shared, cli.Defaults{})
+	shared.VisitAll(hasRole)
 }
 
 // TestAsyncQuorumRefused: every async window commits, so a coordinator
@@ -121,10 +193,10 @@ func TestEveryFlagHasARole(t *testing.T) {
 func TestAsyncQuorumRefused(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	recipe := transport.Recipe{Seed: 1, Workers: 4, SamplesPerWorker: 20}
-	err := runCoordinator(ctx, recipe, serveOpts{
-		Listen: "127.0.0.1:0", Rounds: 1, Servers: 1, Quorum: 4, WorkerTimeout: time.Second, CheckpointEvery: 1, Async: true,
-	})
+	err := runCoordinator(ctx, cli.Config{
+		Seed: 1, Workers: 4, Samples: 20, Rounds: 1, Servers: 1, Quorum: 4, CheckpointEvery: 1,
+		Async: true, MaxStaleness: 2, AdvanceEvery: 2,
+	}, serveOpts{Listen: "127.0.0.1:0", WorkerTimeout: time.Second})
 	if err == nil || !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("-async -quorum 4: error %v, want one naming the quorum", err)
 	}

@@ -3,6 +3,10 @@
 // and rewards, plus the global model's accuracy trajectory. It is the
 // quickest way to watch the mechanism at work.
 //
+// The federation flags it shares with fifl-node (-seed, -workers,
+// -rounds, -quorum, -async, -shards and the rest) are declared and
+// checked in internal/cli; the flags below main are fifl-sim's own.
+//
 // Usage:
 //
 //	fifl-sim -workers 10 -signflip 2 -ps 4 -rounds 30
@@ -11,15 +15,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
 	"time"
 
 	"fifl/internal/chain"
+	"fifl/internal/cli"
 	"fifl/internal/core"
 	"fifl/internal/dataset"
 	"fifl/internal/experiments"
@@ -29,7 +34,6 @@ import (
 	"fifl/internal/persist"
 	"fifl/internal/rng"
 	"fifl/internal/trace"
-	"fifl/internal/transport/codec"
 )
 
 // churnEvent is one membership change in the -churn schedule, applied at
@@ -154,78 +158,46 @@ func exitf(code int, format string, args ...any) {
 }
 
 func main() {
+	cfg := cli.Register(flag.CommandLine, cli.Defaults{Workers: 10, Samples: 200, Rounds: 30, Servers: 4, Sy: 0.05, Eval: 5})
 	var (
-		workers   = flag.Int("workers", 10, "federation size N")
-		servers   = flag.Int("servers", 4, "server cluster size M")
-		rounds    = flag.Int("rounds", 30, "communication iterations")
 		nFlip     = flag.Int("signflip", 0, "number of sign-flipping attackers")
 		ps        = flag.Float64("ps", 4, "sign-flip intensity p_s")
 		nPoison   = flag.Int("poison", 0, "number of data-poison attackers")
 		pd        = flag.Float64("pd", 0.6, "mislabel fraction p_d")
-		sy        = flag.Float64("sy", 0.05, "detection threshold S_y")
 		task      = flag.String("task", "mlp", "task: mlp, digits (LeNet) or images (mini-ResNet)")
-		seed      = flag.Uint64("seed", 1, "root seed")
-		perWkr    = flag.Int("samples", 200, "local samples per worker")
 		audit     = flag.Bool("audit", false, "verify the blockchain ledger and audit a reputation at the end")
-		evalEach  = flag.Int("eval", 5, "evaluate global model every this many rounds (0 = after the final round only)")
 		traceFile = flag.String("trace", "", "write a JSONL run trace to this file (.csv extension switches to CSV)")
 		drop      = flag.Float64("drop", 0, "per-round upload loss probability")
-		quorum    = flag.Int("quorum", 0, "minimum arrivals for a round to commit (0 = no quorum)")
 		retries   = flag.Int("retries", 0, "retransmission attempts for lost uploads")
 		backoff   = flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff between retransmissions")
 		dumpMet   = flag.Bool("metrics", false, "dump the run's metrics in Prometheus text format at the end")
 		ckptFile  = flag.String("checkpoint", "", "write a durable checkpoint to this file after each round (atomic replace); if the file exists, resume from it first (same flags as the run that wrote it)")
-		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint every this many rounds (with -checkpoint)")
 		mechName  = flag.String("mechanism", "fifl", "reward mechanism: "+strings.Join(core.MechanismNames(), ", ")+" (baselines pay by sample count and ignore detection; shapley-mc is the sampled estimator for large N)")
-		compress  = flag.String("compression", "none", "simulated wire compression for gradient uploads and model downloads: none, f32, topk, int8 or int16")
-		async     = flag.Bool("async", false, "asynchronous rounds: each advance folds a round-robin cohort with bounded-staleness weights instead of the collect-all barrier")
-		maxStale  = flag.Int("max-staleness", 2, "async staleness bound: submissions trained against a model more than this many advances old are rejected and penalized")
-		advEvery  = flag.Int("advance-every", 0, "async count cadence: workers folded per advance window (0 = workers/2, min 1)")
 		asyncLag  = flag.String("async-lag", "", "async straggler injection: comma-separated worker:lag pairs, e.g. \"3:1,7:4\" — worker 7 always submits 4 advances stale")
-		shardsN   = flag.Int("shards", 0, "hierarchical mode: partition the workers into this many edge-aggregator cohorts under one root coordinator (0 = flat)")
 		churnSpec = flag.String("churn", "", "membership schedule: comma-separated round:op[:id] events applied at the boundary before the round, e.g. \"3:join,5:leave:1,7:rejoin:1,8:evict:0\" (flat synchronous mode only)")
 	)
 	flag.Parse()
-
-	if *nFlip+*nPoison >= *workers {
-		exitf(2, "attackers must be fewer than workers")
-	}
-	if *perWkr < 1 || *servers < 1 {
-		exitf(2, "-samples and -servers must be at least 1, got %d and %d", *perWkr, *servers)
-	}
-	if *rounds < 1 {
-		exitf(2, "-rounds must be at least 1, got %d", *rounds)
-	}
-	if *evalEach < 0 {
-		exitf(2, "-eval must be non-negative, got %d", *evalEach)
-	}
-	// Written so that NaN fails too.
-	if !(*drop >= 0 && *drop <= 1) {
-		exitf(2, "-drop must be in [0,1], got %g", *drop)
-	}
-	if !(*pd >= 0 && *pd <= 1) {
-		exitf(2, "-pd must be in [0,1], got %g", *pd)
-	}
-	if *quorum > *workers {
-		exitf(2, "-quorum %d exceeds -workers %d", *quorum, *workers)
-	}
-	if *async && *quorum > 0 {
-		exitf(2, "-quorum is a synchronous option: every -async window commits")
-	}
-	if !*async {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "async-lag", "max-staleness", "advance-every":
-				exitf(2, "-%s applies only with -async", f.Name)
-			}
-		})
-	}
-	lags, err := parseLagSpec(*asyncLag, *workers)
-	if err != nil {
+	if err := cfg.Check(flag.CommandLine, "async-lag"); err != nil {
 		exitf(2, "%v", err)
 	}
-	if *retries < 0 || *backoff < 0 {
+
+	switch {
+	case *nFlip < 0 || *nPoison < 0:
+		exitf(2, "-signflip and -poison must be non-negative, got %d and %d", *nFlip, *nPoison)
+	case *nFlip+*nPoison >= cfg.Workers:
+		exitf(2, "attackers must be fewer than workers")
+	case math.IsNaN(*ps) || math.IsInf(*ps, 0):
+		exitf(2, "-ps must be finite, got %g", *ps)
+	case !(*drop >= 0 && *drop <= 1): // written so that NaN fails too
+		exitf(2, "-drop must be in [0,1], got %g", *drop)
+	case !(*pd >= 0 && *pd <= 1):
+		exitf(2, "-pd must be in [0,1], got %g", *pd)
+	case *retries < 0 || *backoff < 0:
 		exitf(2, "-retries and -retry-backoff must be non-negative")
+	}
+	lags, err := parseLagSpec(*asyncLag, cfg.Workers)
+	if err != nil {
+		exitf(2, "%v", err)
 	}
 	churn, err := parseChurnSpec(*churnSpec)
 	if err != nil {
@@ -237,9 +209,9 @@ func main() {
 		// collector's rotation state and the shard drivers' static cohort
 		// ranges do not yet follow.
 		switch {
-		case *async:
+		case cfg.Async:
 			exitf(2, "-churn and -async are mutually exclusive")
-		case *shardsN > 0:
+		case cfg.Shards > 0:
 			exitf(2, "-churn and -shards are mutually exclusive")
 		case *mechName != "fifl":
 			exitf(2, "-churn supports only the fifl mechanism")
@@ -249,27 +221,17 @@ func main() {
 	if err != nil {
 		exitf(2, "%v", err)
 	}
-	if err := core.ValidateMechanismScale(mech, *workers); err != nil {
+	if err := core.ValidateMechanismScale(mech, cfg.Workers); err != nil {
 		exitf(2, "%v", err)
 	}
-	cmode, err := codec.ParseCompression(*compress)
-	if err != nil {
-		exitf(2, "%v", err)
-	}
-	if *ckptEvery < 1 {
-		exitf(2, "-checkpoint-every must be at least 1, got %d", *ckptEvery)
-	}
-	if *shardsN < 0 || *shardsN > *workers {
-		exitf(2, "-shards must be in [0,%d], got %d", *workers, *shardsN)
-	}
-	if *shardsN > 0 {
+	if cfg.Shards > 0 {
 		// Sharded federation keeps the root's eight-stage pipeline intact by
 		// unfolding per-shard evidence into per-worker events; the knobs that
 		// reshape the flat collect path don't compose with that.
 		switch {
-		case *async:
+		case cfg.Async:
 			exitf(2, "-shards and -async are mutually exclusive (edge aggregation is a synchronous barrier)")
-		case *quorum > 0 || *retries > 0:
+		case cfg.Quorum > 0 || *retries > 0:
 			exitf(2, "-quorum and -retries are flat-engine options, not supported with -shards")
 		case *mechName != "fifl":
 			exitf(2, "-shards supports only the fifl mechanism")
@@ -277,12 +239,11 @@ func main() {
 	}
 
 	sc := experiments.QuickScale()
-	sc.Seed = *seed
-	sc.TrainWorkers = *workers
-	sc.TrainRounds = *rounds
-	sc.SamplesPerWorker = *perWkr
-	sc.Servers = *servers
-	sc.EvalEvery = *evalEach
+	sc.Seed = cfg.Seed
+	sc.TrainWorkers = cfg.Workers
+	sc.TrainRounds = cfg.Rounds
+	sc.SamplesPerWorker = cfg.Samples
+	sc.Servers = cfg.Servers
 	for _, ev := range churn {
 		// Each join event consumes one reserved data partition past the
 		// initial cohort; sizing them here keeps a joiner's data identical
@@ -292,15 +253,15 @@ func main() {
 		}
 	}
 
-	kinds := make([]experiments.WorkerKind, *workers)
+	kinds := make([]experiments.WorkerKind, cfg.Workers)
 	for i := range kinds {
 		kinds[i] = experiments.Honest()
 	}
 	for i := 0; i < *nFlip; i++ {
-		kinds[*workers-1-i] = experiments.SignFlip(*ps)
+		kinds[cfg.Workers-1-i] = experiments.SignFlip(*ps)
 	}
 	for i := 0; i < *nPoison; i++ {
-		kinds[*workers-1-*nFlip-i] = experiments.Poison(*pd)
+		kinds[cfg.Workers-1-*nFlip-i] = experiments.Poison(*pd)
 	}
 
 	var dk experiments.DatasetKind
@@ -316,31 +277,24 @@ func main() {
 	}
 
 	sc.DropRate = *drop
-	sc.Compression = cmode
+	sc.Compression = cfg.Compression
 	var opts []fl.Option
-	if *quorum > 0 {
-		opts = append(opts, fl.WithQuorum(*quorum))
+	if cfg.Quorum > 0 {
+		opts = append(opts, fl.WithQuorum(cfg.Quorum))
 	}
 	if *retries > 0 {
 		opts = append(opts, fl.WithRetry(*retries, *backoff))
 	}
-	var coordOpts []core.CoordinatorOption
-	coordOpts = append(coordOpts, core.WithMechanism(mech))
+	coordOpts := []core.CoordinatorOption{core.WithMechanism(mech)}
 
 	// An existing -checkpoint file makes this run a resume: the same flags
 	// rebuild the same federation (seed, sizes and attacker mix must match
 	// the run that wrote it; the restore cross-checks what it can and
 	// rejects mismatches), and the checkpoint fast-forwards it to the saved
 	// state instead of starting from round 0.
-	var snap *persist.Snapshot
-	if *ckptFile != "" {
-		s, err := persist.ReadFile(*ckptFile)
-		switch {
-		case err == nil:
-			snap = s
-		case !errors.Is(err, os.ErrNotExist):
-			exitf(1, "reading %s: %v", *ckptFile, err)
-		}
+	snap, err := cli.ReadCheckpoint(*ckptFile)
+	if err != nil {
+		exitf(1, "%v", err)
 	}
 	var (
 		coord      *core.Coordinator
@@ -350,17 +304,16 @@ func main() {
 		mkWorker   func(int) (fl.Worker, error)
 	)
 	src := rng.New(sc.Seed).Split("sim")
-	if *shardsN > 0 {
+	if cfg.Shards > 0 {
 		// -shards partitions the workers under in-process edge aggregators:
 		// each cohort collects and screens locally, pre-aggregates its
 		// survivors and forwards codec-framed evidence to the root, whose
 		// pipeline unfolds it into the same per-worker events a flat run
 		// produces. Checkpoints carry one extra section per shard.
-		var err error
 		if snap != nil {
-			run, err = experiments.RestoreShardedRun(snap, sc, dk, kinds, *shardsN, *sy, true, src, coordOpts...)
+			run, err = experiments.RestoreShardedRun(snap, sc, dk, kinds, cfg.Shards, cfg.Sy, true, src, coordOpts...)
 		} else {
-			run, err = experiments.BuildShardedRun(sc, dk, kinds, *shardsN, *sy, true, src, coordOpts...)
+			run, err = experiments.BuildShardedRun(sc, dk, kinds, cfg.Shards, cfg.Sy, true, src, coordOpts...)
 		}
 		if err != nil {
 			exitf(1, "%v", err)
@@ -396,16 +349,10 @@ func main() {
 		// -async swaps only the Collect stage: the same detection, reputation,
 		// contribution and reward pipeline assesses bounded-staleness advance
 		// windows instead of synchronous barriers.
-		if *async {
-			if *advEvery == 0 {
-				*advEvery = *workers / 2
-				if *advEvery < 1 {
-					*advEvery = 1
-				}
-			}
+		if cfg.Async {
 			col, err := fl.NewAsyncCollector(fed.Engine, fl.AsyncConfig{
-				MaxStaleness: *maxStale,
-				AdvanceEvery: *advEvery,
+				MaxStaleness: cfg.MaxStaleness,
+				AdvanceEvery: cfg.AdvanceEvery,
 				Lag:          fl.StaticLag(lags),
 			})
 			if err != nil {
@@ -415,12 +362,11 @@ func main() {
 		}
 
 		if snap != nil {
-			var err error
-			if coord, err = core.RestoreCoordinatorSnapshot(snap, experiments.DefaultCoordinatorConfig(*sy, true), fed.Engine, coordOpts...); err != nil {
+			if coord, err = core.RestoreCoordinatorSnapshot(snap, experiments.DefaultCoordinatorConfig(cfg.Sy, true), fed.Engine, coordOpts...); err != nil {
 				exitf(1, "resuming from %s: %v", *ckptFile, err)
 			}
 		} else {
-			coord = experiments.DefaultCoordinator(fed, *sy, true, coordOpts...)
+			coord = experiments.DefaultCoordinator(fed, cfg.Sy, true, coordOpts...)
 		}
 	}
 	startRound := coord.NextRound()
@@ -430,17 +376,17 @@ func main() {
 
 	mode := "sync"
 	switch {
-	case *async:
-		mode = fmt.Sprintf("async(max-staleness=%d advance-every=%d)", *maxStale, *advEvery)
-	case *shardsN > 0:
-		mode = fmt.Sprintf("sharded(%d)", *shardsN)
+	case cfg.Async:
+		mode = fmt.Sprintf("async(max-staleness=%d advance-every=%d)", cfg.MaxStaleness, cfg.AdvanceEvery)
+	case cfg.Shards > 0:
+		mode = fmt.Sprintf("sharded(%d)", cfg.Shards)
 	}
 	fmt.Printf("federation: N=%d M=%d task=%s rounds=%d mode=%s mechanism=%s compression=%s (attackers: %d sign-flip ps=%g, %d poison pd=%g)\n\n",
-		*workers, *servers, *task, *rounds, mode, coord.Mechanism().Name(), cmode, *nFlip, *ps, *nPoison, *pd)
+		cfg.Workers, cfg.Servers, *task, cfg.Rounds, mode, coord.Mechanism().Name(), cfg.Compression, *nFlip, *ps, *nPoison, *pd)
 
 	recorder := trace.NewRecorder()
 	pending := churn
-	for t := startRound; t < *rounds; t++ {
+	for t := startRound; t < cfg.Rounds; t++ {
 		// Membership changes land at round boundaries, mirroring the
 		// transport server's queue-and-apply contract. Events before a
 		// resumed run's first round are already in its checkpoint.
@@ -483,13 +429,13 @@ func main() {
 		if !rep.Committed {
 			line += "  QUORUM MISSED (round degraded)"
 		}
-		if (sc.EvalEvery > 0 && t%sc.EvalEvery == 0) || t == *rounds-1 {
+		if cfg.Evaluates(t) {
 			acc, loss := evalEngine.Evaluate(evalTest, 256)
 			recorder.RecordMetrics(trace.RoundMetrics{Round: t, Accuracy: acc, Loss: loss})
 			line += fmt.Sprintf("  acc=%.3f loss=%.3f", acc, loss)
 		}
 		fmt.Println(line)
-		if *ckptFile != "" && (t+1)%*ckptEvery == 0 {
+		if *ckptFile != "" && (t+1)%cfg.CheckpointEvery == 0 {
 			// Sharded snapshots append one section per shard on top of the
 			// root coordinator's state.
 			snapshot := coord.Snapshot
@@ -553,7 +499,7 @@ func main() {
 			exitf(1, "ledger verification FAILED: %v", err)
 		}
 		fmt.Printf("\nledger verified: %d blocks intact\n", coord.Ledger.Len())
-		culprit, err := coord.AuditReputation(*rounds-1, 0)
+		culprit, err := coord.AuditReputation(cfg.Rounds-1, 0)
 		if err != nil {
 			exitf(1, "audit error: %v", err)
 		}
@@ -562,7 +508,7 @@ func main() {
 		} else {
 			fmt.Printf("reputation audit for worker 0: TAMPERED, culprit %s banned\n", culprit)
 		}
-		recs := coord.Ledger.Query(chain.KindReward, *rounds-1, -1)
+		recs := coord.Ledger.Query(chain.KindReward, cfg.Rounds-1, -1)
 		fmt.Printf("last round reward records on chain: %d\n", len(recs))
 	}
 

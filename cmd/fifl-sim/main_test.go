@@ -128,6 +128,15 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{[]string{"-async-lag", "0:3"}, "-async-lag"},
 		{[]string{"-max-staleness", "1"}, "-max-staleness"},
 		{[]string{"-advance-every", "2"}, "-advance-every"},
+		{[]string{"-async", "-max-staleness", "-1"}, "-max-staleness"},
+		{[]string{"-sy", "NaN"}, "-sy"},
+		{[]string{"-quorum", "-1"}, "-quorum"},
+		{[]string{"-signflip", "-1"}, "-signflip"},
+		{[]string{"-signflip", "-1", "-poison", "1"}, "-signflip"},
+		{[]string{"-poison", "-1"}, "-poison"},
+		{[]string{"-signflip", "1", "-ps", "NaN"}, "-ps"},
+		{[]string{"-signflip", "1", "-ps", "-Inf"}, "-ps"},
+		{[]string{"-compression", "bogus"}, "-compression"},
 	} {
 		_, stderr, code := runSim(t, append([]string{"-workers", "3", "-rounds", "1"}, tc.args...)...)
 		if code != 2 || !strings.HasPrefix(stderr, "fifl-sim: ") || !strings.Contains(stderr, tc.flag) || strings.Contains(stderr, "panic") {

@@ -111,6 +111,33 @@ go build -o "$BIN/fifl-sim" ./cmd/fifl-sim
 go build -o "$BIN/fifl-node" ./cmd/fifl-node
 "$BIN/fifl-sim" -workers 3 -rounds 1 -samples 40 -metrics | grep -q '^fifl_engine_rounds_total 1$'
 
+# Flag-parity smoke: both commands check the shared federation flags with
+# internal/cli's one rule set, so each bad value below exits 2 in both,
+# with a message naming the flag and no output: nothing is built and
+# nothing listens.
+flag_parity() {
+    # $1 = the flag the message names, $2 = fifl-node's role flags,
+    # the rest = the bad value
+    want=$1 role=$2
+    shift 2
+    for run in "$BIN/fifl-sim" "$BIN/fifl-node $role"; do
+        code=0
+        # shellcheck disable=SC2086
+        $run "$@" > "$BIN/parity.out" 2> "$BIN/parity.err" || code=$?
+        if [ "$code" != 2 ] || [ -s "$BIN/parity.out" ] || ! grep -q -- "$want" "$BIN/parity.err"; then
+            echo "$run $*: exit $code, want exit 2 naming $want and no output" >&2
+            exit 1
+        fi
+    done
+}
+COORD="-role coordinator -listen 127.0.0.1:0"
+flag_parity -quorum "$COORD" -quorum -1
+flag_parity -sy "$COORD" -sy NaN
+flag_parity -eval "$COORD" -eval -1
+flag_parity -max-staleness "$COORD" -max-staleness 3
+flag_parity -quorum "$COORD" -async -quorum 1
+flag_parity -compression "-role worker" -compression bogus
+
 # Training-plane oracle: three quick-scale figures that train real models
 # end to end — fig7a (LeNet), fig12 (MLP) and fig8 (TinyResNet, fig8a and
 # fig8b) — must regenerate the committed CSVs byte for byte, so a change
