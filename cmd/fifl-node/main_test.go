@@ -155,6 +155,7 @@ func TestSharedFlagsExitTwo(t *testing.T) {
 		{append(coordinator, "-max-staleness", "3"), "-max-staleness"},
 		{append(coordinator, "-async", "-max-staleness", "-1"), "-max-staleness"},
 		{append(coordinator, "-async", "-quorum", "2"), "-quorum"},
+		{append(coordinator, "-workers", "3", "-async", "-advance-every", "9"), "-advance-every"},
 		{append(coordinator, "-sy", "NaN"), "-sy"},
 		{[]string{"-role", "worker", "-compression", "bogus", "-coordinator", "http://127.0.0.1:1"}, "-compression"},
 	} {

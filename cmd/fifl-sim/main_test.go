@@ -129,6 +129,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{[]string{"-max-staleness", "1"}, "-max-staleness"},
 		{[]string{"-advance-every", "2"}, "-advance-every"},
 		{[]string{"-async", "-max-staleness", "-1"}, "-max-staleness"},
+		{[]string{"-async", "-advance-every", "9"}, "-advance-every"},
 		{[]string{"-sy", "NaN"}, "-sy"},
 		{[]string{"-quorum", "-1"}, "-quorum"},
 		{[]string{"-signflip", "-1"}, "-signflip"},

@@ -101,8 +101,8 @@ func (c *Config) Check(fs *flag.FlagSet, asyncOnly ...string) error {
 			return errors.New("-quorum is a synchronous option: every -async window commits")
 		case c.MaxStaleness < 0:
 			return fmt.Errorf("-max-staleness must be non-negative, got %d", c.MaxStaleness)
-		case c.AdvanceEvery < 0:
-			return fmt.Errorf("-advance-every must be non-negative, got %d", c.AdvanceEvery)
+		case c.AdvanceEvery < 0 || c.AdvanceEvery > c.Workers:
+			return fmt.Errorf("-advance-every must be in [0,%d] (at most -workers), got %d", c.Workers, c.AdvanceEvery)
 		case c.AdvanceEvery == 0:
 			c.AdvanceEvery = max(1, c.Workers/2)
 		}

@@ -38,6 +38,7 @@ func TestCheck(t *testing.T) {
 		{[]string{"-sy", "-Inf"}, ""},
 		{[]string{"-compression", "int8"}, ""},
 		{[]string{"-async", "-max-staleness", "0", "-advance-every", "3", "-async-lag", "1:1"}, ""},
+		{[]string{"-async", "-workers", "3", "-advance-every", "3"}, ""},
 		{[]string{"-workers", "0"}, "workers"},
 		{[]string{"-samples", "0"}, "samples"},
 		{[]string{"-servers", "0"}, "servers"},
@@ -54,6 +55,7 @@ func TestCheck(t *testing.T) {
 		{[]string{"-async", "-quorum", "1"}, "quorum"},
 		{[]string{"-async", "-max-staleness", "-1"}, "max-staleness"},
 		{[]string{"-async", "-advance-every", "-1"}, "advance-every"},
+		{[]string{"-async", "-workers", "3", "-advance-every", "4"}, "advance-every"},
 		{[]string{"-max-staleness", "3"}, "max-staleness"},
 		{[]string{"-max-staleness", "2"}, "max-staleness"}, // set to its default is still set
 		{[]string{"-advance-every", "2"}, "advance-every"},

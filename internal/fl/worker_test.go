@@ -95,6 +95,24 @@ func TestLocalTrainSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkLocalTrain is one warm call of the worker's local step (two
+// SGD steps of batch 32) on each pinned model, the call a fifl-node
+// worker makes every round. -cpu 1 gives the one-core cost the
+// wire-loopback workload's workers pay.
+func BenchmarkLocalTrain(b *testing.B) {
+	for _, c := range localTrainCases {
+		b.Run(c.name, func(b *testing.B) {
+			w, global := newCaseWorker(c)
+			sink = w.LocalTrain(0, global)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for round := range b.N {
+				sink = w.LocalTrain(1+round, global)
+			}
+		})
+	}
+}
+
 // sink keeps the measured allocations alive past the compiler.
 var sink []float64
 

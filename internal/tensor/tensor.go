@@ -1,7 +1,8 @@
 // Package tensor implements dense float64 tensors and the numerical kernels
-// the neural-network engine is built on: element-wise arithmetic, blocked
-// cache-friendly matrix multiplication parallelized across cores, and the
-// im2col transform used to lower convolutions onto matmul.
+// the neural-network engine is built on: element-wise arithmetic, matrix
+// multiplication that writes four outputs per pass and fans rows out
+// across cores, and the im2col transform used to lower convolutions onto
+// matmul.
 //
 // Tensors are row-major and carry an explicit shape. The package favours
 // in-place operations, and every kernel the training loop calls has a form

@@ -129,6 +129,39 @@ func TestHasNaN(t *testing.T) {
 	}
 }
 
+// MatMul computes C = A·B into a fresh tensor.
+func MatMul(a, b *Tensor) *Tensor {
+	c := New(a.Dim(0), b.Dim(1))
+	MatMulInto(c, a, b)
+	return c
+}
+
+// MatMulT1 computes C = Aᵀ·B into a fresh tensor.
+func MatMulT1(a, b *Tensor) *Tensor {
+	c := New(a.Dim(1), b.Dim(1))
+	MatMulT1Into(c, a, b)
+	return c
+}
+
+// MatMulT2 computes C = A·Bᵀ into a fresh tensor.
+func MatMulT2(a, b *Tensor) *Tensor {
+	c := New(a.Dim(0), b.Dim(0))
+	MatMulT2Into(c, a, b)
+	return c
+}
+
+// Transpose2D returns the transpose of a rank-2 tensor as a new tensor.
+func Transpose2D(a *Tensor) *Tensor {
+	m, n := a.Dim(0), a.Dim(1)
+	t := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			t.data[j*m+i] = a.data[i*n+j]
+		}
+	}
+	return t
+}
+
 // matMulNaive is the reference implementation for property tests.
 func matMulNaive(a, b *Tensor) *Tensor {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)

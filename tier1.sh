@@ -41,8 +41,13 @@ go test -race -timeout 20m $(go list ./... | grep -v internal/experiments)
 # must hash to the committed constants (TestLocalTrainGolden), and ten
 # repeats of a batch-64 LeNet backward pass — where Conv2D fans its batch
 # out and merges one partial per chunk — must give equal bits
-# (TestConvBackwardBitsRepeat).
-go test -cpu 1,2,3 -run 'MatchesReference|MatchesSerialFold|Cohort|WrongLength|LocalTrainGolden|ConvBackwardBitsRepeat' ./internal/gradvec ./internal/core ./internal/fl ./internal/shard ./internal/nn
+# (TestConvBackwardBitsRepeat). Beneath them, the three training matmuls,
+# four outputs per pass, must write the bits of the one-accumulator loops
+# they replaced over ragged shapes, zero-skipping, signed-zero, Inf and
+# NaN operands and row counts on both sides of the 64-row inline
+# threshold, where the chunk edges move with GOMAXPROCS
+# (TestMatMulMatchesReference).
+go test -cpu 1,2,3 -run 'MatchesReference|MatchesSerialFold|Cohort|WrongLength|LocalTrainGolden|ConvBackwardBitsRepeat' ./internal/gradvec ./internal/core ./internal/fl ./internal/shard ./internal/nn ./internal/tensor
 
 # Ledger read-plane race gate: Verify fans the blocks out over the cores
 # and must return the serial walk's verdict, so the chain package is raced
@@ -68,6 +73,12 @@ go test -run '^$' -bench 'Verify|Query|WriteBinary' -benchtime=1x ./internal/cha
 # so the gradient-plane numbers reproduce without the harness (for
 # numbers: -cpu 1 and a real -benchtime).
 go test -run '^$' -bench Cohort -benchtime=1x ./internal/gradvec
+
+# Training matmul smoke: the blocked kernels and the one-accumulator
+# loops they replaced, at the wire MLP's, LeNet's FC and the MiniResNet
+# head's shapes, must run, so the per-kernel numbers reproduce without
+# the harness (for numbers: -cpu 1 and a real -benchtime).
+go test -run '^$' -bench 'MatMul' -benchtime=1x ./internal/tensor
 
 # Shard frame smoke: the exact-size encoders of a deep-model detect submit
 # and directive, and the append-grown reference writer they replaced, must
@@ -136,6 +147,7 @@ flag_parity -sy "$COORD" -sy NaN
 flag_parity -eval "$COORD" -eval -1
 flag_parity -max-staleness "$COORD" -max-staleness 3
 flag_parity -quorum "$COORD" -async -quorum 1
+flag_parity -advance-every "$COORD" -workers 3 -async -advance-every 9
 flag_parity -compression "-role worker" -compression bogus
 
 # Training-plane oracle: three quick-scale figures that train real models
