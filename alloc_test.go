@@ -3,6 +3,8 @@ package fifl
 import (
 	"context"
 	"testing"
+
+	"fifl/internal/gradvec"
 )
 
 // TestRoundSteadyStateAllocs pins the round hot path's allocation budget.
@@ -46,12 +48,12 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 // detection, aggregation, contribution, reward, ledger) rather than SGD.
 type benchFixedWorker struct {
 	id   int
-	grad Gradient
+	grad gradvec.Vector
 }
 
 func (w *benchFixedWorker) ID() int         { return w.id }
 func (w *benchFixedWorker) NumSamples() int { return 100 }
-func (w *benchFixedWorker) LocalTrain(round int, global []float64) Gradient {
+func (w *benchFixedWorker) LocalTrain(round int, global []float64) gradvec.Vector {
 	return w.grad
 }
 
@@ -64,7 +66,7 @@ func benchCoordinator(b testing.TB, n int) *Coordinator {
 	dim := build().NumParams()
 	workers := make([]Worker, n)
 	for i := range workers {
-		g := make(Gradient, dim)
+		g := make(gradvec.Vector, dim)
 		for j := range g {
 			g[j] = 0.01 * float64((i*31+j*7)%13-6)
 		}

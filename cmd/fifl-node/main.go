@@ -175,9 +175,17 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fifl-node:", err)
+		if errors.As(err, new(flagError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// flagError is a flag value that a role can refuse only once it has read
+// its inputs, such as -servers against the checkpoint it resumes. It
+// exits 2, like the flag checks that run before any role starts.
+type flagError struct{ error }
 
 // serveOpts bundles fifl-node's own flags of the two serving roles,
 // coordinator and root. A root reads only some of them (roleFlags); the
@@ -209,18 +217,14 @@ func recipeFor(c cli.Config) transport.Recipe {
 }
 
 func runCoordinator(ctx context.Context, c cli.Config, o serveOpts) error {
-	recipe := recipeFor(c)
-	build, err := recipe.Builder()
-	if err != nil {
-		return err
-	}
-
-	// Read any existing checkpoint before sizing the hub: a checkpoint
-	// written mid-churn can know more identities than the recipe's initial
-	// cohort and seat only a subset of them in the active cohort.
+	// Read any existing checkpoint before building anything: the flags
+	// must fit it, and a checkpoint written mid-churn can know more
+	// identities than the recipe's initial cohort and seat only a subset
+	// of them in the active cohort, which sizes the hub.
 	var (
 		snap     *persist.Snapshot
 		ckptPath string
+		err      error
 	)
 	if o.CheckpointDir != "" {
 		if err := os.MkdirAll(o.CheckpointDir, 0o755); err != nil {
@@ -230,6 +234,14 @@ func runCoordinator(ctx context.Context, c cli.Config, o serveOpts) error {
 		if snap, err = cli.ReadCheckpoint(ckptPath); err != nil {
 			return err
 		}
+		if err := c.CheckResume(snap); err != nil {
+			return flagError{err}
+		}
+	}
+	recipe := recipeFor(c)
+	build, err := recipe.Builder()
+	if err != nil {
+		return err
 	}
 	nKnown := recipe.Workers
 	if snap != nil {

@@ -7,12 +7,16 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"fifl/internal/cli"
+	"fifl/internal/fl"
+	"fifl/internal/persist"
+	"fifl/internal/rng"
 )
 
 // runMainEnv makes the test binary run fifl-node's main instead of the
@@ -200,5 +204,47 @@ func TestAsyncQuorumRefused(t *testing.T) {
 	}, serveOpts{Listen: "127.0.0.1:0", WorkerTimeout: time.Second})
 	if err == nil || !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("-async -quorum 4: error %v, want one naming the quorum", err)
+	}
+}
+
+// TestResumeWithOtherServersExitsTwo: a coordinator asked to resume a
+// checkpoint under a different -servers exits 2 naming the flag, before
+// it builds the federation or listens.
+func TestResumeWithOtherServersExitsTwo(t *testing.T) {
+	c := cli.Config{Seed: 3, Workers: 4, Samples: 40, Servers: 4, Sy: 0.02}
+	recipe := recipeFor(c)
+	build, err := recipe.Builder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := make([]fl.Worker, c.Workers)
+	for i := range workers {
+		if workers[i], err = recipe.Worker(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine, err := fl.NewEngine(fl.Config{Servers: c.Servers, GlobalLR: 0.05}, build, workers, rng.New(c.Seed).Split("netfed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := newCoordinator(c, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.RunRoundContext(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := coord.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := persist.WriteFile(filepath.Join(dir, "checkpoint.fifl"), snap); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := runNode(t, "-role", "coordinator", "-seed", "3", "-workers", "4", "-samples", "40",
+		"-rounds", "4", "-servers", "2", "-checkpoint", dir, "-listen", "127.0.0.1:0")
+	if code != 2 || !strings.Contains(stderr, "-servers") {
+		t.Fatalf("resume with -servers 2 over a 4-server checkpoint: exit %d, stderr %q; want exit 2 naming -servers", code, stderr)
 	}
 }

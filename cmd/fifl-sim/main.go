@@ -296,6 +296,9 @@ func main() {
 	if err != nil {
 		exitf(1, "%v", err)
 	}
+	if err := cfg.CheckResume(snap); err != nil {
+		exitf(2, "%v", err)
+	}
 	var (
 		coord      *core.Coordinator
 		run        *experiments.ShardedRun

@@ -204,3 +204,18 @@ func TestCheckpointResumesChurnedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeWithOtherServersExitsTwo: resuming a checkpoint under a
+// different -servers is a bad flag, refused with exit 2 and the flag's
+// name before the federation is built.
+func TestResumeWithOtherServersExitsTwo(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	common := []string{"-workers", "4", "-samples", "60", "-seed", "3", "-eval", "0", "-checkpoint", ckpt}
+	if _, stderr, code := runSim(t, append(common, "-rounds", "2")...); code != 0 {
+		t.Fatalf("writing the checkpoint: exit %d: %s", code, stderr)
+	}
+	_, stderr, code := runSim(t, append(common, "-rounds", "4", "-servers", "2")...)
+	if code != 2 || !strings.Contains(stderr, "-servers") {
+		t.Fatalf("resume with -servers 2 over a 4-server checkpoint: exit %d, stderr %q; want exit 2 naming -servers", code, stderr)
+	}
+}

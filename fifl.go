@@ -1,10 +1,12 @@
 // Package fifl is the public facade of this FIFL reproduction — a fair,
 // attack-robust incentive mechanism for federated learning (Gao et al.,
-// ICPP '21) together with every substrate it runs on: a from-scratch neural
-// network training engine, a polycentric federated-learning runtime,
-// Byzantine attack workers, a blockchain audit ledger, the baseline
-// incentive mechanisms, and the market simulation of the paper's
-// evaluation.
+// ICPP '21). It exports the names README.md and the examples/ programs
+// use: a federation of workers on the fault-tolerant round runtime, the
+// FIFL coordinator and the other reward mechanisms, asynchronous and
+// sharded collection, the HTTP transport, checkpoints and metrics. The
+// substrates behind them — the training engine, the attack workers, the
+// robust aggregators, the audit ledger's analytics and the market
+// simulation — stay under internal/ and drive the cmd/ binaries.
 //
 // # Quick start
 //
@@ -49,16 +51,11 @@ import (
 	"fifl/internal/dataset"
 	"fifl/internal/faults"
 	"fifl/internal/fl"
-	"fifl/internal/gradvec"
 	"fifl/internal/metrics"
-	"fifl/internal/netsim"
 	"fifl/internal/nn"
 	"fifl/internal/persist"
 	"fifl/internal/rng"
-	"fifl/internal/robust"
-	"fifl/internal/score"
 	"fifl/internal/shard"
-	"fifl/internal/trace"
 	"fifl/internal/transport"
 	"fifl/internal/transport/codec"
 )
@@ -76,23 +73,8 @@ type Dataset = dataset.Dataset
 // SynthDigits generates the MNIST stand-in dataset (28×28×1, ten classes).
 func SynthDigits(src *RNG, n int) *Dataset { return dataset.SynthDigits(src, n) }
 
-// SynthImages generates the CIFAR-10 stand-in dataset (32×32×3, ten
-// classes).
-func SynthImages(src *RNG, n int) *Dataset { return dataset.SynthImages(src, n) }
-
-// Model types.
-type (
-	// Model is a trainable network.
-	Model = nn.Sequential
-	// ModelBuilder constructs identical model replicas for workers.
-	ModelBuilder = nn.Builder
-)
-
-// NewLeNet returns the LeNet builder (for SynthDigits).
-func NewLeNet(seed uint64) ModelBuilder { return nn.NewLeNet(seed) }
-
-// NewMiniResNet returns the residual-network builder (for SynthImages).
-func NewMiniResNet(seed uint64) ModelBuilder { return nn.NewMiniResNet(seed) }
+// ModelBuilder constructs identical model replicas for workers.
+type ModelBuilder = nn.Builder
 
 // NewMLP returns a small multi-layer perceptron builder over flat inputs.
 func NewMLP(seed uint64, in int, hidden []int, out int) ModelBuilder {
@@ -109,18 +91,11 @@ type (
 	EngineConfig = fl.Config
 	// Engine orchestrates a federation.
 	Engine = fl.Engine
-	// RoundResult holds one iteration's collected gradients.
-	RoundResult = fl.RoundResult
-	// Gradient is a flat gradient vector.
-	Gradient = gradvec.Vector
 	// EngineOption customizes the engine's fault-tolerant round runtime.
 	EngineOption = fl.Option
 	// UploadStatus classifies the fate of one worker's upload in one
 	// round: OK, Retried, Dropped, TimedOut or Crashed.
 	UploadStatus = faults.UploadStatus
-	// Fault is one simulated failure decision (none, drop, straggle,
-	// crash).
-	Fault = faults.Fault
 	// FaultInjector is a pluggable failure model consulted for every
 	// transmission attempt; see the faults package for crash, straggler
 	// and bursty-link implementations.
@@ -163,9 +138,6 @@ func WithRetry(n int, backoff time.Duration) EngineOption { return fl.WithRetry(
 // WithFaultInjector installs a simulated failure model for the federation.
 func WithFaultInjector(inj FaultInjector) EngineOption { return fl.WithFaultInjector(inj) }
 
-// WithMaxConcurrent bounds how many workers train at once.
-func WithMaxConcurrent(k int) EngineOption { return fl.WithMaxConcurrent(k) }
-
 // NewHonestWorker builds a faithful worker over a local dataset.
 func NewHonestWorker(id int, data *Dataset, build ModelBuilder, cfg LocalConfig, src *RNG) *fl.HonestWorker {
 	return fl.NewHonestWorker(id, data, build, cfg, src)
@@ -173,7 +145,7 @@ func NewHonestWorker(id int, data *Dataset, build ModelBuilder, cfg LocalConfig,
 
 // NewEngine builds a federation runtime. Options configure the
 // fault-tolerant round runtime: WithQuorum, WithWorkerTimeout, WithRetry,
-// WithFaultInjector and WithMaxConcurrent.
+// WithFaultInjector and WithMetrics.
 func NewEngine(cfg EngineConfig, build ModelBuilder, workers []Worker, src *RNG, opts ...EngineOption) (*Engine, error) {
 	return fl.NewEngine(cfg, build, workers, src, opts...)
 }
@@ -182,28 +154,14 @@ func NewEngine(cfg EngineConfig, build ModelBuilder, workers []Worker, src *RNG,
 type (
 	// Detector is the attack-detection module (§4.1).
 	Detector = core.Detector
-	// DetectionResult is one round of screening.
-	DetectionResult = core.DetectionResult
 	// ReputationConfig parameterizes the reputation module (§4.2).
 	ReputationConfig = core.ReputationConfig
-	// ReputationTracker maintains time-decayed worker reputations.
-	ReputationTracker = core.ReputationTracker
 	// ContributionConfig parameterizes the contribution module (§4.3).
 	ContributionConfig = core.ContributionConfig
-	// Contributions is one round of utility assessments.
-	Contributions = core.Contributions
 	// CoordinatorConfig parameterizes a FIFL federation run.
 	CoordinatorConfig = core.CoordinatorConfig
 	// Coordinator runs the complete FIFL mechanism.
 	Coordinator = core.Coordinator
-	// RoundReport is one iteration's full assessment.
-	RoundReport = core.RoundReport
-	// Scorer replaces the default cosine detection score (see
-	// LossDeltaScorer for the exact Eq. 5 detector, which stays valid
-	// after the model converges).
-	Scorer = core.Scorer
-	// LossDeltaScorer is the exact Eq. 5 detector.
-	LossDeltaScorer = core.LossDeltaScorer
 	// CoordinatorOption customizes a coordinator beyond its config.
 	CoordinatorOption = core.CoordinatorOption
 	// Mechanism is the reward-splitting strategy interface of the Reward
@@ -213,16 +171,14 @@ type (
 	// WithMechanism; every mechanism runs through the full coordinator
 	// path — detection, ledger, checkpointing, wire transport included.
 	Mechanism = core.RewardMechanism
-	// RoundStageTrace describes one pipeline stage execution.
-	RoundStageTrace = core.StageTrace
 )
 
 // DefaultReputationConfig mirrors the paper's reputation setup.
 func DefaultReputationConfig() ReputationConfig { return core.DefaultReputationConfig() }
 
 // NewCoordinator wraps an engine in the FIFL mechanism. Options swap the
-// Reward stage's mechanism (WithMechanism) or install a pipeline stage
-// trace hook (WithStageTrace).
+// Reward stage's mechanism (WithMechanism) or its Collect stage
+// (WithCollector).
 func NewCoordinator(cfg CoordinatorConfig, engine *Engine, initialServers []int, opts ...CoordinatorOption) (*Coordinator, error) {
 	return core.NewCoordinator(cfg, engine, initialServers, opts...)
 }
@@ -232,13 +188,6 @@ func NewCoordinator(cfg CoordinatorConfig, engine *Engine, initialServers []int,
 // MechanismByName — while detection, reputation, aggregation, the ledger
 // and server reselection run unchanged.
 func WithMechanism(m Mechanism) CoordinatorOption { return core.WithMechanism(m) }
-
-// WithStageTrace installs an observability hook invoked after every round
-// pipeline stage (Collect, Detect, Reputation, Aggregate, Contribution,
-// Reward, Record, Reselect).
-func WithStageTrace(h func(RoundStageTrace)) CoordinatorOption {
-	return core.WithStageTrace(h)
-}
 
 // Asynchronous federation: replace the synchronous collect-all barrier
 // with bounded-staleness windows — workers submit whenever ready, tagged
@@ -296,8 +245,7 @@ func NewTransportAsyncCollector(hub *TransportHub, engine *Engine, cfg Transport
 	return transport.NewAsyncCollector(hub, engine, cfg)
 }
 
-// MechanismByName resolves a registry name — see MechanismNames, today
-// "fifl", "equal", "individual", "union", "shapley" and "shapley-mc"
+// MechanismByName resolves a registry name — today "fifl", "equal", "individual", "union", "shapley" and "shapley-mc"
 // (case-insensitive) — to a freshly built Mechanism. The error for an
 // unknown name lists every valid one. "shapley" is the exact
 // exponential-time enumeration; "shapley-mc" is the seeded Monte-Carlo /
@@ -306,9 +254,6 @@ func NewTransportAsyncCollector(hub *TransportHub, engine *Engine, cfg Transport
 func MechanismByName(name string) (Mechanism, error) {
 	return core.MechanismByName(name)
 }
-
-// MechanismNames lists every name MechanismByName accepts, FIFL first.
-func MechanismNames() []string { return core.MechanismNames() }
 
 // NewMonteCarloShapleyMechanism builds the sampled Shapley estimator with
 // explicit knobs: seed roots its private deterministic random stream (0 =
@@ -327,59 +272,6 @@ func ValidateMechanismScale(m Mechanism, workers int) error {
 	return core.ValidateMechanismScale(m, workers)
 }
 
-// SelectInitialServers elects the initial server cluster from verification
-// accuracies (§4.5).
-func SelectInitialServers(accuracies []float64, m int) []int {
-	return core.SelectInitialServers(accuracies, m, nil)
-}
-
-// Robust aggregation (the classical Byzantine-tolerant alternatives to
-// FIFL's detection filter).
-type (
-	// RobustAggregator combines one round of gradients robustly.
-	RobustAggregator = robust.Aggregator
-)
-
-// Robust aggregator constructors.
-var (
-	// MeanAggregator is plain FedAvg (no defense).
-	MeanAggregator RobustAggregator = robust.Mean{}
-	// MedianAggregator is the coordinate-wise median.
-	MedianAggregator RobustAggregator = robust.Median{}
-)
-
-// KrumAggregator returns (Multi-)Krum tolerating f Byzantine workers; m >
-// 1 averages the m best gradients.
-func KrumAggregator(f, m int) RobustAggregator { return robust.Krum{F: f, M: m} }
-
-// TrimmedMeanAggregator returns the per-coordinate trimmed mean with beta
-// values trimmed per side.
-func TrimmedMeanAggregator(beta int) RobustAggregator { return robust.TrimmedMean{Beta: beta} }
-
-// Run tracing.
-type (
-	// TraceRecorder accumulates per-round, per-worker run history.
-	TraceRecorder = trace.Recorder
-	// TraceWorkerRound is one worker's record in one round.
-	TraceWorkerRound = trace.WorkerRound
-)
-
-// NewTraceRecorder creates an empty run recorder; feed it with
-// RoundReport.TraceRecords.
-func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
-
-// Communication modelling (§3.2 architectures).
-type (
-	// CommParams describes a federation's communication round.
-	CommParams = netsim.Params
-	// CommCost is the per-round load breakdown.
-	CommCost = netsim.RoundCost
-)
-
-// AnalyzeComm computes the per-round communication cost of an
-// architecture.
-func AnalyzeComm(p CommParams) CommCost { return netsim.Analyze(p) }
-
 // Wire transport: run a federation across real processes over HTTP with
 // the deterministic binary codec (see internal/transport and cmd/fifl-node).
 type (
@@ -397,12 +289,6 @@ type (
 	WorkerClient = transport.Client
 	// WorkerClientConfig configures DialWorker.
 	WorkerClientConfig = transport.ClientConfig
-	// FederationRecipe is a deterministic federation specification every
-	// node rebuilds locally from the shared seed — seed, size and samples
-	// per worker; the model ([16]-hidden MLP) and local training (K=1,
-	// batch 32, LR 0.05) are fixed — making networked runs bit-identical
-	// to in-process runs.
-	FederationRecipe = transport.Recipe
 )
 
 // NewTransportHub creates the coordinator-side bridge for an n-worker
@@ -423,18 +309,8 @@ func ServeCoordinator(coord *Coordinator, hub *TransportHub) (*CoordinatorServer
 // to carry periodic rounds bit-exactly for the audit trail.
 type Compression = codec.Compression
 
-// The wire compression modes, in decreasing fidelity order.
-const (
-	CompressionNone  = codec.CompressionNone
-	CompressionF32   = codec.CompressionF32
-	CompressionTopK  = codec.CompressionTopK
-	CompressionInt8  = codec.CompressionInt8
-	CompressionInt16 = codec.CompressionInt16
-)
-
-// ParseCompression maps the CLI spellings "none", "f32", "topk", "int8"
-// and "int16" to a Compression mode.
-func ParseCompression(s string) (Compression, error) { return codec.ParseCompression(s) }
+// CompressionInt8 is the 8-bit linear-quantization wire mode.
+const CompressionInt8 = codec.CompressionInt8
 
 // WorkerClientOption adjusts a WorkerClientConfig before dialing.
 type WorkerClientOption func(*WorkerClientConfig)
@@ -461,51 +337,6 @@ func DialWorker(ctx context.Context, cfg WorkerClientConfig, opts ...WorkerClien
 		opt(&cfg)
 	}
 	return transport.DialWorker(ctx, cfg)
-}
-
-// Elastic membership: worker identities live in a lifecycle registry
-// behind stable IDs, so the cohort can change between rounds without
-// renumbering anyone. Admission bootstraps the Eq. 8–10 cold-start
-// reputation, departure keeps history for a later re-seat, eviction bans
-// the identity permanently (checkpoints carry the ban). The membership
-// methods live on Coordinator (AdmitWorker, ReadmitWorker, DepartWorker,
-// EvictWorker, Members) and on CoordinatorServer for the wire path
-// (ProcessMembership drains queued joins/leaves at round boundaries).
-type (
-	// WorkerRegistry tracks every identity the federation has ever known
-	// and the currently seated cohort; Coordinator.Members exposes the
-	// live one.
-	WorkerRegistry = core.Registry
-	// LifecycleState is a worker identity's position in the membership
-	// state machine: joining → active → departed | banned.
-	LifecycleState = core.LifecycleState
-)
-
-// The lifecycle states. Numeric values are persisted in FIFLCKP5
-// checkpoints and must never be renumbered.
-const (
-	StateJoining  = core.StateJoining
-	StateActive   = core.StateActive
-	StateDeparted = core.StateDeparted
-	StateBanned   = core.StateBanned
-)
-
-// ErrBanned is returned (and wrapped, HTTP 403 on the wire) when a banned
-// identity attempts to join or rejoin.
-var ErrBanned = core.ErrBanned
-
-// JoinFederation asks a coordinator for a seat via the /v1/join
-// handshake, blocking until the membership change is applied at a round
-// boundary; it returns the stable worker ID the federation assigned.
-// Follow up with DialWorker under that ID (the hello is idempotent).
-func JoinFederation(ctx context.Context, baseURL string, samples int) (int, error) {
-	return transport.JoinFederation(ctx, baseURL, samples)
-}
-
-// RejoinFederation re-seats a previously departed worker under its
-// retained identity and history; a banned ID is refused with ErrBanned.
-func RejoinFederation(ctx context.Context, baseURL string, worker, samples int) error {
-	return transport.RejoinFederation(ctx, baseURL, worker, samples)
 }
 
 // Hierarchical federation: a 1-level sharded topology where edge
@@ -547,8 +378,8 @@ func NewShardHub(n, shards int, reg *MetricsRegistry) (*ShardHub, error) {
 	return shard.NewShardHub(n, shards, reg)
 }
 
-// NewShardBridge bridges a hub to the root engine (whose slots are
-// ShardVirtualWorkers); quorum > 0 degrades rounds with fewer arrivals,
+// NewShardBridge bridges a hub to the root engine (whose slots are the
+// sample-count stand-ins of shard.VirtualWorkers); quorum > 0 degrades rounds with fewer arrivals,
 // and must equal the engine's own WithQuorum.
 func NewShardBridge(hub *ShardHub, engine *Engine, quorum int) (*ShardBridge, error) {
 	return shard.NewBridge(hub, engine, quorum)
@@ -559,10 +390,6 @@ func NewShardBridge(hub *ShardHub, engine *Engine, quorum int) (*ShardBridge, er
 func NewShardAggregator(s, first int, engine *Engine, link ShardRootLink) (*ShardAggregator, error) {
 	return shard.NewAggregator(s, first, engine, link)
 }
-
-// ShardVirtualWorkers returns the root engine's per-worker stand-ins: they
-// carry sample counts for aggregation weights but never train locally.
-func ShardVirtualWorkers(samples []int) []Worker { return shard.VirtualWorkers(samples) }
 
 // ServeShardRoot serves the shard wire protocol for the root coordinator
 // and its hub on the same CoordinatorServer a flat coordinator uses, so a
@@ -583,11 +410,6 @@ func ServeShardRoot(coord *Coordinator, hub *ShardHub) (*CoordinatorServer, erro
 // and written atomically (see internal/persist); restores verify the
 // embedded ledger's hash links, hashes and round seals and refuse
 // checkpoints from a different federation.
-type (
-	// CheckpointSnapshot is the decoded between-rounds state of a
-	// federation.
-	CheckpointSnapshot = persist.Snapshot
-)
 
 // Checkpoint writes the coordinator's complete inter-round state to w.
 // Call it only between rounds — after RunRoundContext returns and before
@@ -622,54 +444,6 @@ func ResumeFromFile(path string, cfg CoordinatorConfig, engine *Engine, opts ...
 		return nil, err
 	}
 	return core.RestoreCoordinatorSnapshot(s, cfg, engine, opts...)
-}
-
-// Ledger analytics: fold an audit-chain export offline — streamed record
-// by record, never materialized — into per-worker signals, audit the
-// recorded rewards against the recomputed Eq. 15 mechanism, recompute the
-// Eq. 16 fairness coefficient from the ledger alone, and rank workers
-// through a config-driven weighted scoring algorithm (see internal/score
-// and cmd/fifl-score).
-type (
-	// ScoreCollector folds ledger records into signals and a report.
-	ScoreCollector = score.Collector
-	// ScoreConfig tunes the collector's reward-audit tolerance.
-	ScoreConfig = score.Config
-	// WorkerSignals is one worker's folded ledger trail.
-	WorkerSignals = score.WorkerSignals
-	// SignalSet is the folded federation with its totals.
-	SignalSet = score.SignalSet
-	// ScoreReport is the federation-level offline audit: fairness,
-	// reward mismatches, record census.
-	ScoreReport = score.Report
-	// ScoreAlgorithm is a validated config-defined scoring function.
-	ScoreAlgorithm = score.Algorithm
-)
-
-// NewScoreCollector returns an empty ledger fold; feed it with
-// FromStream (a chain binary export), FromLedger (an in-memory chain) or
-// AddBlock/AddRecord, then Finalize.
-func NewScoreCollector(cfg ScoreConfig) *ScoreCollector { return score.NewCollector(cfg) }
-
-// DefaultScoreAlgorithm returns the built-in scoring configuration.
-func DefaultScoreAlgorithm() *ScoreAlgorithm { return score.DefaultAlgorithm() }
-
-// ParseScoreConfig reads fifl-score's line-based scoring configuration.
-func ParseScoreConfig(r io.Reader) (*ScoreAlgorithm, error) { return score.ParseConfig(r) }
-
-// WriteScoreCSV ranks the folded workers under the algorithm and writes
-// the deterministic `worker,<fields...>,score` CSV.
-func WriteScoreCSV(w io.Writer, set *SignalSet, alg *ScoreAlgorithm) error {
-	return score.WriteCSV(w, set, alg)
-}
-
-// FetchLedger downloads a coordinator's audit-chain export over HTTP
-// without joining the federation — no worker slot, no handshake. from
-// selects the first block (0 = the whole chain; past-tip yields an empty
-// export), maxBytes caps the response (<= 0 = 1 GiB). Feed the result to
-// a ScoreCollector's FromStream or chain-level verification.
-func FetchLedger(ctx context.Context, baseURL string, from int, maxBytes int64) ([]byte, error) {
-	return transport.FetchLedger(ctx, baseURL, from, maxBytes)
 }
 
 // Observability: every layer — engine round phases, coordinator assessment,

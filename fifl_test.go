@@ -2,18 +2,22 @@ package fifl
 
 import (
 	"context"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fifl/internal/attack"
+	"fifl/internal/transport"
 )
 
 // TestPublicAPIEndToEnd drives the whole system exactly as the README's
@@ -90,19 +94,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSelectInitialServersFacade checks the §4.5 initial election helper.
-func TestSelectInitialServersFacade(t *testing.T) {
-	servers := SelectInitialServers([]float64{0.2, 0.9, 0.6}, 2)
-	if len(servers) != 2 || servers[0] != 1 || servers[1] != 2 {
-		t.Fatalf("servers = %v", servers)
-	}
-}
-
 // TestTransportFacade runs a miniature networked federation entirely
 // through the facade: NewTransportHub + ServeCoordinator on one side,
 // DialWorker on the other, loopback HTTP in between.
 func TestTransportFacade(t *testing.T) {
-	recipe := FederationRecipe{Seed: 21, Workers: 2, SamplesPerWorker: 40}
+	recipe := transport.Recipe{Seed: 21, Workers: 2, SamplesPerWorker: 40}
 	build, err := recipe.Builder()
 	if err != nil {
 		t.Fatal(err)
@@ -224,5 +220,205 @@ func TestNoDeprecatedAPI(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// testOnlyExportAllowlist names exported functions and methods under
+// internal/ that only tests reach by name but that stay, keyed by package
+// directory, receiver type and name, each with its reason.
+var testOnlyExportAllowlist = map[string]string{
+	"internal/chain.Ledger.MarshalJSON":      "deleting it slowed the benchmark's query_us_p50 by 13-20 % (wide-toy, ledger-read) through code layout alone; it goes once Query's timing no longer moves with layout",
+	"internal/metrics.Snapshot.CounterValue": "the tests of fl and transport read counters through it; a method cannot move into another package's tests",
+	"internal/rng.countingSource.Int63":      "math/rand calls it through the rand.Source interface",
+}
+
+// TestNoTestOnlyExports keeps code that nothing ships out of the tree: an
+// exported function or method under internal/ must be referenced by name
+// from some non-test Go file of the repository — bench/ and examples/
+// included — other than its own declaration. Otherwise only tests reach
+// it, and it moves into its package's tests or goes. The match is by bare
+// name, so it is conservative: a method named like any identifier used
+// elsewhere (Load, String, Len) passes whatever its receiver.
+func TestNoTestOnlyExports(t *testing.T) {
+	fset := token.NewFileSet()
+	type decl struct {
+		key string
+		pos token.Position
+	}
+	var decls []decl
+	refs := map[string]int{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		internal := strings.HasPrefix(dir, "internal/")
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			// A declaration's own name, and its recursive calls, are not
+			// references to it.
+			self := ok && internal && fd.Name.IsExported()
+			if self {
+				key := dir + "." + fd.Name.Name
+				if fd.Recv != nil {
+					key = dir + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				}
+				decls = append(decls, decl{key, fset.Position(fd.Pos())})
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !(self && id.Name == fd.Name.Name) {
+					refs[id.Name]++
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{}
+	for _, d := range decls {
+		name := d.key[strings.LastIndex(d.key, ".")+1:]
+		if refs[name] > 0 {
+			continue
+		}
+		if testOnlyExportAllowlist[d.key] != "" {
+			allowed[d.key] = true
+			continue
+		}
+		t.Errorf("%s: %s is reached only from tests", d.pos, d.key)
+	}
+	for key := range testOnlyExportAllowlist {
+		if !allowed[key] {
+			t.Errorf("allowlist entry %s names no test-only declaration; delete it", key)
+		}
+	}
+}
+
+// recvName returns the type name of a method receiver: T for T, *T, T[P]
+// and *T[P].
+func recvName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return recvName(x.X)
+	case *ast.IndexExpr:
+		return recvName(x.X)
+	case *ast.IndexListExpr:
+		return recvName(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}
+
+// TestFacadeMatchesDocs holds fifl.go to the names its documentation
+// uses. Every fifl.X that README.md or an examples/*/main.go program
+// names must be an exported declaration of fifl.go, and every exported
+// declaration of fifl.go must be named there or appear in the signature
+// of a declaration that is, so the facade and its docs cannot drift
+// apart.
+func TestFacadeMatchesDocs(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "fifl.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sigs maps each exported declaration to the node holding its
+	// signature: a function's type, a type's definition, a value's type.
+	sigs := map[string]ast.Node{}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				sigs[d.Name.Name] = d.Type
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					if spec.Name.IsExported() {
+						sigs[spec.Name.Name] = spec.Type
+					}
+				case *ast.ValueSpec:
+					for _, name := range spec.Names {
+						if name.IsExported() {
+							sigs[name.Name] = spec.Type
+						}
+					}
+				}
+			}
+		}
+	}
+
+	docs, err := filepath.Glob("examples/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md")
+	named := regexp.MustCompile(`\bfifl\.([A-Z][A-Za-z0-9_]*)`)
+	var keep []string
+	for _, path := range docs {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range named.FindAllSubmatch(b, -1) {
+			name := string(m[1])
+			if _, ok := sigs[name]; !ok {
+				t.Errorf("%s names fifl.%s, which fifl.go does not declare", path, name)
+				continue
+			}
+			keep = append(keep, name)
+		}
+	}
+
+	// Close the named set over signatures: a kept declaration keeps every
+	// facade name its signature mentions.
+	kept := map[string]bool{}
+	for len(keep) > 0 {
+		name := keep[len(keep)-1]
+		keep = keep[:len(keep)-1]
+		if kept[name] {
+			continue
+		}
+		kept[name] = true
+		if sigs[name] == nil {
+			continue
+		}
+		ast.Inspect(sigs[name], func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				return false // a name of another package
+			case *ast.Ident:
+				if _, ok := sigs[n.Name]; ok && !kept[n.Name] {
+					keep = append(keep, n.Name)
+				}
+			}
+			return true
+		})
+	}
+	names := make([]string, 0, len(sigs))
+	for name := range sigs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if !kept[name] {
+			t.Errorf("fifl.go exports %s, which neither README.md, an example nor a documented signature uses", name)
+		}
 	}
 }

@@ -139,3 +139,15 @@ func ReadCheckpoint(path string) (*persist.Snapshot, error) {
 	}
 	return snap, nil
 }
+
+// CheckResume refuses to resume snap under flags the checkpoint cannot
+// run with, with an error that starts with the flag's name, like Check's:
+// today the server cluster size, which the checkpoint fixes. A nil snap
+// (a fresh run) passes. The restore keeps its own check; this one lets a
+// command refuse the flag before it builds anything.
+func (c *Config) CheckResume(snap *persist.Snapshot) error {
+	if snap != nil && len(snap.Servers) != c.Servers {
+		return fmt.Errorf("-servers must match the checkpoint's %d servers, got %d", len(snap.Servers), c.Servers)
+	}
+	return nil
+}

@@ -28,10 +28,10 @@ func stateOf(t *testing.T, c *Coordinator) coordState {
 		t.Fatal(err)
 	}
 	n := c.Rep.N()
-	slm := make([][4]float64, n)
+	triples := make([][4]float64, n)
 	for i := 0; i < n; i++ {
-		st, sn, su, rep := c.Rep.SLM(i)
-		slm[i] = [4]float64{st, sn, su, rep}
+		st, sn, su, rep := slm(c.Rep, i)
+		triples[i] = [4]float64{st, sn, su, rep}
 	}
 	return coordState{
 		NextRound:   c.NextRound(),
@@ -40,7 +40,7 @@ func stateOf(t *testing.T, c *Coordinator) coordState {
 		Cumulative:  c.CumulativeRewards(),
 		Servers:     c.Servers(),
 		Ledger:      led.Bytes(),
-		SLM:         slm,
+		SLM:         triples,
 	}
 }
 
@@ -250,7 +250,7 @@ func TestCheckpointRestoreDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		_, _, su, _ := resumed.Rep.SLM(i)
+		_, _, su, _ := slm(resumed.Rep, i)
 		if su <= 0 {
 			t.Fatalf("worker %d lost its uncertainty mass across the restore", i)
 		}

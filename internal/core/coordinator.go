@@ -165,8 +165,7 @@ func WithCollector(col Collector) CoordinatorOption {
 }
 
 // NewCoordinator builds a FIFL coordinator over an engine. initialServers
-// must contain exactly engine.NumServers() worker indices (use
-// SelectInitialServers for the paper's accuracy-based election). Options
+// must contain exactly engine.NumServers() worker indices. Options
 // select a non-default reward mechanism (WithMechanism) and stage
 // tracing (WithStageTrace).
 func NewCoordinator(cfg CoordinatorConfig, engine *fl.Engine, initialServers []int, opts ...CoordinatorOption) (*Coordinator, error) {

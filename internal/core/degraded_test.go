@@ -69,7 +69,7 @@ func TestQuorumFailureRoundDegradesGracefully(t *testing.T) {
 	paramsBefore := append([]float64(nil), engine.Params()...)
 	slmBefore := make([]float64, n)
 	for i := range slmBefore {
-		_, _, su, _ := coord.Rep.SLM(i)
+		_, _, su, _ := slm(coord.Rep, i)
 		slmBefore[i] = su
 	}
 
@@ -104,7 +104,7 @@ func TestQuorumFailureRoundDegradesGracefully(t *testing.T) {
 		if rep.Reputations[i] != repsBefore[i] {
 			t.Fatalf("worker %d reputation moved on an uncertain event", i)
 		}
-		if _, _, su, _ := coord.Rep.SLM(i); su <= slmBefore[i] {
+		if _, _, su, _ := slm(coord.Rep, i); su <= slmBefore[i] {
 			t.Fatalf("worker %d uncertainty mass did not grow", i)
 		}
 	}
@@ -207,9 +207,9 @@ func TestCrashThenRecoverReputationTrajectory(t *testing.T) {
 	// The crash leaves a permanent mark in the SLM opinion (Eq. 8): the
 	// crashed device carries strictly more uncertainty mass than any
 	// uninterrupted peer, even after it resumes earning positive events.
-	_, _, suCrashed, _ := coord.Rep.SLM(n - 1)
+	_, _, suCrashed, _ := slm(coord.Rep, n-1)
 	for i := 0; i < n-1; i++ {
-		if _, _, su, _ := coord.Rep.SLM(i); su >= suCrashed {
+		if _, _, su, _ := slm(coord.Rep, i); su >= suCrashed {
 			t.Fatalf("worker %d uncertainty %v >= crashed device's %v", i, su, suCrashed)
 		}
 	}

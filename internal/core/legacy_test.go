@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"fifl/internal/faults"
 	"fifl/internal/fl"
@@ -249,4 +250,28 @@ func compositeBenchmark(rr *fl.RoundResult, slices [][]gradvec.Vector, servers [
 // pipeline's ReselectServersFrom equals it under the identity cohort.
 func ReselectServers(reputations []float64, m int, banned map[int]bool) []int {
 	return topM(reputations, m, banned)
+}
+
+// topM returns the indices of the m largest scores, excluding banned ones,
+// in descending score order with index as the tiebreaker so election is
+// deterministic.
+func topM(scores []float64, m int, banned map[int]bool) []int {
+	idx := make([]int, 0, len(scores))
+	for i := range scores {
+		if banned != nil && banned[i] {
+			continue
+		}
+		idx = append(idx, i)
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		ia, ib := idx[a], idx[b]
+		if scores[ia] != scores[ib] {
+			return scores[ia] > scores[ib]
+		}
+		return ia < ib
+	})
+	if m > len(idx) {
+		m = len(idx)
+	}
+	return idx[:m]
 }

@@ -27,7 +27,9 @@ func looSetup(t *testing.T) (*LOOContribution, []float64, gradvec.Vector) {
 	logits := model.Forward(val.X, true)
 	_, d := nn.SoftmaxCrossEntropy(logits, val.Labels)
 	model.Backward(d)
-	return loo, params, gradvec.Vector(model.GradsVector())
+	g := make(gradvec.Vector, model.NumParams())
+	model.AddGradsTo(g)
+	return loo, params, g
 }
 
 func TestLOOUsefulWorkerPositive(t *testing.T) {

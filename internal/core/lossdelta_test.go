@@ -28,7 +28,9 @@ func lossDeltaSetup(t *testing.T) (*LossDeltaScorer, []float64, gradvec.Vector) 
 	logits := model.Forward(val.X, true)
 	_, d := nn.SoftmaxCrossEntropy(logits, val.Labels)
 	model.Backward(d)
-	return scorer, params, gradvec.Vector(model.GradsVector())
+	g := make(gradvec.Vector, model.NumParams())
+	model.AddGradsTo(g)
+	return scorer, params, g
 }
 
 func TestLossDeltaUsefulGradientPositive(t *testing.T) {

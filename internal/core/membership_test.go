@@ -78,7 +78,7 @@ func TestAdmitWorkerBootstrapsReputation(t *testing.T) {
 	if rep := f.coord.Rep.Reputation(id); rep != f.coord.Cfg.Reputation.Initial {
 		t.Fatalf("joiner bootstrapped at %v, want %v", rep, f.coord.Cfg.Reputation.Initial)
 	}
-	if _, _, su, _ := f.coord.Rep.SLM(id); su != 1 {
+	if _, _, su, _ := slm(f.coord.Rep, id); su != 1 {
 		t.Fatalf("joiner SLM uncertainty %v, want 1 (no assessed rounds yet)", su)
 	}
 

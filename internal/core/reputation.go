@@ -199,22 +199,3 @@ func (t *ReputationTracker) SetPeriodCounts(pt, pn, pu []int) error {
 	copy(t.pu, pu)
 	return nil
 }
-
-// SLM returns the subjective-logic triple for worker i over the events
-// counted so far: the trust score St, distrust score Sn, uncertainty mass
-// Su (Eq. 8), and the weighted period reputation of Eq. 9. A worker with no
-// decided events has full uncertainty.
-func (t *ReputationTracker) SLM(i int) (st, sn, su, rep float64) {
-	total := t.pt[i] + t.pn[i] + t.pu[i]
-	if total == 0 {
-		return 0, 0, 1, -t.cfg.AlphaU
-	}
-	su = float64(t.pu[i]) / float64(total)
-	decided := t.pt[i] + t.pn[i]
-	if decided > 0 {
-		st = (1 - su) * float64(t.pt[i]) / float64(decided)
-		sn = (1 - su) * float64(t.pn[i]) / float64(decided)
-	}
-	rep = t.cfg.AlphaT*st - t.cfg.AlphaN*sn - t.cfg.AlphaU*su
-	return st, sn, su, rep
-}

@@ -104,6 +104,26 @@ func TestReputationStaysSensitive(t *testing.T) {
 	}
 }
 
+// slm returns the subjective-logic triple for worker i over the events in
+// the tracker's period counters: the trust score St, distrust score Sn,
+// uncertainty mass Su (Eq. 8), and the weighted period reputation of
+// Eq. 9. A worker with no decided events has full uncertainty.
+func slm(tr *ReputationTracker, i int) (st, sn, su, rep float64) {
+	pt, pn, pu := tr.PeriodCounts()
+	total := pt[i] + pn[i] + pu[i]
+	if total == 0 {
+		return 0, 0, 1, -tr.cfg.AlphaU
+	}
+	su = float64(pu[i]) / float64(total)
+	decided := pt[i] + pn[i]
+	if decided > 0 {
+		st = (1 - su) * float64(pt[i]) / float64(decided)
+		sn = (1 - su) * float64(pn[i]) / float64(decided)
+	}
+	rep = tr.cfg.AlphaT*st - tr.cfg.AlphaN*sn - tr.cfg.AlphaU*su
+	return st, sn, su, rep
+}
+
 func TestSLMTriple(t *testing.T) {
 	tr := NewReputationTracker(DefaultReputationConfig(), 1)
 	// 6 positive, 2 negative, 2 uncertain.
@@ -116,7 +136,10 @@ func TestSLMTriple(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		update(tr, []Event{EventUncertain})
 	}
-	st, sn, su, rep := tr.SLM(0)
+	if pt, pn, pu := tr.PeriodCounts(); pt[0] != 6 || pn[0] != 2 || pu[0] != 2 {
+		t.Fatalf("period counts = %d/%d/%d, want 6/2/2", pt[0], pn[0], pu[0])
+	}
+	st, sn, su, rep := slm(tr, 0)
 	if math.Abs(su-0.2) > 1e-12 {
 		t.Fatalf("Su = %v, want 0.2", su)
 	}
@@ -134,7 +157,7 @@ func TestSLMTriple(t *testing.T) {
 
 func TestSLMNoEventsFullUncertainty(t *testing.T) {
 	tr := NewReputationTracker(DefaultReputationConfig(), 1)
-	_, _, su, _ := tr.SLM(0)
+	_, _, su, _ := slm(tr, 0)
 	if su != 1 {
 		t.Fatalf("Su with no events = %v, want 1", su)
 	}
@@ -208,8 +231,8 @@ func TestPeriodCountsRoundTrip(t *testing.T) {
 		t.Fatalf("SetPeriodCounts: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		st1, sn1, su1, rep1 := tr.SLM(i)
-		st2, sn2, su2, rep2 := restored.SLM(i)
+		st1, sn1, su1, rep1 := slm(tr, i)
+		st2, sn2, su2, rep2 := slm(restored, i)
 		if st1 != st2 || sn1 != sn2 || su1 != su2 || rep1 != rep2 {
 			t.Fatalf("worker %d SLM mismatch after counter restore", i)
 		}

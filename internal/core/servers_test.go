@@ -2,14 +2,6 @@ package core
 
 import "testing"
 
-func TestSelectInitialServersTopAccuracy(t *testing.T) {
-	acc := []float64{0.5, 0.9, 0.7, 0.95, 0.6}
-	got := SelectInitialServers(acc, 2, nil)
-	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
-		t.Fatalf("servers = %v, want [3 1]", got)
-	}
-}
-
 // identityCohort is the cohort of a federation that never churned:
 // slot k holds worker k.
 func identityCohort(n int) []int {

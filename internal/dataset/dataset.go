@@ -261,25 +261,3 @@ func identity(n int) []int {
 	}
 	return out
 }
-
-// Concat concatenates datasets with identical item shapes and class counts.
-func Concat(ds ...*Dataset) *Dataset {
-	if len(ds) == 0 {
-		panic("dataset: Concat of nothing")
-	}
-	total := 0
-	for _, d := range ds {
-		total += d.Len()
-	}
-	shape := append([]int{total}, ds[0].ItemShape()...)
-	x := tensor.New(shape...)
-	labels := make([]int, 0, total)
-	xd := x.Data()
-	off := 0
-	for _, d := range ds {
-		copy(xd[off:], d.X.Data())
-		off += d.X.Size()
-		labels = append(labels, d.Labels...)
-	}
-	return &Dataset{X: x, Labels: labels, Classes: ds[0].Classes}
-}

@@ -230,18 +230,6 @@ func TestSampleN(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := SynthDigits(rng.New(16), 5)
-	b := SynthDigits(rng.New(17), 7)
-	c := Concat(a, b)
-	if c.Len() != 12 {
-		t.Fatalf("Concat length %d", c.Len())
-	}
-	if c.Labels[5] != b.Labels[0] {
-		t.Fatal("Concat label order wrong")
-	}
-}
-
 // TestBatchIntoMatchesBatch: BatchInto draws Batch's examples from the
 // same stream and refills buffers of the right shape in place.
 func TestBatchIntoMatchesBatch(t *testing.T) {

@@ -34,8 +34,9 @@ func TestUncertainEventsFeedSLM(t *testing.T) {
 		t.Fatal("DropRate 0.3 produced no uncertain events in 40 rounds")
 	}
 	// Every worker should carry uncertainty mass ≈ DropRate.
+	pt, pn, pu := coord.Rep.PeriodCounts()
 	for i := 0; i < sc.TrainWorkers; i++ {
-		_, _, su, _ := coord.Rep.SLM(i)
+		su := float64(pu[i]) / float64(pt[i]+pn[i]+pu[i])
 		if su < 0.1 || su > 0.55 {
 			t.Fatalf("worker %d SLM uncertainty %v, want ≈0.3", i, su)
 		}

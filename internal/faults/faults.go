@@ -10,7 +10,7 @@
 // Everything here is deterministic: injectors draw from a caller-owned
 // rng.Source and are consulted sequentially before any parallel fan-out,
 // so the same seed always yields the same failure schedule regardless of
-// scheduling order or worker-pool size.
+// scheduling order or core count.
 package faults
 
 import "fifl/internal/rng"

@@ -149,7 +149,7 @@ type Engine struct {
 // so shapes agree. Options configure the fault-tolerant runtime: quorum
 // commit (WithQuorum), straggler cutoff (WithWorkerTimeout), upload
 // retransmission (WithRetry), simulated failures (WithFaultInjector) and
-// bounded fan-out (WithMaxConcurrent).
+// instrumentation (WithMetrics).
 func NewEngine(cfg Config, build nn.Builder, workers []Worker, src *rng.Source, opts ...Option) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

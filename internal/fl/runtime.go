@@ -19,7 +19,6 @@ type options struct {
 	maxRetries    int
 	backoff       time.Duration
 	injector      faults.Injector
-	maxConcurrent int
 	metrics       *metrics.Registry
 }
 
@@ -39,9 +38,6 @@ func (o options) validate(workers int) error {
 	}
 	if o.backoff < 0 {
 		return fmt.Errorf("fl: retry backoff must be non-negative, got %v", o.backoff)
-	}
-	if o.maxConcurrent < 0 {
-		return fmt.Errorf("fl: max concurrency must be non-negative, got %d", o.maxConcurrent)
 	}
 	return nil
 }
@@ -97,16 +93,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 	return func(o *options) { o.metrics = reg }
 }
 
-// WithMaxConcurrent bounds how many workers train at once (a worker
-// pool). k = 0 (the default) runs every worker on its own goroutine —
-// required when workers coordinate within a round (e.g. colluding
-// attackers), which deadlocks under a pool smaller than the coordinating
-// group. The failure schedule is fixed before fan-out, so results do not
-// depend on the pool size.
-func WithMaxConcurrent(k int) Option {
-	return func(o *options) { o.maxConcurrent = k }
-}
-
 // workerPlan is the pre-drawn failure schedule for one worker in one
 // round.
 type workerPlan struct {
@@ -118,7 +104,7 @@ type workerPlan struct {
 // fan-out, drawing sequentially from the engine's random stream: ascending
 // worker, then ascending transmission attempt. This is what makes the
 // runtime deterministic for a fixed seed regardless of scheduling order,
-// pool size, or wall-clock jitter.
+// core count, or wall-clock jitter.
 func (e *Engine) faultPlan(round int) []workerPlan {
 	if cap(e.planBuf) < len(e.Workers) {
 		e.planBuf = make([]workerPlan, len(e.Workers))
@@ -177,7 +163,7 @@ func (e *Engine) retrySchedule(round, worker int) workerPlan {
 // CollectGradientsContext runs local training across the federation with
 // the fault-tolerant runtime: the failure schedule (drops, retries,
 // crashes, simulated stragglers) is fixed deterministically up front, the
-// fan-out respects WithMaxConcurrent, each worker is cut off at the
+// workers train on one goroutine each, each is cut off at the
 // WithWorkerTimeout deadline, and the result records a per-worker
 // UploadStatus plus whether the round met its quorum.
 //
@@ -253,7 +239,7 @@ func (e *Engine) CollectGradientsContext(ctx context.Context, round int) (*Round
 		}
 	}
 
-	parallel.ForLimit(n, e.opt.maxConcurrent, func(i int) {
+	parallel.Each(n, func(i int) {
 		rr.Samples[i] = e.Workers[i].NumSamples()
 		rr.Status[i] = plan[i].status
 		rr.Retries[i] = plan[i].retries

@@ -1,15 +1,12 @@
 package gradvec
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Matrix is a flat gradient arena: one contiguous rows×dim backing buffer
 // with per-row Vector views. The federated round hot path stores every
 // worker's gradient as one row, so a round costs a single backing
-// allocation (amortized to zero when the Matrix is reused or pooled)
-// instead of one allocation per worker.
+// allocation (amortized to zero when the Matrix is reused) instead of
+// one allocation per worker.
 //
 // A Matrix does not track which rows are populated; the round runtime
 // carries that in RoundResult.Grads (nil = no arrival). Rows of workers
@@ -28,40 +25,6 @@ func NewMatrix(rows, dim int) *Matrix {
 		panic(fmt.Sprintf("gradvec: NewMatrix(%d, %d) negative dimension", rows, dim))
 	}
 	return &Matrix{data: make(Vector, rows*dim), rows: rows, dim: dim}
-}
-
-// matrixPool recycles backing buffers across GetMatrix/Release cycles.
-// Buffers of any capacity live in one pool; Get falls back to a fresh
-// allocation when the recycled buffer is too small for the requested
-// shape.
-var matrixPool = sync.Pool{}
-
-// GetMatrix returns a rows×dim arena drawing its backing buffer from the
-// package pool when a large enough one is available. The contents are NOT
-// zeroed — callers populate rows before reading them. Pair with Release.
-func GetMatrix(rows, dim int) *Matrix {
-	if rows < 0 || dim < 0 {
-		panic(fmt.Sprintf("gradvec: GetMatrix(%d, %d) negative dimension", rows, dim))
-	}
-	need := rows * dim
-	if v, ok := matrixPool.Get().(*Vector); ok && cap(*v) >= need {
-		m := &Matrix{data: (*v)[:need], rows: rows, dim: dim}
-		return m
-	}
-	return NewMatrix(rows, dim)
-}
-
-// Release returns the arena's backing buffer to the package pool. The
-// caller must not touch the Matrix — or any Row taken from it —
-// after Release.
-func (m *Matrix) Release() {
-	if m == nil || m.data == nil {
-		return
-	}
-	v := m.data[:0]
-	m.data = nil
-	m.rows, m.dim = 0, 0
-	matrixPool.Put(&v)
 }
 
 // Rows returns the number of rows (workers) in the arena.

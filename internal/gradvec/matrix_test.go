@@ -41,23 +41,6 @@ func TestMatrixSetRowCopies(t *testing.T) {
 	}
 }
 
-func TestMatrixPoolReuse(t *testing.T) {
-	m := GetMatrix(8, 16)
-	m.Row(3)[5] = 1
-	m.Release()
-	// After release the next Get of an equal-or-smaller shape should be
-	// able to reuse the buffer. sync.Pool gives no hard guarantee, so only
-	// the shape contract is asserted; reuse itself is covered by the
-	// allocation regression tests in fl and core.
-	m2 := GetMatrix(4, 8)
-	if m2.Rows() != 4 || m2.Dim() != 8 {
-		t.Fatalf("pooled matrix shape = %d×%d, want 4×8", m2.Rows(), m2.Dim())
-	}
-	// Pooled contents are unspecified; rows must still be writable.
-	m2.SetRow(0, Zeros(8))
-	m2.Release()
-}
-
 func TestMatrixBoundsPanics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	for name, fn := range map[string]func(){

@@ -240,12 +240,6 @@ func Attractiveness(schemes []Scheme, pop []Worker, budget float64) [][]float64 
 	return out
 }
 
-// Assign samples one federation per worker from its attractiveness
-// distribution and returns the member lists per scheme.
-func Assign(src *rng.Source, attract [][]float64, pop []Worker) [][]Worker {
-	return AssignGreedy(src, attract, pop, 1)
-}
-
 // AssignGreedy samples one federation per worker with probability
 // proportional to attractiveness^beta. The paper describes workers as
 // joining "greedily ... to maximize their benefits" with probability equal

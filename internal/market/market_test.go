@@ -141,7 +141,7 @@ func TestAssignPartition(t *testing.T) {
 	src := rng.New(5)
 	pop := honestPop(src, 30)
 	attract := Attractiveness(Schemes(), pop, 1)
-	members := Assign(src, attract, pop)
+	members := AssignGreedy(src, attract, pop, 1)
 	total := 0
 	for _, ms := range members {
 		total += len(ms)

@@ -238,11 +238,6 @@ func (s Snapshot) CounterValue(name string, labels ...string) int64 {
 	return s.Counters[Key(name, labels...)]
 }
 
-// GaugeValue looks up a gauge by name and labels (0 if absent).
-func (s Snapshot) GaugeValue(name string, labels ...string) float64 {
-	return s.Gauges[Key(name, labels...)]
-}
-
 // Snapshot freezes the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()

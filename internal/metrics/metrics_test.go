@@ -165,3 +165,8 @@ func TestSnapshotLookups(t *testing.T) {
 		t.Fatalf("ObserveSince recorded count=%d sum=%v", hs.Count, hs.Sum)
 	}
 }
+
+// GaugeValue looks up a gauge by name and labels (0 if absent).
+func (s Snapshot) GaugeValue(name string, labels ...string) float64 {
+	return s.Gauges[Key(name, labels...)]
+}

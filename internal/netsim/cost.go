@@ -105,35 +105,3 @@ func Analyze(p Params) RoundCost {
 	}
 	return cost
 }
-
-// CheckMeasured validates measured per-worker wire traffic against the
-// analytic model: a real transport must move at least the analytic payload
-// (the gradient up, the model down) and at most maxOverhead bytes more per
-// direction (framing headers, length prefixes, checksums). The transport
-// integration tests feed it the coordinator's actual byte counters,
-// closing the loop between the model this package predicts and the bytes
-// a live federation moves.
-func (c RoundCost) CheckMeasured(perWorkerUp, perWorkerDown, maxOverhead int64) error {
-	if maxOverhead < 0 {
-		return fmt.Errorf("netsim: negative overhead budget %d", maxOverhead)
-	}
-	if perWorkerUp < c.PerWorkerUp || perWorkerUp > c.PerWorkerUp+maxOverhead {
-		return fmt.Errorf("netsim: measured upload of %d B/worker/round outside analytic range [%d, %d]",
-			perWorkerUp, c.PerWorkerUp, c.PerWorkerUp+maxOverhead)
-	}
-	if perWorkerDown < c.PerWorkerDown || perWorkerDown > c.PerWorkerDown+maxOverhead {
-		return fmt.Errorf("netsim: measured download of %d B/worker/round outside analytic range [%d, %d]",
-			perWorkerDown, c.PerWorkerDown, c.PerWorkerDown+maxOverhead)
-	}
-	return nil
-}
-
-// Architectures returns the §3.2 trio for a federation of n workers:
-// centralized (M=1), polycentric (M=m), decentralized (M=n).
-func Architectures(n, m int) map[string]int {
-	return map[string]int{
-		"centralized":   1,
-		"polycentric":   m,
-		"decentralized": n,
-	}
-}

@@ -153,32 +153,3 @@ func TestExchangeAllDropped(t *testing.T) {
 		t.Fatal("all-dropped exchange should be nil")
 	}
 }
-
-func TestArchitectures(t *testing.T) {
-	a := Architectures(10, 4)
-	if a["centralized"] != 1 || a["polycentric"] != 4 || a["decentralized"] != 10 {
-		t.Fatalf("Architectures = %v", a)
-	}
-}
-
-func TestCheckMeasured(t *testing.T) {
-	c := Analyze(Params{Workers: 3, Servers: 1, ModelDim: 100})
-	// Exact payload, and payload + framing overhead, both pass.
-	if err := c.CheckMeasured(c.PerWorkerUp, c.PerWorkerDown, 64); err != nil {
-		t.Fatalf("exact payload rejected: %v", err)
-	}
-	if err := c.CheckMeasured(c.PerWorkerUp+28, c.PerWorkerDown+20, 64); err != nil {
-		t.Fatalf("framed payload rejected: %v", err)
-	}
-	// Less than the payload means bytes went missing.
-	if err := c.CheckMeasured(c.PerWorkerUp-1, c.PerWorkerDown, 64); err == nil {
-		t.Fatal("under-measured upload accepted")
-	}
-	// More than payload + budget means the wire is wasting bandwidth.
-	if err := c.CheckMeasured(c.PerWorkerUp, c.PerWorkerDown+65, 64); err == nil {
-		t.Fatal("over-measured download accepted")
-	}
-	if err := c.CheckMeasured(c.PerWorkerUp, c.PerWorkerDown, -1); err == nil {
-		t.Fatal("negative overhead budget accepted")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fifl/internal/rng"
-	"fifl/internal/tensor"
 )
 
 // TestConvBackwardBitsRepeat: at batch 64 Conv2D's backward pass fans the
@@ -17,7 +16,7 @@ func TestConvBackwardBitsRepeat(t *testing.T) {
 	src := rng.New(51)
 	model := NewLeNet(52)()
 	const batch = 64
-	x := tensor.RandN(src, 1, batch, 1, 28, 28)
+	x := randN(src, 1, batch, 1, 28, 28)
 	labels := make([]int, batch)
 	for i := range labels {
 		labels[i] = src.Intn(10)
@@ -27,7 +26,7 @@ func TestConvBackwardBitsRepeat(t *testing.T) {
 		model.ZeroGrads()
 		_, d := SoftmaxCrossEntropy(model.Forward(x, true), labels)
 		model.Backward(d)
-		g := model.GradsVector()
+		g := gradsVector(model)
 		if first == nil {
 			first = g
 			continue

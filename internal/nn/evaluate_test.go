@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fifl/internal/rng"
-	"fifl/internal/tensor"
 )
 
 // TestEvaluatePartialBatchBits: Evaluate over 50 examples in batches of 16
@@ -26,7 +25,7 @@ func TestEvaluatePartialBatchBits(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			src := rng.New(44)
 			const n = 50
-			x := tensor.RandN(src, 1, append([]int{n}, c.item...)...)
+			x := randN(src, 1, append([]int{n}, c.item...)...)
 			labels := make([]int, n)
 			for i := range labels {
 				labels[i] = src.Intn(10)

@@ -23,7 +23,7 @@ func backwardGrads(model *Sequential, x *tensor.Tensor, labels []int) []float64 
 	logits := model.Forward(x, true)
 	_, d := SoftmaxCrossEntropy(logits, labels)
 	model.Backward(d)
-	return model.GradsVector()
+	return gradsVector(model)
 }
 
 // checkModelGradients compares analytic parameter gradients with central
@@ -55,7 +55,7 @@ func checkModelGradients(t *testing.T, model *Sequential, x *tensor.Tensor, labe
 func TestLinearGradient(t *testing.T) {
 	src := rng.New(1)
 	model := NewSequential(NewLinear(src, 6, 4), NewReLU(), NewLinear(src.Split("2"), 4, 3))
-	x := tensor.RandN(src, 1, 5, 6)
+	x := randN(src, 1, 5, 6)
 	labels := []int{0, 1, 2, 1, 0}
 	checkModelGradients(t, model, x, labels, 40, 1e-4)
 }
@@ -68,7 +68,7 @@ func TestConvGradient(t *testing.T) {
 		NewFlatten(),
 		NewLinear(src.Split("fc"), 3*6*6, 4),
 	)
-	x := tensor.RandN(src, 1, 3, 2, 6, 6)
+	x := randN(src, 1, 3, 2, 6, 6)
 	labels := []int{0, 3, 1}
 	checkModelGradients(t, model, x, labels, 40, 1e-4)
 }
@@ -80,7 +80,7 @@ func TestConvStridedGradient(t *testing.T) {
 		NewFlatten(),
 		NewLinear(src.Split("fc"), 2*4*4, 3),
 	)
-	x := tensor.RandN(src, 1, 2, 1, 8, 8)
+	x := randN(src, 1, 2, 1, 8, 8)
 	labels := []int{1, 2}
 	checkModelGradients(t, model, x, labels, 40, 1e-4)
 }
@@ -93,7 +93,7 @@ func TestMaxPoolGradient(t *testing.T) {
 		NewFlatten(),
 		NewLinear(src.Split("fc"), 2*4*4, 3),
 	)
-	x := tensor.RandN(src, 1, 2, 1, 8, 8)
+	x := randN(src, 1, 2, 1, 8, 8)
 	labels := []int{0, 2}
 	checkModelGradients(t, model, x, labels, 40, 1e-4)
 }
@@ -107,7 +107,7 @@ func TestGroupNormGradient(t *testing.T) {
 		NewFlatten(),
 		NewLinear(src.Split("fc"), 4*6*6, 3),
 	)
-	x := tensor.RandN(src, 1, 3, 1, 6, 6)
+	x := randN(src, 1, 3, 1, 6, 6)
 	labels := []int{0, 1, 2}
 	checkModelGradients(t, model, x, labels, 50, 2e-4)
 }
@@ -128,7 +128,7 @@ func TestResidualBlockGradient(t *testing.T) {
 		NewGlobalAvgPool(4, 3, 3),
 		NewLinear(src.Split("fc"), 4, 3),
 	)
-	x := tensor.RandN(src, 1, 3, 2, 6, 6)
+	x := randN(src, 1, 3, 2, 6, 6)
 	labels := []int{0, 1, 2}
 	checkModelGradients(t, model, x, labels, 50, 2e-4)
 }
@@ -140,7 +140,7 @@ func TestResidualIdentityBlockGradient(t *testing.T) {
 		NewGlobalAvgPool(3, 4, 4),
 		NewLinear(src.Split("fc"), 3, 2),
 	)
-	x := tensor.RandN(src, 1, 2, 3, 4, 4)
+	x := randN(src, 1, 2, 3, 4, 4)
 	labels := []int{0, 1}
 	checkModelGradients(t, model, x, labels, 40, 2e-4)
 }
@@ -152,7 +152,7 @@ func TestGlobalAvgPoolGradient(t *testing.T) {
 		NewGlobalAvgPool(3, 4, 4),
 		NewLinear(src.Split("fc"), 3, 2),
 	)
-	x := tensor.RandN(src, 1, 3, 1, 4, 4)
+	x := randN(src, 1, 3, 1, 4, 4)
 	labels := []int{0, 1, 1}
 	checkModelGradients(t, model, x, labels, 30, 1e-4)
 }
@@ -168,7 +168,7 @@ func TestInputGradient(t *testing.T) {
 		NewFlatten(),
 		NewLinear(src.Split("fc"), 2*5*5, 3),
 	)
-	x := tensor.RandN(src, 1, 2, 1, 5, 5)
+	x := randN(src, 1, 2, 1, 5, 5)
 	labels := []int{0, 2}
 
 	model.ZeroGrads()

@@ -160,19 +160,8 @@ func (s *Sequential) SetParamsVector(v []float64) {
 	}
 }
 
-// GradsVector copies all accumulated gradients into one flat vector in
-// layer order, parallel to ParamsVector.
-func (s *Sequential) GradsVector() []float64 {
-	out := make([]float64, 0, s.NumParams())
-	for _, g := range s.Grads() {
-		out = append(out, g.Data()...)
-	}
-	return out
-}
-
-// AddGradsTo adds all accumulated gradients into acc, laid out as
-// GradsVector: acc += GradsVector() without the copy. It panics on length
-// mismatch.
+// AddGradsTo adds all accumulated gradients into acc, flat in layer
+// order and parallel to ParamsVector. It panics on length mismatch.
 func (s *Sequential) AddGradsTo(acc []float64) {
 	if len(acc) != s.NumParams() {
 		panic("nn: AddGradsTo length mismatch")

@@ -8,6 +8,24 @@ import (
 	"fifl/internal/tensor"
 )
 
+// randN returns a tensor of the given shape filled with normal deviates
+// of standard deviation std.
+func randN(src *rng.Source, std float64, shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	src.FillNormal(t.Data(), 0, std)
+	return t
+}
+
+// gradsVector copies all accumulated gradients into one flat vector in
+// layer order, parallel to ParamsVector.
+func gradsVector(s *Sequential) []float64 {
+	out := make([]float64, 0, s.NumParams())
+	for _, g := range s.Grads() {
+		out = append(out, g.Data()...)
+	}
+	return out
+}
+
 func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	// Zero logits over C classes give loss ln(C).
 	logits := tensor.New(4, 10)
@@ -19,7 +37,7 @@ func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	for b := 0; b < 4; b++ {
 		s := 0.0
 		for c := 0; c < 10; c++ {
-			s += grad.At(b, c)
+			s += grad.Data()[b*10+c]
 		}
 		if math.Abs(s) > 1e-12 {
 			t.Fatalf("gradient row %d sums to %v", b, s)
@@ -29,7 +47,7 @@ func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 
 func TestSoftmaxCrossEntropyConfident(t *testing.T) {
 	logits := tensor.New(1, 3)
-	logits.Set(50, 0, 0)
+	logits.Data()[0] = 50
 	loss, _ := SoftmaxCrossEntropy(logits, []int{0})
 	if loss > 1e-12 {
 		t.Fatalf("confident correct prediction should have ~0 loss, got %v", loss)
@@ -139,10 +157,10 @@ func TestApplyDeltaLengthPanics(t *testing.T) {
 }
 
 // TestAddGradsToAndStepMatchFlatForms: AddGradsTo and Step give the bits
-// of acc.Add(GradsVector()) and applyDelta(lr, GradsVector()).
+// of acc.Add(gradsVector()) and applyDelta(lr, gradsVector()).
 func TestAddGradsToAndStepMatchFlatForms(t *testing.T) {
 	src := rng.New(6)
-	x := tensor.RandN(src, 1, 8, 1, 28, 28)
+	x := randN(src, 1, 8, 1, 28, 28)
 	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	build := NewLeNet(6)
 	a, b := build(), build()
@@ -158,10 +176,10 @@ func TestAddGradsToAndStepMatchFlatForms(t *testing.T) {
 	}
 	a.AddGradsTo(acc)
 	a.Step(0.05)
-	for i, v := range b.GradsVector() {
+	for i, v := range gradsVector(b) {
 		want[i] += v
 	}
-	applyDelta(b, 0.05, b.GradsVector())
+	applyDelta(b, 0.05, gradsVector(b))
 	for i := range acc {
 		if math.Float64bits(acc[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("AddGradsTo entry %d is %v, want %v", i, acc[i], want[i])
@@ -179,7 +197,7 @@ func TestSGDStepReducesLoss(t *testing.T) {
 	src := rng.New(5)
 	build := NewMLP(5, 8, []int{16}, 3)
 	model := build()
-	x := tensor.RandN(src, 1, 32, 8)
+	x := randN(src, 1, 32, 8)
 	labels := make([]int, 32)
 	for i := range labels {
 		labels[i] = src.Intn(3)
@@ -261,7 +279,7 @@ func TestStepMatchesOldSGDBits(t *testing.T) {
 func TestLeNetShapes(t *testing.T) {
 	model := NewLeNet(1)()
 	src := rng.New(2)
-	x := tensor.RandN(src, 1, 2, 1, 28, 28)
+	x := randN(src, 1, 2, 1, 28, 28)
 	logits := model.Forward(x, true)
 	if logits.Dim(0) != 2 || logits.Dim(1) != 10 {
 		t.Fatalf("LeNet output shape %v", logits.Shape())
@@ -274,7 +292,7 @@ func TestLeNetShapes(t *testing.T) {
 func TestMiniResNetShapes(t *testing.T) {
 	model := NewMiniResNet(1)()
 	src := rng.New(2)
-	x := tensor.RandN(src, 1, 2, 3, 32, 32)
+	x := randN(src, 1, 2, 3, 32, 32)
 	logits := model.Forward(x, true)
 	if logits.Dim(0) != 2 || logits.Dim(1) != 10 {
 		t.Fatalf("MiniResNet output shape %v", logits.Shape())
@@ -287,7 +305,7 @@ func TestEvaluateBatching(t *testing.T) {
 	src := rng.New(5)
 	build := NewMLP(5, 6, nil, 3)
 	model := build()
-	x := tensor.RandN(src, 1, 10, 6)
+	x := randN(src, 1, 10, 6)
 	labels := make([]int, 10)
 	// Evaluating in one batch or many must agree.
 	a1, l1 := Evaluate(model, x, labels, 0)
@@ -302,7 +320,7 @@ func TestNumParamsMatchesVector(t *testing.T) {
 	if model.NumParams() != len(model.ParamsVector()) {
 		t.Fatal("NumParams disagrees with ParamsVector length")
 	}
-	if model.NumParams() != len(model.GradsVector()) {
+	if model.NumParams() != len(gradsVector(model)) {
 		t.Fatal("NumParams disagrees with GradsVector length")
 	}
 }
@@ -310,10 +328,10 @@ func TestNumParamsMatchesVector(t *testing.T) {
 func TestZeroGrads(t *testing.T) {
 	src := rng.New(6)
 	model := NewMLP(6, 4, nil, 2)()
-	x := tensor.RandN(src, 1, 3, 4)
+	x := randN(src, 1, 3, 4)
 	backwardGrads(model, x, []int{0, 1, 0})
 	model.ZeroGrads()
-	for _, g := range model.GradsVector() {
+	for _, g := range gradsVector(model) {
 		if g != 0 {
 			t.Fatal("ZeroGrads left nonzero gradient")
 		}
@@ -325,14 +343,14 @@ func TestZeroGrads(t *testing.T) {
 func TestGradAccumulation(t *testing.T) {
 	src := rng.New(7)
 	model := NewMLP(7, 4, nil, 2)()
-	x := tensor.RandN(src, 1, 3, 4)
+	x := randN(src, 1, 3, 4)
 	labels := []int{0, 1, 0}
 	g1 := append([]float64(nil), backwardGrads(model, x, labels)...)
 	// Second pass without ZeroGrads.
 	logits := model.Forward(x, true)
 	_, d := SoftmaxCrossEntropy(logits, labels)
 	model.Backward(d)
-	g2 := model.GradsVector()
+	g2 := gradsVector(model)
 	for i := range g1 {
 		if math.Abs(g2[i]-2*g1[i]) > 1e-9 {
 			t.Fatalf("gradient not accumulated at %d: %v vs 2*%v", i, g2[i], g1[i])

@@ -89,53 +89,23 @@ func forRanges(n, chunk int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Map applies f to every index in [0,n) and collects the results in order.
-// Each f(i) may run on any goroutine; results are written to disjoint slots
-// so no further synchronization is needed.
-func Map[T any](n int, f func(i int) T) []T {
-	out := make([]T, n)
-	For(n, func(i int) { out[i] = f(i) })
-	return out
-}
-
-// ForLimit runs body(i) for every i in [0,n) with at most limit bodies in
-// flight at once; limit <= 0 (or limit >= n) runs one goroutine per index.
-// Unlike ForChunked, indices are handed out one at a time from a shared
-// queue, so a slow body only occupies one of the limit slots instead of
-// serializing a whole contiguous chunk behind it — the right shape for
-// heterogeneous tasks like federated workers. Bodies that coordinate with
-// each other must not exceed the limit, or they deadlock waiting for
-// partners that never get a slot.
-func ForLimit(n, limit int, body func(i int)) {
+// Each runs body(i) for every i in [0,n), each on its own goroutine, and
+// waits for all of them. Unlike ForChunked, no index waits behind another,
+// so a slow body delays only itself — the right shape for heterogeneous
+// tasks like federated workers, including workers that coordinate with
+// each other within a round (colluding attackers).
+func Each(n int, body func(i int)) {
 	if n <= 0 {
 		return
 	}
 	var wg sync.WaitGroup
-	if limit <= 0 || limit >= n {
-		wg.Add(n)
-		for i := 0; i < n; i++ {
-			go func(i int) {
-				defer wg.Done()
-				body(i)
-			}(i)
-		}
-		wg.Wait()
-		return
-	}
-	idx := make(chan int)
-	wg.Add(limit)
-	for w := 0; w < limit; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				body(i)
-			}
-		}()
-	}
+	wg.Add(n)
 	for i := 0; i < n; i++ {
-		idx <- i
+		go func(i int) {
+			defer wg.Done()
+			body(i)
+		}(i)
 	}
-	close(idx)
 	wg.Wait()
 }
 

@@ -56,15 +56,6 @@ func TestForChunkedZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestMapOrder(t *testing.T) {
-	out := Map(100, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d", i, v)
-		}
-	}
-}
-
 func TestDo(t *testing.T) {
 	var a, b int32
 	Do(

@@ -104,9 +104,6 @@ func (s *Source) NormFloat64() float64 { return s.rnd.NormFloat64() }
 // Intn returns a uniform value in [0,n). It panics if n <= 0.
 func (s *Source) Intn(n int) int { return s.rnd.Intn(n) }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 { return s.rnd.Int63() }
-
 // Perm returns a random permutation of [0,n).
 func (s *Source) Perm(n int) []int { return s.rnd.Perm(n) }
 

@@ -205,12 +205,6 @@ func (c *Collector) FromStream(r io.Reader) error {
 	return chain.StreamBinary(r, c.AddBlock)
 }
 
-// FromLedger folds an in-memory ledger via its allocation-free scan.
-// Record-level only: hash continuity is the ledger's own invariant.
-func (c *Collector) FromLedger(l *chain.Ledger) error {
-	return l.Scan("", c.AddRecord)
-}
-
 // flushRound folds the buffered iteration into the per-worker signals,
 // audits its rewards against the recomputed mechanism, and clears the
 // buffer.

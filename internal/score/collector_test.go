@@ -195,8 +195,9 @@ func TestCollectorUnknownKindError(t *testing.T) {
 	}
 }
 
-// TestStreamScanSnapshotAgree: the same ledger folded via FromStream,
-// FromLedger and a mid-stream Snapshot-at-the-end must agree exactly.
+// TestStreamScanSnapshotAgree: the same ledger folded via FromStream, a
+// record scan of the in-memory ledger and a mid-stream
+// Snapshot-at-the-end must agree exactly.
 func TestStreamScanSnapshotAgree(t *testing.T) {
 	l := chain.NewLedger()
 	signer := chain.NewSigner("server-0", [32]byte{1})
@@ -234,7 +235,7 @@ func TestStreamScanSnapshotAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	scanned := NewCollector(Config{})
-	if err := scanned.FromLedger(l); err != nil {
+	if err := l.Scan("", scanned.AddRecord); err != nil {
 		t.Fatal(err)
 	}
 	snapSet, snapRep := streamed.Snapshot()

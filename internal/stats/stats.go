@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the FIFL evaluation
-// needs: means, standard deviations, the Pearson correlation used as the
-// paper's fairness coefficient (Eq. 16), running aggregates for repeated
-// experiments, and simple histogram bucketing for the market figures.
+// needs: sums, means, extremes and quantiles, the Pearson correlation used
+// as the paper's fairness coefficient (Eq. 16), and running means for
+// repeated experiments.
 package stats
 
 import (
@@ -29,25 +29,6 @@ func Mean(xs []float64) float64 {
 	}
 	return Sum(xs) / float64(len(xs))
 }
-
-// Variance returns the population variance of xs (dividing by N, matching
-// the paper's use of δ(X) in Eq. 16), or 0 for fewer than one sample.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n)
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the smallest element of xs. It returns ErrEmpty for empty xs.
 func Min(xs []float64) (float64, error) {
@@ -137,26 +118,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 // isNonFinite reports whether v is NaN or infinite.
 func isNonFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
-// Normalize returns xs scaled so the entries sum to 1. Entries of an
-// all-zero slice are returned as a uniform distribution.
-func Normalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	total := Sum(xs)
-	if total == 0 {
-		if len(xs) > 0 {
-			u := 1.0 / float64(len(xs))
-			for i := range out {
-				out[i] = u
-			}
-		}
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / total
-	}
-	return out
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It returns ErrEmpty for empty xs.
 func Quantile(xs []float64, q float64) (float64, error) {
@@ -180,21 +141,18 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return s[lo]*(1-frac) + s[lo+1]*frac, nil
 }
 
-// Running accumulates a stream of samples and reports mean/std without
-// storing them (Welford's algorithm). Used to aggregate the paper's
-// 100-repeat experiments without holding every run in memory.
+// Running accumulates a stream of samples and reports their mean without
+// storing them. Used to aggregate the paper's 100-repeat experiments
+// without holding every run in memory.
 type Running struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add folds one sample into the accumulator.
 func (r *Running) Add(x float64) {
 	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
 
 // N reports the number of samples seen.
@@ -202,69 +160,6 @@ func (r *Running) N() int { return r.n }
 
 // Mean reports the running mean (0 before any sample).
 func (r *Running) Mean() float64 { return r.mean }
-
-// Var reports the running population variance.
-func (r *Running) Var() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Std reports the running population standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
-// Histogram buckets values into equal-width bins over [lo,hi). Values
-// outside the range are clamped into the first/last bin, matching how the
-// paper groups workers into ten quality bands.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []float64
-}
-
-// NewHistogram creates a histogram with the given number of bins. It panics
-// if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: NewHistogram with bins <= 0")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram with hi <= lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]float64, bins)}
-}
-
-// Bin returns the bin index for x, clamped into range.
-func (h *Histogram) Bin(x float64) int {
-	b := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.Counts) {
-		b = len(h.Counts) - 1
-	}
-	return b
-}
-
-// Add adds weight w at position x.
-func (h *Histogram) Add(x, w float64) { h.Counts[h.Bin(x)] += w }
-
-// Shares returns the per-bin fraction of total weight.
-func (h *Histogram) Shares() []float64 { return Normalize(h.Counts) }
-
-// ArgMax returns the index of the largest element, or -1 for empty input.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
 
 // Clamp limits x into [lo,hi].
 func Clamp(x, lo, hi float64) float64 {

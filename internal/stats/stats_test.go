@@ -8,7 +8,7 @@ import (
 	"fifl/internal/rng"
 )
 
-func TestSumMeanVariance(t *testing.T) {
+func TestSumMean(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if Sum(xs) != 10 {
 		t.Fatalf("Sum = %v", Sum(xs))
@@ -16,17 +16,11 @@ func TestSumMeanVariance(t *testing.T) {
 	if Mean(xs) != 2.5 {
 		t.Fatalf("Mean = %v", Mean(xs))
 	}
-	if got := Variance(xs); math.Abs(got-1.25) > 1e-12 {
-		t.Fatalf("Variance = %v, want 1.25", got)
-	}
-	if got := Std(xs); math.Abs(got-math.Sqrt(1.25)) > 1e-12 {
-		t.Fatalf("Std = %v", got)
-	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Fatal("empty Mean/Variance should be 0")
+	if Mean(nil) != 0 {
+		t.Fatal("empty Mean should be 0")
 	}
 	if _, err := Min(nil); err != ErrEmpty {
 		t.Fatal("Min(nil) should return ErrEmpty")
@@ -103,17 +97,6 @@ func TestPearsonAffineInvariance(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	n := Normalize([]float64{1, 3})
-	if math.Abs(n[0]-0.25) > 1e-12 || math.Abs(n[1]-0.75) > 1e-12 {
-		t.Fatalf("Normalize = %v", n)
-	}
-	z := Normalize([]float64{0, 0})
-	if z[0] != 0.5 || z[1] != 0.5 {
-		t.Fatalf("all-zero Normalize should be uniform, got %v", z)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	for _, tc := range []struct{ q, want float64 }{
@@ -140,45 +123,8 @@ func TestRunningMatchesBatch(t *testing.T) {
 	if math.Abs(r.Mean()-Mean(xs)) > 1e-9 {
 		t.Fatalf("Running mean %v vs batch %v", r.Mean(), Mean(xs))
 	}
-	if math.Abs(r.Var()-Variance(xs)) > 1e-9 {
-		t.Fatalf("Running var %v vs batch %v", r.Var(), Variance(xs))
-	}
 	if r.N() != 500 {
 		t.Fatalf("N = %d", r.N())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(0.5, 1) // bin 0
-	h.Add(9.5, 2) // bin 4
-	h.Add(-3, 1)  // clamped to bin 0
-	h.Add(99, 1)  // clamped to bin 4
-	h.Add(5, 4)   // bin 2
-	if h.Counts[0] != 2 || h.Counts[2] != 4 || h.Counts[4] != 3 {
-		t.Fatalf("Counts = %v", h.Counts)
-	}
-	shares := h.Shares()
-	if math.Abs(Sum(shares)-1) > 1e-12 {
-		t.Fatalf("Shares must sum to 1: %v", shares)
-	}
-}
-
-func TestHistogramBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-func TestArgMax(t *testing.T) {
-	if ArgMax([]float64{1, 5, 3}) != 1 {
-		t.Fatal("ArgMax wrong")
-	}
-	if ArgMax(nil) != -1 {
-		t.Fatal("ArgMax(nil) should be -1")
 	}
 }
 

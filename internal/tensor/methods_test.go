@@ -1,21 +1,12 @@
 package tensor
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
-func TestFullAndFill(t *testing.T) {
+func TestFullAndZero(t *testing.T) {
 	a := Full(3.5, 2, 2)
 	for _, v := range a.Data() {
 		if v != 3.5 {
 			t.Fatalf("Full = %v", a.Data())
-		}
-	}
-	a.Fill(-1)
-	for _, v := range a.Data() {
-		if v != -1 {
-			t.Fatalf("Fill = %v", a.Data())
 		}
 	}
 	a.Zero()
@@ -26,14 +17,6 @@ func TestFullAndFill(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
-	a := FromSlice([]float64{1, -2, 3}, 3)
-	a.Apply(math.Abs)
-	if a.Data()[1] != 2 {
-		t.Fatalf("Apply = %v", a.Data())
-	}
-}
-
 func TestSum(t *testing.T) {
 	a := FromSlice([]float64{1, -5, 3}, 3)
 	if a.Sum() != -1 {
@@ -41,22 +24,11 @@ func TestSum(t *testing.T) {
 	}
 }
 
-func TestMulElem(t *testing.T) {
-	a := FromSlice([]float64{2, 3}, 2)
-	b := FromSlice([]float64{4, 5}, 2)
-	a.MulElem(b)
-	if a.Data()[0] != 8 || a.Data()[1] != 15 {
-		t.Fatalf("MulElem = %v", a.Data())
-	}
-}
-
 func TestShapeMismatchPanics(t *testing.T) {
 	a, b := New(2), New(3)
 	for name, fn := range map[string]func(){
-		"Add":     func() { a.Add(b) },
-		"Sub":     func() { a.Sub(b) },
-		"MulElem": func() { a.MulElem(b) },
-		"Dot":     func() { a.Dot(b) },
+		"Add": func() { a.Add(b) },
+		"Dot": func() { a.Dot(b) },
 	} {
 		func() {
 			defer func() {

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"fifl/internal/rng"
 )
 
 // Tensor is a dense row-major float64 tensor. The zero value is an empty
@@ -65,13 +63,6 @@ func Full(v float64, shape ...int) *Tensor {
 	for i := range t.data {
 		t.data[i] = v
 	}
-	return t
-}
-
-// RandN returns a tensor filled with normal deviates of the given std.
-func RandN(src *rng.Source, std float64, shape ...int) *Tensor {
-	t := New(shape...)
-	src.FillNormal(t.data, 0, std)
 	return t
 }
 
@@ -135,39 +126,10 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: s, data: t.data}
 }
 
-// offset computes the flat index of a multi-dimensional index.
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
-// At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
-
-// Set assigns the element at the given multi-dimensional index.
-func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
-
 // Zero resets every element to 0 and returns the receiver.
 func (t *Tensor) Zero() *Tensor {
 	for i := range t.data {
 		t.data[i] = 0
-	}
-	return t
-}
-
-// Fill sets every element to v and returns the receiver.
-func (t *Tensor) Fill(v float64) *Tensor {
-	for i := range t.data {
-		t.data[i] = v
 	}
 	return t
 }
@@ -193,24 +155,6 @@ func (t *Tensor) Add(o *Tensor) *Tensor {
 	return t
 }
 
-// Sub subtracts o element-wise from t and returns t.
-func (t *Tensor) Sub(o *Tensor) *Tensor {
-	sameShape("Sub", t, o)
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-	return t
-}
-
-// MulElem multiplies t by o element-wise and returns t.
-func (t *Tensor) MulElem(o *Tensor) *Tensor {
-	sameShape("MulElem", t, o)
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return t
-}
-
 // Scale multiplies every element by s and returns t.
 func (t *Tensor) Scale(s float64) *Tensor {
 	for i := range t.data {
@@ -224,14 +168,6 @@ func (t *Tensor) AddScaled(s float64, o *Tensor) *Tensor {
 	sameShape("AddScaled", t, o)
 	for i, v := range o.data {
 		t.data[i] += s * v
-	}
-	return t
-}
-
-// Apply replaces every element x by f(x) and returns t.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = f(v)
 	}
 	return t
 }

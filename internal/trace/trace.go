@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 )
 
@@ -55,87 +54,6 @@ func (r *Recorder) RecordMetrics(m RoundMetrics) { r.metrics = append(r.metrics,
 
 // Len reports the number of worker-round records.
 func (r *Recorder) Len() int { return len(r.workers) }
-
-// Rounds reports the number of distinct rounds seen in worker records.
-func (r *Recorder) Rounds() int {
-	seen := map[int]bool{}
-	for _, w := range r.workers {
-		seen[w.Round] = true
-	}
-	return len(seen)
-}
-
-// WorkerHistory returns worker i's records in round order.
-func (r *Recorder) WorkerHistory(i int) []WorkerRound {
-	var out []WorkerRound
-	for _, w := range r.workers {
-		if w.Worker == i {
-			out = append(out, w)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Round < out[b].Round })
-	return out
-}
-
-// CumulativeReward returns worker i's reward total over the recorded run.
-func (r *Recorder) CumulativeReward(i int) float64 {
-	total := 0.0
-	for _, w := range r.workers {
-		if w.Worker == i {
-			total += w.Reward
-		}
-	}
-	return total
-}
-
-// Summary aggregates a worker's record into headline numbers.
-type Summary struct {
-	Worker           int     `json:"worker"`
-	Rounds           int     `json:"rounds"`
-	AcceptRate       float64 `json:"accept_rate"`
-	UncertainRate    float64 `json:"uncertain_rate"`
-	FinalReputation  float64 `json:"final_reputation"`
-	MeanContribution float64 `json:"mean_contribution"`
-	CumulativeReward float64 `json:"cumulative_reward"`
-}
-
-// Summarize produces one Summary per worker, ordered by worker index.
-func (r *Recorder) Summarize() []Summary {
-	byWorker := map[int][]WorkerRound{}
-	for _, w := range r.workers {
-		byWorker[w.Worker] = append(byWorker[w.Worker], w)
-	}
-	ids := make([]int, 0, len(byWorker))
-	for id := range byWorker {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]Summary, 0, len(ids))
-	for _, id := range ids {
-		rows := byWorker[id]
-		sort.Slice(rows, func(a, b int) bool { return rows[a].Round < rows[b].Round })
-		s := Summary{Worker: id, Rounds: len(rows)}
-		var accepted, uncertain, contribSum, rewardSum float64
-		for _, row := range rows {
-			if row.Accepted {
-				accepted++
-			}
-			if row.Uncertain {
-				uncertain++
-			}
-			contribSum += row.Contribution
-			rewardSum += row.Reward
-		}
-		n := float64(len(rows))
-		s.AcceptRate = accepted / n
-		s.UncertainRate = uncertain / n
-		s.FinalReputation = rows[len(rows)-1].Reputation
-		s.MeanContribution = contribSum / n
-		s.CumulativeReward = rewardSum
-		out = append(out, s)
-	}
-	return out
-}
 
 // WriteJSONL streams every record as JSON Lines: worker records first (one
 // object per line, type "worker"), then metrics (type "metrics").

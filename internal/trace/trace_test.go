@@ -33,53 +33,6 @@ func TestRecorderCounts(t *testing.T) {
 	if r.Len() != 6 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	if r.Rounds() != 3 {
-		t.Fatalf("Rounds = %d", r.Rounds())
-	}
-}
-
-func TestWorkerHistoryOrdered(t *testing.T) {
-	r := sampleRecorder()
-	h := r.WorkerHistory(1)
-	if len(h) != 3 {
-		t.Fatalf("history length %d", len(h))
-	}
-	for i, rec := range h {
-		if rec.Round != i || rec.Worker != 1 {
-			t.Fatalf("history out of order: %+v", h)
-		}
-	}
-}
-
-func TestCumulativeReward(t *testing.T) {
-	r := sampleRecorder()
-	if got := r.CumulativeReward(0); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("cumulative = %v", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	r := sampleRecorder()
-	sums := r.Summarize()
-	if len(sums) != 2 {
-		t.Fatalf("summaries = %d", len(sums))
-	}
-	s0 := sums[0]
-	if s0.Worker != 0 || s0.Rounds != 3 {
-		t.Fatalf("summary = %+v", s0)
-	}
-	if s0.AcceptRate != 1 {
-		t.Fatalf("accept rate = %v", s0.AcceptRate)
-	}
-	if sums[1].AcceptRate != 0 {
-		t.Fatalf("worker 1 accept rate = %v", sums[1].AcceptRate)
-	}
-	if math.Abs(s0.FinalReputation-0.7) > 1e-12 {
-		t.Fatalf("final reputation = %v", s0.FinalReputation)
-	}
-	if math.Abs(s0.MeanContribution-1) > 1e-12 {
-		t.Fatalf("mean contribution = %v", s0.MeanContribution)
-	}
 }
 
 func TestWriteJSONL(t *testing.T) {

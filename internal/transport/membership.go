@@ -255,18 +255,6 @@ func JoinFederation(ctx context.Context, baseURL string, samples int) (int, erro
 	return rep.Worker, nil
 }
 
-// RejoinFederation re-admits a previously departed identity with its
-// reputation and reward history intact, blocking (bounded only by ctx)
-// until the next round boundary. A banned identity is refused with an
-// error wrapping core.ErrBanned.
-func RejoinFederation(ctx context.Context, baseURL string, worker, samples int) error {
-	if worker < 0 {
-		return fmt.Errorf("transport: RejoinFederation requires a non-negative worker, got %d", worker)
-	}
-	_, err := join(ctx, baseURL, worker, samples)
-	return err
-}
-
 // join sends one /v1/join handshake and returns the 2xx reply body. A
 // refusal maps to an error; 403 marks the banned case so callers can
 // errors.Is(err, core.ErrBanned).
@@ -287,19 +275,4 @@ func join(ctx context.Context, baseURL string, worker, samples int) ([]byte, err
 		return nil, fmt.Errorf("transport: join refused: HTTP %d: %s", status, msg)
 	}
 	return body, nil
-}
-
-// Leave departs the federation voluntarily, blocking (bounded only by
-// ctx) until the coordinator's next round boundary unseats this worker.
-// The identity keeps its history and may return via RejoinFederation.
-func (c *Client) Leave(ctx context.Context) error {
-	status, body, err := Exchange(ctx, http.DefaultClient, http.MethodPost, c.cfg.BaseURL, "/v1/leave", "application/json",
-		fmt.Appendf(nil, `{"worker":%d}`, c.cfg.Worker.ID()), maxMembershipBytes)
-	if err != nil {
-		return err
-	}
-	if status == http.StatusNoContent {
-		return nil
-	}
-	return fmt.Errorf("transport: leave refused: HTTP %d: %s", status, bytes.TrimSpace(body))
 }

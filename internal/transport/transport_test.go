@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"runtime"
@@ -239,12 +240,12 @@ func TestLoopbackFederationMatchesInProcess(t *testing.T) {
 	up, down := srv.WorkerTraffic()
 	cost := netsim.Analyze(netsim.Params{Workers: nWorkers, Servers: 1, ModelDim: len(netParams)})
 	for _, w := range []int{0, 1} {
-		if err := cost.CheckMeasured(up[w]/nRounds, down[w]/nRounds, 64); err != nil {
+		if err := checkMeasured(cost, up[w]/nRounds, down[w]/nRounds, 64); err != nil {
 			t.Fatalf("worker %d traffic: %v", w, err)
 		}
 	}
 	// Worker 2 moved exactly one round's traffic before going dark.
-	if err := cost.CheckMeasured(up[2], down[2], 64); err != nil {
+	if err := checkMeasured(cost, up[2], down[2], 64); err != nil {
 		t.Fatalf("worker 2 traffic: %v", err)
 	}
 }
@@ -676,5 +677,48 @@ func TestAbandonedStubsReleasedOnPublish(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("await on a superseded round blocked")
+	}
+}
+
+// checkMeasured validates measured per-worker wire traffic against the
+// analytic model: a real transport must move at least the analytic payload
+// (the gradient up, the model down) and at most maxOverhead bytes more per
+// direction (framing headers, length prefixes, checksums). Fed the
+// coordinator's actual byte counters, it closes the loop between the
+// traffic netsim predicts and the bytes a live federation moves.
+func checkMeasured(c netsim.RoundCost, perWorkerUp, perWorkerDown, maxOverhead int64) error {
+	if maxOverhead < 0 {
+		return fmt.Errorf("netsim: negative overhead budget %d", maxOverhead)
+	}
+	if perWorkerUp < c.PerWorkerUp || perWorkerUp > c.PerWorkerUp+maxOverhead {
+		return fmt.Errorf("netsim: measured upload of %d B/worker/round outside analytic range [%d, %d]",
+			perWorkerUp, c.PerWorkerUp, c.PerWorkerUp+maxOverhead)
+	}
+	if perWorkerDown < c.PerWorkerDown || perWorkerDown > c.PerWorkerDown+maxOverhead {
+		return fmt.Errorf("netsim: measured download of %d B/worker/round outside analytic range [%d, %d]",
+			perWorkerDown, c.PerWorkerDown, c.PerWorkerDown+maxOverhead)
+	}
+	return nil
+}
+
+func TestCheckMeasured(t *testing.T) {
+	c := netsim.Analyze(netsim.Params{Workers: 3, Servers: 1, ModelDim: 100})
+	// Exact payload, and payload + framing overhead, both pass.
+	if err := checkMeasured(c, c.PerWorkerUp, c.PerWorkerDown, 64); err != nil {
+		t.Fatalf("exact payload rejected: %v", err)
+	}
+	if err := checkMeasured(c, c.PerWorkerUp+28, c.PerWorkerDown+20, 64); err != nil {
+		t.Fatalf("framed payload rejected: %v", err)
+	}
+	// Less than the payload means bytes went missing.
+	if err := checkMeasured(c, c.PerWorkerUp-1, c.PerWorkerDown, 64); err == nil {
+		t.Fatal("under-measured upload accepted")
+	}
+	// More than payload + budget means the wire is wasting bandwidth.
+	if err := checkMeasured(c, c.PerWorkerUp, c.PerWorkerDown+65, 64); err == nil {
+		t.Fatal("over-measured download accepted")
+	}
+	if err := checkMeasured(c, c.PerWorkerUp, c.PerWorkerDown, -1); err == nil {
+		t.Fatal("negative overhead budget accepted")
 	}
 }
